@@ -8,6 +8,7 @@ switching with 0.1 V spread, 10k epochs over offsets -6..6).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,9 +114,17 @@ def _take(section: dict, path: str, key: str, default, kind=None):
     val = section.pop(key, default)
     if kind is not None and val is not None and not isinstance(val, kind):
         if kind is float and isinstance(val, int) and not isinstance(val, bool):
-            return float(val)
-        names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{path}.{key}: expected {names}, got {val!r}")
+            try:
+                val = float(val)
+            except OverflowError:  # an integer literal beyond the float range
+                val = math.inf
+        else:
+            names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
+            raise ConfigError(f"{path}.{key}: expected {names}, got {val!r}")
+    # JSON admits NaN and Infinity; reject them here, before they reach a
+    # NaN curve or a traceback at run time
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{path}.{key}: must be a finite number, got {val!r}")
     return val
 
 
@@ -139,7 +148,8 @@ def _parse_waveform(raw: dict | None, path: str) -> SpikeWaveform:
             kw[key] = v
     extra = _take(sec, path, "extra", None, dict)
     if extra is not None:
-        kw["extra"] = extra
+        extra = dict(extra)
+        kw["extra"] = {k: _take(extra, f"{path}.extra", k, None, float) for k in list(extra)}
     _reject_unknown(sec, path)
     try:
         return make_waveform(shape, **kw)
@@ -218,16 +228,16 @@ def parse_config(data: dict) -> RunConfig:
             prob_model = ProbModel(kind="linear", gamma=gamma)
         except ValueError as e:
             raise ConfigError(f"device.prob_model.linear: {e}") from None
+    device_kw = dict(
+        vth_pos=_take(dev, "device", "vth_pos", 1.0, float),
+        vth_neg=_take(dev, "device", "vth_neg", -1.0, float),
+        sigma_th=_take(dev, "device", "sigma_th", 0.1, float),
+        r_on=_take(dev, "device", "r_on_ohm", 1e6, float),
+        sigma_lrs=_take(dev, "device", "sigma_lrs", 0.1, float),
+        r_off_ratio=_take(dev, "device", "r_off_ratio", None, float),
+    )
     try:
-        device = DeviceModel(
-            vth_pos=_take(dev, "device", "vth_pos", 1.0, float),
-            vth_neg=_take(dev, "device", "vth_neg", -1.0, float),
-            sigma_th=_take(dev, "device", "sigma_th", 0.1, float),
-            r_on=_take(dev, "device", "r_on_ohm", 1e6, float),
-            sigma_lrs=_take(dev, "device", "sigma_lrs", 0.1, float),
-            r_off_ratio=_take(dev, "device", "r_off_ratio", None, float),
-            prob_model=prob_model,
-        )
+        device = DeviceModel(**device_kw, prob_model=prob_model)
     except ValueError as e:
         raise ConfigError(f"device: {e}") from None
     _reject_unknown(dev, "device")

@@ -16,7 +16,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .device import reset_probability, set_probability
-from .pairing import PairingGeometry, all_branch_drives, candidate_table
+from .pairing import PairingGeometry, all_branch_drives, candidate_tables, table_drive
 
 _GH_POINTS = 12  # Gauss-Hermite order for amplitude-noise averaging
 
@@ -139,13 +139,18 @@ def _gh_nodes(sigma: float):
     return 1.0 + sigma * x, w / w.sum()
 
 
-def _probability_sets(g: PairingGeometry, delta_t: float):
+def _drive_arrays(g: PairingGeometry, tables):
+    """Per-branch p_set, p_reset and reset_later of the unscaled spikes."""
+    drives = [table_drive(g.device, tbl) for tbl in tables]
+    return (np.array([d.p_set for d in drives]), np.array([d.p_reset for d in drives]),
+            np.array([d.reset_later for d in drives]))
+
+
+def _probability_sets(g: PairingGeometry, tables):
     """Per-branch (p_set, p_reset) vectors, one pair per amplitude-noise
     quadrature node (a single pair when noise is off), with node weights."""
     if g.amp_noise_sigma == 0.0:
-        drives = all_branch_drives(g, delta_t)
-        ps = np.array([d.p_set for d in drives])
-        pr = np.array([d.p_reset for d in drives])
+        ps, pr, _ = _drive_arrays(g, tables)
         return [(ps, pr)], np.ones(1)
     scales, w = _gh_nodes(g.amp_noise_sigma)
     s_pre, s_post = np.meshgrid(scales, scales, indexing="ij")
@@ -154,20 +159,17 @@ def _probability_sets(g: PairingGeometry, delta_t: float):
     n_nodes = weights.size
     p_set = np.empty((n_nodes, g.bank.n))
     p_reset = np.empty((n_nodes, g.bank.n))
-    for j in range(g.bank.n):
-        tbl = candidate_table(g, j + 1, delta_t)
+    for j, tbl in enumerate(tables):
         vmax, vmin, _ = tbl.peaks_scaled(s_pre, s_post)
         p_set[:, j] = set_probability(g.device, vmax)
         p_reset[:, j] = reset_probability(g.device, vmin)
     return [(p_set[k], p_reset[k]) for k in range(n_nodes)], weights
 
 
-def _analytic_and_states(cfg: WindowConfig, delta_t: float):
-    g = cfg.geometry
-    n = g.bank.n
+def _analytic_and_states(cfg: WindowConfig, delta_t: float, prob_sets, weights):
+    n = cfg.geometry.bank.n
     kind = cfg.init_policy.kind
-    off_step = 1.0 - g.device.g_off_norm
-    prob_sets, weights = _probability_sets(g, delta_t)
+    off_step = 1.0 - cfg.geometry.device.g_off_norm
     analytic = 0.0
     states = np.zeros(n + 1)
     for (ps, pr), w in zip(prob_sets, weights):
@@ -203,8 +205,10 @@ def analytic_window(cfg: WindowConfig):
     n = cfg.geometry.bank.n
     analytic = np.empty(grid.size)
     states = np.empty((grid.size, n + 1))
-    for k, dt in enumerate(grid):
-        analytic[k], states[k] = _analytic_and_states(cfg, float(dt))
+    for k, dt in enumerate(grid.tolist()):
+        tables = candidate_tables(cfg.geometry, dt)
+        analytic[k], states[k] = _analytic_and_states(
+            cfg, dt, *_probability_sets(cfg.geometry, tables))
     return grid, analytic, states
 
 
@@ -247,8 +251,10 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
     else:
         lrs = np.ones((epochs, n))
 
+    # the offset's tables (and, without noise, its drives) are built once
+    # and feed both the sampler and the analytic expectation
+    tables = candidate_tables(g, delta_t)
     if g.amp_noise_sigma > 0.0:
-        tables = [candidate_table(g, i, delta_t) for i in range(1, n + 1)]
         p_set = np.empty((epochs, n))
         p_reset = np.empty((epochs, n))
         reset_later = np.empty((epochs, n), dtype=bool)
@@ -257,11 +263,10 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
             p_set[:, j] = set_probability(g.device, vmax)
             p_reset[:, j] = reset_probability(g.device, vmin)
             reset_later[:, j] = later
+        prob_sets, weights = _probability_sets(g, tables)
     else:
-        drives = all_branch_drives(g, delta_t)
-        p_set = np.array([d.p_set for d in drives])
-        p_reset = np.array([d.p_reset for d in drives])
-        reset_later = np.array([d.reset_later for d in drives])
+        p_set, p_reset, reset_later = _drive_arrays(g, tables)
+        prob_sets, weights = [(p_set, p_reset)], np.ones(1)
 
     set_ok = u_set < p_set
     reset_ok = u_reset < p_reset
@@ -276,7 +281,7 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
     lost = (on_init & ~final_on)
     delta_g = (step * gained).sum(axis=1) - (step * lost).sum(axis=1)
 
-    analytic, states = _analytic_and_states(cfg, delta_t)
+    analytic, states = _analytic_and_states(cfg, delta_t, prob_sets, weights)
     return delta_g, n_set.astype(np.int32), n_reset.astype(np.int32), analytic, states
 
 

@@ -116,41 +116,66 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(k0, k1 + 1) * step
 
 
-def candidate_table(g: PairingGeometry, i: int, delta_t: float) -> CandidateTable:
-    if not (1 <= i <= g.bank.n):
-        raise IndexError(f"branch index {i} out of range 1..{g.bank.n}")
-    alpha = g.bank.alphas[i - 1]
-    delay = g.bank.delays[i - 1]
+def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]:
+    """Candidate tables of all n branches at offset delta_t, built in one
+    array pass: every branch's edges (both sides) and curved-piece grid are
+    concatenated, each spike is evaluated once over all of them, and the
+    result is split per branch."""
+    n = g.bank.n
+    alphas = np.asarray(g.bank.alphas, dtype=float)
+    delays = np.asarray(g.bank.delays, dtype=float)
     pre_lo, pre_hi = g.pre.support()
     post_lo, post_hi = g.post.support()
-    pre_lo, pre_hi = pre_lo + delay, pre_hi + delay
+    pre_lo, pre_hi = pre_lo + delays, pre_hi + delays
     post_lo, post_hi = post_lo + delta_t, post_hi + delta_t
     if g.pair_only:
-        lo, hi = max(pre_lo, post_lo), min(pre_hi, post_hi)
+        lo, hi = np.maximum(pre_lo, post_lo), np.minimum(pre_hi, post_hi)
     else:
-        lo, hi = min(pre_lo, post_lo), max(pre_hi, post_hi)
-    if lo >= hi:
-        z = np.zeros(1)
-        return CandidateTable(t=z, post_v=z, pre_v=z, valid=np.zeros(1, dtype=bool))
+        lo, hi = np.minimum(pre_lo, post_lo), np.maximum(pre_hi, post_hi)
+    live = lo < hi
 
-    edges = np.concatenate([g.pre.breakpoints() + delay, g.post.breakpoints() + delta_t])
-    edges = edges[(edges >= lo - 1e-12) & (edges <= hi + 1e-12)]
-    times = [(float(b), side) for b in edges for side in (-1, +1)]
+    # per branch: pre edges, then post edges, each at side -1 then +1
+    pre_bp, post_bp = g.pre.breakpoints(), g.post.breakpoints() + delta_t
+    edges = np.concatenate([pre_bp + delays[:, None],
+                            np.broadcast_to(post_bp, (n, post_bp.size))], axis=1)
+    keep = live[:, None] & (edges >= lo[:, None] - 1e-12) & (edges <= hi[:, None] + 1e-12)
+    rows = np.nonzero(keep)[0]
+    branch = np.repeat(rows, 2)
+    t = np.repeat(edges[keep], 2)
+    side = np.tile([-1, +1], rows.size)
     if g.pre.has_curved_pieces() or g.post.has_curved_pieces():
-        times += [(float(t), +1) for t in _grid(lo, hi, g.dt_step)]
-    times.sort(key=lambda e: (e[0], e[1]))
+        grids = [_grid(lo[b], hi[b], g.dt_step) if live[b] else np.empty(0) for b in range(n)]
+        branch = np.concatenate([branch, np.repeat(np.arange(n), [x.size for x in grids])])
+        t = np.concatenate([t, *grids])
+        side = np.concatenate([side, np.ones(t.size - side.size, dtype=side.dtype)])
+    # stable: equal (branch, t, side) keys keep the order they were added in
+    order = np.lexsort((side, t, branch))
+    branch, t, side = branch[order], t[order], side[order]
 
-    t_arr = np.array([t for t, _ in times])
-    post_pairs = [g.post.limit_with_support(t - delta_t, s) for t, s in times]
-    pre_pairs = [g.pre.limit_with_support(t - delay, s) for t, s in times]
-    post_v = np.array([v for v, _ in post_pairs])
-    pre_v = alpha * np.array([v for v, _ in pre_pairs])
-    post_in = np.array([ok for _, ok in post_pairs])
-    pre_in = np.array([ok for _, ok in pre_pairs])
+    post_v, post_in = g.post.limits_with_support(t - delta_t, side)
+    pre_v, pre_in = g.pre.limits_with_support(t - delays[branch], side)
+    pre_v = alphas[branch] * pre_v
     # membership, not value: a spike decaying continuously to zero is still
     # present at its support edge, so the limit there stands for the supremum
     valid = (post_in & pre_in) if g.pair_only else (post_in | pre_in)
-    return CandidateTable(t=t_arr, post_v=post_v, pre_v=pre_v, valid=valid)
+
+    ends = np.cumsum(np.bincount(branch, minlength=n)).tolist()
+    tables = []
+    for b, (start, end) in enumerate(zip([0, *ends], ends)):
+        if live[b]:
+            tables.append(CandidateTable(t=t[start:end], post_v=post_v[start:end],
+                                         pre_v=pre_v[start:end], valid=valid[start:end]))
+        else:
+            z = np.zeros(1)
+            tables.append(CandidateTable(t=z, post_v=z, pre_v=z, valid=np.zeros(1, dtype=bool)))
+    return tables
+
+
+def candidate_table(g: PairingGeometry, i: int, delta_t: float) -> CandidateTable:
+    """Candidate table of branch i (1-based) at offset delta_t."""
+    if not (1 <= i <= g.bank.n):
+        raise IndexError(f"branch index {i} out of range 1..{g.bank.n}")
+    return candidate_tables(g, delta_t)[i - 1]
 
 
 def net_potential_trace(g: PairingGeometry, i: int, delta_t: float):
@@ -177,20 +202,26 @@ def net_potential_trace(g: PairingGeometry, i: int, delta_t: float):
     return t, v
 
 
+def table_drive(device: DeviceModel, tbl: CandidateTable,
+                s_pre: float = 1.0, s_post: float = 1.0) -> BranchDrive:
+    """Peak drive of one candidate table and its switch probabilities."""
+    v_max, t_max, v_min, t_min = tbl.peaks(s_pre, s_post)
+    return BranchDrive(
+        v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min,
+        p_set=set_probability(device, v_max),
+        p_reset=reset_probability(device, v_min),
+    )
+
+
 def branch_drive(g: PairingGeometry, i: int, delta_t: float,
                  s_pre: float = 1.0, s_post: float = 1.0) -> BranchDrive:
     """Peak drive of branch i at offset delta_t and its switch probabilities."""
-    v_max, t_max, v_min, t_min = candidate_table(g, i, delta_t).peaks(s_pre, s_post)
-    return BranchDrive(
-        v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min,
-        p_set=set_probability(g.device, v_max),
-        p_reset=reset_probability(g.device, v_min),
-    )
+    return table_drive(g.device, candidate_table(g, i, delta_t), s_pre, s_post)
 
 
 def all_branch_drives(g: PairingGeometry, delta_t: float,
                       s_pre: float = 1.0, s_post: float = 1.0) -> list[BranchDrive]:
-    return [branch_drive(g, i, delta_t, s_pre, s_post) for i in range(1, g.bank.n + 1)]
+    return [table_drive(g.device, tbl, s_pre, s_post) for tbl in candidate_tables(g, delta_t)]
 
 
 def apply_pairing(g: PairingGeometry, states: list, delta_t: float,
@@ -210,8 +241,7 @@ def apply_pairing(g: PairingGeometry, states: list, delta_t: float,
         s_pre, s_post = 1.0 + rng.normal(0.0, g.amp_noise_sigma, 2)
     u = rng.random((g.bank.n, 2))
     n_set = n_reset = 0
-    for idx, st in enumerate(states):
-        drive = branch_drive(g, idx + 1, delta_t, s_pre, s_post)
+    for idx, (st, drive) in enumerate(zip(states, all_branch_drives(g, delta_t, s_pre, s_post))):
         set_ok = u[idx, 0] < drive.p_set
         reset_ok = u[idx, 1] < drive.p_reset
         events = [(drive.t_max, "set", set_ok), (drive.t_min, "reset", reset_ok)]

@@ -123,36 +123,42 @@ class SpikeWaveform:
                 out[m] = p.func(arr[m])
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
-    def _piece_at(self, t: float, side: int) -> Piece | None:
+    def limits_with_support(self, t, side) -> tuple[np.ndarray, np.ndarray]:
+        """One-sided limits at times t (side +1 approaches from above, -1
+        from below), plus whether each (t, side) lies within the support.
+        A tail decaying continuously to zero is still inside at its edge.
+        Each piece's function is called once, on the times it owns."""
+        t = np.asarray(t, dtype=float)
+        from_above = np.broadcast_to(np.asarray(side) > 0, t.shape)
         pieces = self.pieces()
         # snap to a piece edge when within rounding distance, so that branch
         # delays or offsets carrying ~1e-16 representation error cannot open
-        # phantom slivers of head/tail overlap
+        # phantom slivers of head/tail overlap; the snapped time only picks
+        # the piece, whose function still sees the unsnapped t
+        at = t.copy()
+        unsnapped = np.ones(t.shape, dtype=bool)
+        for edge in (e for p in pieces for e in (p.lo, p.hi)):
+            near = unsnapped & (np.abs(t - edge) <= EDGE_SNAP_TOL)
+            at[near] = edge
+            unsnapped &= ~near
+        values = np.zeros(t.shape)
+        inside = np.zeros(t.shape, dtype=bool)
         for p in pieces:
-            if abs(t - p.lo) <= EDGE_SNAP_TOL:
-                t = p.lo
-                break
-            if abs(t - p.hi) <= EDGE_SNAP_TOL:
-                t = p.hi
-                break
-        for p in pieces:
-            inside = (p.lo <= t < p.hi) if side > 0 else (p.lo < t <= p.hi)
-            if inside:
-                return p
-        return None
+            mine = ~inside & np.where(from_above, (p.lo <= at) & (at < p.hi),
+                                      (p.lo < at) & (at <= p.hi))
+            if mine.any():
+                values[mine] = p.func(t[mine])
+                inside |= mine
+        return values, inside
+
+    def limit_with_support(self, t: float, side: int) -> tuple[float, bool]:
+        """Scalar form of `limits_with_support`."""
+        values, inside = self.limits_with_support([t], [side])
+        return float(values[0]), bool(inside[0])
 
     def evaluate_limit(self, t: float, side: int) -> float:
         """One-sided limit at t: side=+1 approaches from above, -1 from below."""
-        p = self._piece_at(t, side)
-        return 0.0 if p is None else float(p.func(np.asarray([t], dtype=float))[0])
-
-    def limit_with_support(self, t: float, side: int) -> tuple[float, bool]:
-        """One-sided limit plus whether (t, side) lies within the support.
-        A tail decaying continuously to zero is still inside at its edge."""
-        p = self._piece_at(t, side)
-        if p is None:
-            return 0.0, False
-        return float(p.func(np.asarray([t], dtype=float))[0]), True
+        return self.limit_with_support(t, side)[0]
 
     def integral(self, step: float = 0.01) -> float:
         """Piece-aware trapezoid integral (exact for linear pieces)."""

@@ -1,10 +1,14 @@
 import dataclasses
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from synstdp import ConfigError, default_config, load_config, parse_config, run_window
+from synstdp.cli import main
 from synstdp.output import (read_mean_csv, write_svg_scatter, write_svg_states,
                             write_window_csv)
 from tests.test_montecarlo import small_config
@@ -164,3 +168,34 @@ def test_post_waveform_section():
     assert cfg.pre.shape.value == "rect"
     assert cfg.post.shape.value == "hrht" and cfg.post.a_plus == 0.8
     assert parse_config(cfg.to_dict()) == cfg
+
+
+NON_FINITE = [
+    ("device.sigma_th", {"device": {"sigma_th": float("nan")}}),
+    ("simulation.amp_noise_sigma", {"simulation": {"amp_noise_sigma": float("nan")}}),
+    ("waveform.tau_plus", {"waveform": {"tau_plus": float("inf")}}),
+    ("dendrites.delay_max", {"dendrites": {"delay_max": float("nan")}}),
+    ("waveform.extra.tau_head", {"waveform": {"shape": "dexp", "extra": {"tau_head": float("nan")}}}),
+    ("simulation.delta_t_max", {"simulation": {"delta_t_max": 10 ** 400}}),
+]
+
+
+@pytest.mark.parametrize("key,raw", NON_FINITE, ids=[k for k, _ in NON_FINITE])
+def test_non_finite_numbers_rejected_with_path(tmp_path, capsys, key, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")  # NaN / Infinity literals
+    with pytest.raises(ConfigError, match=f"{key}: must be a finite number"):
+        load_config(path)
+    assert main(["window", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {key}: must be a finite number" in capsys.readouterr().err
+
+
+def test_non_finite_cli_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dendrites": {"delay_max": NaN}}', encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "synstdp.cli", "statedist", "--config",
+                           str(path), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "dendrites.delay_max" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,0 +1,78 @@
+"""Golden digests: the output bytes of short window runs are the behaviour
+contract.  A change that moves any of these SHA-256 values changes what the
+simulator writes for a fixed config and seed; it must say which and why.
+
+Each case is a 200-epoch `window` run at the config's seed (42), written by
+`write_window_csv`.  The shape cases set only the spike shape and
+`pair_only = false`, so they also cover lone-spike candidates at the support
+edges.  The dexp and bio shapes are left out: their `np.exp` may differ in
+the last bit across CPUs; the candidate-table oracle in test_pairing covers
+them.
+"""
+import dataclasses
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from synstdp import load_config, parse_config, run_window
+from synstdp.output import write_window_csv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+EPOCHS = 200
+FILES = ("window.csv", "mean.csv", "states.csv")
+
+CASES = {
+    "fig4b": CONFIGS / "fig4b.json",
+    "fig4d": CONFIGS / "fig4d.json",
+    "fig7_delay": CONFIGS / "fig7_delay.json",
+    "hrht": {"waveform": {"shape": "hrht"}, "simulation": {"pair_only": False}},
+    "rect": {"waveform": {"shape": "rect"}, "simulation": {"pair_only": False}},
+    "sawtooth": {"waveform": {"shape": "sawtooth"}, "simulation": {"pair_only": False}},
+}
+
+GOLDEN = {
+    "fig4b": {
+        "window.csv": "f5f101f0a5788d0f49b08e69983e381e7b1bce8a157b8c188309017050b0dab4",
+        "mean.csv": "23b27e5d04a67d67988c8562a0b2e204f4329bcd54099dd62169aa660488b24b",
+        "states.csv": "a488964f1be79952a9b9281d4ded90e0f40a0120fd76b2e614635e15a3529916",
+    },
+    "fig4d": {
+        "window.csv": "1419633bc462f3064e43afd9b1514839fc3d56e73046ca9d7e20e264e8fe4dc2",
+        "mean.csv": "1810835edd4df1c209c1336287f55c61067e727e7a166c6c61b06eae02490e4a",
+        "states.csv": "347d7464b178e84422948d72e13e7ab649cb19f80161dc321d96e6b72022c1cd",
+    },
+    "fig7_delay": {
+        "window.csv": "2e9b11c4f490307919028b9922b635b647b4f2709f0e4ca650463bdcbd7b7554",
+        "mean.csv": "7627a1bf824985757fdfe96ed9d4bb9045571c87328970fc76d9ad4a9d5be36d",
+        "states.csv": "399630e45b0b48fd7da9bde9394087561ab5be7d23ceb44dd97e9c59d30cd354",
+    },
+    "hrht": {
+        "window.csv": "d65c462d0d6755cbc5fb46b1359786e261809b74ba710b0d8de3d3bee58d4c0d",
+        "mean.csv": "79a8f8b6db53f2eef6a6e7d97ff84195f71dc26534c1b3c39a949732e87b65da",
+        "states.csv": "ecf60b3c696b63a494c7e8ac8af626328fa20a4c508480f1c72890601b5883ab",
+    },
+    "rect": {
+        "window.csv": "bf61aaeecbb4b994ab06b40647fbbe073f1597dc24c48b7d4b5d1f613cf973be",
+        "mean.csv": "63c77c81b5b82f562ad04ac02dc107278a4e5f0ff49230ac099f87378e545a2a",
+        "states.csv": "91e8e9a67ec16c48b4b2e61f4b257322129ab1d37d7eee11c17bdd7084e03a40",
+    },
+    "sawtooth": {
+        "window.csv": "7dd5d0b2be9c1212e8da4cea4f6549e88aa7477841b212428afb405023ad4845",
+        "mean.csv": "789583fc51dad7de5b9efe6332d0c282dd391012b1a4f58dea2be01b20e9c47f",
+        "states.csv": "3980f56eccfb514c7b8a4b4ec67100d745cc947173ee035f40836f6cd5ad267e",
+    },
+}
+
+
+def run_digests(case, out_dir) -> dict[str, str]:
+    cfg = load_config(case) if isinstance(case, Path) else parse_config(case)
+    wcfg = dataclasses.replace(cfg.window_config(), epochs=EPOCHS)
+    paths = write_window_csv(run_window(wcfg, workers=1), out_dir)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths.values() if p.name in FILES}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digests(name, tmp_path):
+    assert run_digests(CASES[name], tmp_path) == GOLDEN[name]

@@ -6,6 +6,8 @@ import pytest
 from synstdp import (DeviceModel, DeviceState, PairingGeometry, ProbModel,
                      all_branch_drives, apply_pairing, branch_drive, make_bank,
                      make_waveform, net_potential_trace)
+from synstdp.pairing import candidate_tables
+from synstdp.waveforms import EDGE_SNAP_TOL
 
 
 def phi(z):
@@ -242,3 +244,58 @@ def test_mixed_pre_post_waveforms():
     d = branch_drive(g, 2, 2.0)
     vmax, vmin = dense_grid_peaks(pre, post, 1.0, 0.0, 2.0)
     assert d.v_max >= vmax - 1e-12 and d.v_max - vmax < 2e-3
+
+
+def reference_table(g, i, delta_t):
+    """Branch i's candidate table built one scalar one-sided limit at a time;
+    the piece is picked at the edge-snapped time, evaluated at the unsnapped."""
+    def limit(w, t, side):
+        pieces = w.pieces()
+        at = next((e for p in pieces for e in (p.lo, p.hi) if abs(t - e) <= EDGE_SNAP_TOL), t)
+        for p in pieces:
+            if (p.lo <= at < p.hi) if side > 0 else (p.lo < at <= p.hi):
+                return float(p.func(np.asarray([t], dtype=float))[0]), True
+        return 0.0, False
+    alpha, delay = g.bank.alphas[i - 1], g.bank.delays[i - 1]
+    pre_lo, pre_hi = (x + delay for x in g.pre.support())
+    post_lo, post_hi = (x + delta_t for x in g.post.support())
+    lo, hi = ((max(pre_lo, post_lo), min(pre_hi, post_hi)) if g.pair_only
+              else (min(pre_lo, post_lo), max(pre_hi, post_hi)))
+    if lo >= hi:
+        return np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1, dtype=bool)
+    edges = np.concatenate([g.pre.breakpoints() + delay, g.post.breakpoints() + delta_t])
+    edges = edges[(edges >= lo - 1e-12) & (edges <= hi + 1e-12)]
+    times = [(float(e), side) for e in edges for side in (-1, +1)]
+    if g.pre.has_curved_pieces() or g.post.has_curved_pieces():
+        k0, k1 = int(np.ceil(lo / g.dt_step - 1e-9)), int(np.floor(hi / g.dt_step + 1e-9))
+        times += [(float(t), +1) for t in np.arange(k0, k1 + 1) * g.dt_step]
+    times.sort(key=lambda e: (e[0], e[1]))
+    post = [limit(g.post, t - delta_t, side) for t, side in times]
+    pre = [limit(g.pre, t - delay, side) for t, side in times]
+    valid = [(a and b) if g.pair_only else (a or b) for (_, a), (_, b) in zip(post, pre)]
+    return (np.array([t for t, _ in times]), np.array([v for v, _ in post]),
+            alpha * np.array([v for v, _ in pre]), np.array(valid))
+
+
+ORACLE_BANKS = [(0.3, "ramp"), (0.37, "reversed"), (0.25, "uniform")]
+ORACLE_OFFSETS = (-6.3, -4.5, -2.0, -1.1, -0.3, 0.0, 0.5, 1.7, 3.2, 5.5)
+ORACLE_STEP = 0.05  # grid of the curved shapes; coarser than the default keeps the reference quick
+
+
+@pytest.mark.parametrize("pair_only", [True, False])
+@pytest.mark.parametrize("shape", ["hrht", "rect", "sawtooth", "dexp", "bio"])
+def test_candidate_tables_bitwise_match_per_sample_reference(shape, pair_only):
+    """Byte equality, so that -0.0 against 0.0 (or a last-bit change) fails;
+    hrht with pair_only off at 3.2 is a case where evaluating at the snapped
+    time would give -0.0 instead of -8.9e-17."""
+    w = make_waveform(shape)
+    for delay_max, assignment in ORACLE_BANKS:
+        g = PairingGeometry(pre=w, post=w, bank=make_bank(16, 0.6, 1.0, delay_max, assignment),
+                            device=DeviceModel(), dt_step=ORACLE_STEP, pair_only=pair_only)
+        for delta_t in ORACLE_OFFSETS:
+            for i, tbl in enumerate(candidate_tables(g, delta_t), start=1):
+                got = (tbl.t, tbl.post_v, tbl.pre_v, tbl.valid)
+                want = reference_table(g, i, delta_t)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                        (shape, pair_only, delay_max, assignment, delta_t, i)
