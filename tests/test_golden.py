@@ -5,12 +5,16 @@ simulator writes for a fixed config and seed; it must say which and why.
 Each case is a 200-epoch `window` run at the config's seed (42), written by
 `write_window_csv`.  The shape cases set only the spike shape and
 `pair_only = false`, so they also cover lone-spike candidates at the support
-edges.  The dexp and bio shapes are left out: their `np.exp` may differ in
+edges.  The last three cases pin the drive paths the shipped configs leave
+out: amplitude noise on the delayed bank (per-epoch scaled peaks and the
+Gauss-Hermite analytic), random init with lone-spike candidates, and the
+linear switching law from all-OFF.  The dexp and bio shapes are left out: their `np.exp` may differ in
 the last bit across CPUs; the candidate-table oracle in test_pairing covers
 them.
 """
 import dataclasses
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,7 @@ from synstdp.output import write_window_csv
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EPOCHS = 200
 FILES = ("window.csv", "mean.csv", "states.csv")
+DELAY_BANK = json.loads((CONFIGS / "fig7_delay.json").read_text())["dendrites"]
 
 CASES = {
     "fig4b": CONFIGS / "fig4b.json",
@@ -29,6 +34,10 @@ CASES = {
     "hrht": {"waveform": {"shape": "hrht"}, "simulation": {"pair_only": False}},
     "rect": {"waveform": {"shape": "rect"}, "simulation": {"pair_only": False}},
     "sawtooth": {"waveform": {"shape": "sawtooth"}, "simulation": {"pair_only": False}},
+    "fig7_delay_noise": {"dendrites": DELAY_BANK, "simulation": {"amp_noise_sigma": 0.05}},
+    "random_q05": {"simulation": {"pair_only": False, "init_policy": {"random": {"q": 0.5}}}},
+    "linear_all_off": {"device": {"prob_model": {"linear": {"gamma": 2.0}}},
+                       "simulation": {"init_policy": "all_off"}},
 }
 
 GOLDEN = {
@@ -61,6 +70,21 @@ GOLDEN = {
         "window.csv": "7dd5d0b2be9c1212e8da4cea4f6549e88aa7477841b212428afb405023ad4845",
         "mean.csv": "789583fc51dad7de5b9efe6332d0c282dd391012b1a4f58dea2be01b20e9c47f",
         "states.csv": "3980f56eccfb514c7b8a4b4ec67100d745cc947173ee035f40836f6cd5ad267e",
+    },
+    "fig7_delay_noise": {
+        "window.csv": "030b8b209703d7e0c26d406656b101088e9de2e5d7ded434f3ee41a19619de5a",
+        "mean.csv": "ca2d54d85ccd8af8771091864b5d3ad2fce97cbef3afae5c312fb83adc1c977c",
+        "states.csv": "29900a926db9076e9fde2c793cd3271adbafd59ad002fa378d97f07e466ca1fe",
+    },
+    "random_q05": {
+        "window.csv": "f174feeea312bfd08b0b8ebe0fc6aad0ec35100e2bd139d6157456a51d8476a2",
+        "mean.csv": "67c9690dd6c8a0b6b65cd88068257b3a9ca8f53580874c30e94183e074099307",
+        "states.csv": "68096768b4858f27fd7535a4d3f43a43ff5bf906859f935d9629c66f544ee5d2",
+    },
+    "linear_all_off": {
+        "window.csv": "273b517b9c692150725011125097a1f8512456849da24f2cdc7f58740925f260",
+        "mean.csv": "2745e3cd213d7b5f509bff8d4cfb2f738b13ef282f10a4452756487961217f47",
+        "states.csv": "92d464d4c476a8e34d399633e821d50b798f9c583a1c8b2540dfb1dd8514f14b",
     },
 }
 
