@@ -10,30 +10,26 @@ from .closedform import (ClosedFormParams, KIndex, avg_conductance_continuous,
                          k_index, quadratic_coeffs_fitted, quadratic_coeffs_published)
 from .config import ConfigError, OutputOptions, RunConfig, default_config, load_config, parse_config
 from .dendrite import DendriteBank, branch_pre_spike_value, make_bank
-from .device import (DeviceModel, DeviceState, ProbModel, reset_probability,
-                     sample_on_conductance, set_probability)
+from .device import DeviceModel, ProbModel, reset_probability, set_probability
 from .energy import (AGGRESSIVE, CONSERVATIVE, MEDIUM, SCENARIOS, EnergyScenario,
                      render_table, snn_event_energy, spike_energy, table1,
                      throughput_per_watt)
-from .montecarlo import (InitKind, InitPolicy, StdpWindow, WindowConfig,
-                         expected_delta_g, rng_substream, run_window,
-                         state_distribution)
-from .pairing import (BranchDrive, PairingGeometry, all_branch_drives,
-                      apply_pairing, branch_drive, net_potential_trace)
+from .montecarlo import (InitKind, InitPolicy, StdpWindow, WindowConfig, analytic_window,
+                         run_window, state_distribution)
+from .pairing import BranchDrive, PairingGeometry, all_branch_drives, branch_drives
 from .waveforms import Shape, SpikeWaveform, make_waveform
 
 __all__ = [
     "AGGRESSIVE", "ClosedFormParams", "BranchDrive", "CONSERVATIVE", "ConfigError",
-    "DendriteBank", "DeviceModel", "DeviceState", "EnergyScenario", "FitResult",
-    "InitKind", "InitPolicy", "KIndex", "MEDIUM", "OutputOptions", "PairingGeometry",
+    "DendriteBank", "DeviceModel", "EnergyScenario", "FitResult", "InitKind",
+    "InitPolicy", "KIndex", "MEDIUM", "OutputOptions", "PairingGeometry",
     "PointSummary", "ProbModel", "RunConfig", "SCENARIOS", "Shape", "SpikeWaveform",
-    "StdpWindow", "WindowConfig", "all_branch_drives", "apply_pairing",
-    "avg_conductance_continuous", "avg_conductance_direct", "branch_drive",
+    "StdpWindow", "WindowConfig", "all_branch_drives", "analytic_window",
+    "avg_conductance_continuous", "avg_conductance_direct", "branch_drives",
     "branch_peak", "branch_pre_spike_value", "comparison_report", "default_config",
-    "expected_delta_g", "fit_exponential", "fit_linear", "fit_quadratic", "k_index",
-    "load_config", "make_bank", "make_waveform", "net_potential_trace", "parse_config",
-    "quadratic_coeffs_fitted", "quadratic_coeffs_published", "render_table",
-    "reset_probability", "rng_substream", "run_window", "sample_on_conductance",
+    "fit_exponential", "fit_linear", "fit_quadratic", "k_index", "load_config",
+    "make_bank", "make_waveform", "parse_config", "quadratic_coeffs_fitted",
+    "quadratic_coeffs_published", "render_table", "reset_probability", "run_window",
     "set_probability", "snn_event_energy", "spike_energy", "state_distribution",
     "table1", "throughput_per_watt", "window_summary",
 ]

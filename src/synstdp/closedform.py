@@ -165,11 +165,6 @@ def quadratic_coeffs_fitted(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> 
     return float(a), float(b), float(c)
 
 
-def taylor_remainder_bound(x: float) -> float:
-    """|exp(-x) - (1 - x + x^2/2)| for the second-order expansion."""
-    return abs(math.exp(-x) - (1.0 - x + 0.5 * x * x))
-
-
 def comparison_report(p: ClosedFormParams, dt_lo: float, dt_hi: float, n_probe: int = 20) -> dict:
     """Both coefficient paths against the direct sum over probe offsets."""
     probes = np.linspace(dt_lo, dt_hi, n_probe)

@@ -112,7 +112,9 @@ def _expect_mapping(obj, path: str) -> dict:
 
 def _take(section: dict, path: str, key: str, default, kind=None):
     val = section.pop(key, default)
-    if kind is not None and val is not None and not isinstance(val, kind):
+    # bool is a subclass of int: JSON true/false must not pass as a count or seed
+    if kind is not None and val is not None and (
+            not isinstance(val, kind) or (kind is int and isinstance(val, bool))):
         if kind is float and isinstance(val, int) and not isinstance(val, bool):
             try:
                 val = float(val)
@@ -163,8 +165,6 @@ def _parse_init_policy(raw, path: str) -> InitPolicy:
             kind = InitKind(raw)
         except ValueError:
             raise ConfigError(f"{path}: unknown init policy {raw!r}") from None
-        if kind is InitKind.RANDOM:
-            return InitPolicy(kind=kind)
         return InitPolicy(kind=kind)
     sec = dict(_expect_mapping(raw, path))
     inner = _take(sec, path, "random", None, dict)
@@ -251,6 +251,8 @@ def parse_config(data: dict) -> RunConfig:
     d_step = _take(sim, "simulation", "delta_t_step", 0.1, float)
     epochs = _take(sim, "simulation", "epochs", 10_000, int)
     seed = _take(sim, "simulation", "seed", 42, int)
+    if seed < 0:
+        raise ConfigError(f"simulation.seed: must be a non-negative integer, got {seed}")
     init_policy = _parse_init_policy(sim.pop("init_policy", "split"), "simulation.init_policy")
     _reject_unknown(sim, "simulation")
 

@@ -63,17 +63,6 @@ class DeviceModel:
         return 0.0 if self.r_off_ratio is None else 1.0 / self.r_off_ratio
 
 
-@dataclass
-class DeviceState:
-    """One device owned by a Monte Carlo worker."""
-    on: bool
-    g_on: float  # sampled ON conductance (S)
-
-    def __post_init__(self):
-        if self.g_on <= 0.0:
-            raise ValueError(f"g_on must be positive, got {self.g_on}")
-
-
 def set_probability(m: DeviceModel, v_peak):
     """SET probability for peak voltage(s) v_peak; 0 for v_peak <= 0.
 
@@ -102,14 +91,3 @@ def reset_probability(m: DeviceModel, v_peak):
         p = np.clip(m.prob_model.gamma * (mag - abs(m.vth_neg)), 0.0, 1.0)
     p = np.where(v >= 0.0, 0.0, p)
     return float(p) if np.isscalar(v_peak) or v.ndim == 0 else p
-
-
-def sample_on_conductance(m: DeviceModel, rng: np.random.Generator) -> float:
-    """Draw an ON conductance (1/r_on)*(1 + eps), eps ~ N(0, sigma_lrs); redraws
-    the vanishing-probability nonpositive results."""
-    if m.sigma_lrs == 0.0:
-        return 1.0 / m.r_on
-    while True:
-        g = (1.0 + rng.normal(0.0, m.sigma_lrs)) / m.r_on
-        if g > 0.0:
-            return g

@@ -15,8 +15,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .device import reset_probability, set_probability
-from .pairing import PairingGeometry, all_branch_drives, candidate_tables, table_drive
+from .pairing import PairingGeometry, branch_drives, candidate_tables
 
 _GH_POINTS = 12  # Gauss-Hermite order for amplitude-noise averaging
 
@@ -55,6 +54,8 @@ class WindowConfig:
             raise ValueError("need delta_t_min < delta_t_max")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def grid(self) -> np.ndarray:
         k = int(np.floor((self.delta_t_max - self.delta_t_min) / self.delta_t_step + 1e-9))
@@ -91,15 +92,9 @@ class StdpWindow:
         return self
 
 
-def rng_substream(seed: int, point_index: int, epoch_index: int) -> np.random.Generator:
-    """Reproducible, statistically independent substream for (seed, i, j);
-    a pure function of its arguments (counter-based Philox keying)."""
-    ss = np.random.SeedSequence(seed, spawn_key=(point_index, epoch_index))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _point_stream(seed: int, point_index: int) -> np.random.Generator:
-    # single-element spawn key: disjoint from every rng_substream(i, j) key
+    """Reproducible, statistically independent stream of grid point k; a pure
+    function of its arguments (counter-based Philox keying)."""
     ss = np.random.SeedSequence(seed, spawn_key=(point_index,))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -120,75 +115,47 @@ def state_distribution(p) -> np.ndarray:
     return out
 
 
-def expected_delta_g(g: PairingGeometry, delta_t: float, init: InitKind | str) -> float:
-    """Analytic expectation of the normalized conductance change for one
-    pairing: sum of SET probabilities from all-OFF, minus the sum of RESET
-    probabilities from all-ON.  LRS variation has mean 1 and drops out."""
-    init = InitKind(init)
-    drives = all_branch_drives(g, delta_t)
-    off_step = 1.0 - g.device.g_off_norm
-    if init is InitKind.ALL_OFF:
-        return off_step * float(sum(d.p_set for d in drives))
-    if init is InitKind.ALL_ON:
-        return -off_step * float(sum(d.p_reset for d in drives))
-    raise ValueError(f"expected_delta_g needs all_off or all_on, got {init}")
-
-
 def _gh_nodes(sigma: float):
     x, w = np.polynomial.hermite_e.hermegauss(_GH_POINTS)
     return 1.0 + sigma * x, w / w.sum()
-
-
-def _drive_arrays(g: PairingGeometry, tables):
-    """Per-branch p_set, p_reset and reset_later of the unscaled spikes."""
-    drives = [table_drive(g.device, tbl) for tbl in tables]
-    return (np.array([d.p_set for d in drives]), np.array([d.p_reset for d in drives]),
-            np.array([d.reset_later for d in drives]))
 
 
 def _probability_sets(g: PairingGeometry, tables):
     """Per-branch (p_set, p_reset) vectors, one pair per amplitude-noise
     quadrature node (a single pair when noise is off), with node weights."""
     if g.amp_noise_sigma == 0.0:
-        ps, pr, _ = _drive_arrays(g, tables)
-        return [(ps, pr)], np.ones(1)
+        d = branch_drives(g, tables)
+        return [(d.p_set, d.p_reset)], np.ones(1)
     scales, w = _gh_nodes(g.amp_noise_sigma)
     s_pre, s_post = np.meshgrid(scales, scales, indexing="ij")
-    s_pre, s_post = s_pre.ravel(), s_post.ravel()
-    weights = np.outer(w, w).ravel()
-    n_nodes = weights.size
-    p_set = np.empty((n_nodes, g.bank.n))
-    p_reset = np.empty((n_nodes, g.bank.n))
-    for j, tbl in enumerate(tables):
-        vmax, vmin, _ = tbl.peaks_scaled(s_pre, s_post)
-        p_set[:, j] = set_probability(g.device, vmax)
-        p_reset[:, j] = reset_probability(g.device, vmin)
-    return [(p_set[k], p_reset[k]) for k in range(n_nodes)], weights
+    d = branch_drives(g, tables, s_pre.ravel(), s_post.ravel())
+    return list(zip(d.p_set, d.p_reset)), np.outer(w, w).ravel()
+
+
+def _start_kind(policy: InitPolicy, delta_t: float) -> InitKind:
+    """Split init starts every device OFF at a positive offset and ON at a
+    negative one; at delta_t = 0 it keeps both initializations."""
+    if policy.kind is InitKind.SPLIT and delta_t != 0.0:
+        return InitKind.ALL_OFF if delta_t > 0.0 else InitKind.ALL_ON
+    return policy.kind
 
 
 def _analytic_and_states(cfg: WindowConfig, delta_t: float, prob_sets, weights):
     n = cfg.geometry.bank.n
-    kind = cfg.init_policy.kind
+    kind = _start_kind(cfg.init_policy, delta_t)
     off_step = 1.0 - cfg.geometry.device.g_off_norm
     analytic = 0.0
     states = np.zeros(n + 1)
     for (ps, pr), w in zip(prob_sets, weights):
-        if kind is InitKind.SPLIT:
-            if delta_t > 0.0:
-                analytic += w * off_step * ps.sum()
-                states += w * state_distribution(ps)
-            elif delta_t < 0.0:
-                analytic += w * off_step * -pr.sum()
-                states += w * state_distribution(pr)
-            else:
-                analytic += w * off_step * 0.5 * (ps.sum() - pr.sum())
-                states += w * 0.5 * (state_distribution(ps) + state_distribution(pr))
-        elif kind is InitKind.ALL_OFF:
+        if kind is InitKind.ALL_OFF:
             analytic += w * off_step * ps.sum()
             states += w * state_distribution(ps)
         elif kind is InitKind.ALL_ON:
             analytic += w * off_step * -pr.sum()
             states += w * state_distribution(pr)
+        elif kind is InitKind.SPLIT:  # delta_t = 0: half the epochs start OFF, half ON
+            analytic += w * off_step * 0.5 * (ps.sum() - pr.sum())
+            states += w * 0.5 * (state_distribution(ps) + state_distribution(pr))
         else:
             q = cfg.init_policy.q
             analytic += w * off_step * ((1.0 - q) * ps - q * pr).sum()
@@ -213,21 +180,27 @@ def analytic_window(cfg: WindowConfig):
 
 
 def _initial_on(cfg: WindowConfig, delta_t: float, epochs: int, n: int, stream):
-    kind = cfg.init_policy.kind
-    if kind is InitKind.SPLIT:
-        if delta_t > 0.0:
-            return np.zeros((epochs, n), dtype=bool)
-        if delta_t < 0.0:
-            return np.ones((epochs, n), dtype=bool)
-        # both initializations at delta_t = 0: alternate by epoch parity
+    kind = _start_kind(cfg.init_policy, delta_t)
+    if kind is InitKind.RANDOM:
+        return stream.random((epochs, n)) < cfg.init_policy.q
+    if kind is InitKind.SPLIT:  # delta_t = 0: both initializations, by epoch parity
         on = np.zeros((epochs, n), dtype=bool)
         on[1::2] = True
         return on
-    if kind is InitKind.ALL_OFF:
-        return np.zeros((epochs, n), dtype=bool)
-    if kind is InitKind.ALL_ON:
-        return np.ones((epochs, n), dtype=bool)
-    return stream.random((epochs, n)) < cfg.init_policy.q
+    return np.full((epochs, n), kind is InitKind.ALL_ON)
+
+
+def _lrs_draws(stream, sigma_lrs: float, shape) -> np.ndarray:
+    """ON conductances normalized by 1/r_on: 1 + eps, eps ~ N(0, sigma_lrs),
+    with nonpositive draws redrawn; all ones (and no draws) when sigma_lrs = 0."""
+    if sigma_lrs == 0.0:
+        return np.ones(shape)
+    lrs = 1.0 + stream.normal(0.0, sigma_lrs, shape)
+    while True:
+        bad = lrs <= 0.0
+        if not bad.any():
+            return lrs
+        lrs[bad] = 1.0 + stream.normal(0.0, sigma_lrs, int(bad.sum()))
 
 
 def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
@@ -241,35 +214,21 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
     on_init = _initial_on(cfg, delta_t, epochs, n, stream)
     u_set = stream.random((epochs, n))
     u_reset = stream.random((epochs, n))
-    if g.device.sigma_lrs > 0.0:
-        lrs = 1.0 + stream.normal(0.0, g.device.sigma_lrs, (epochs, n))
-        while True:  # redraw rule for nonpositive conductance draws
-            bad = lrs <= 0.0
-            if not bad.any():
-                break
-            lrs[bad] = 1.0 + stream.normal(0.0, g.device.sigma_lrs, int(bad.sum()))
-    else:
-        lrs = np.ones((epochs, n))
+    lrs = _lrs_draws(stream, g.device.sigma_lrs, (epochs, n))
 
     # the offset's tables (and, without noise, its drives) are built once
     # and feed both the sampler and the analytic expectation
     tables = candidate_tables(g, delta_t)
     if g.amp_noise_sigma > 0.0:
-        p_set = np.empty((epochs, n))
-        p_reset = np.empty((epochs, n))
-        reset_later = np.empty((epochs, n), dtype=bool)
-        for j, tbl in enumerate(tables):
-            vmax, vmin, later = tbl.peaks_scaled(scales[:, 0], scales[:, 1])
-            p_set[:, j] = set_probability(g.device, vmax)
-            p_reset[:, j] = reset_probability(g.device, vmin)
-            reset_later[:, j] = later
+        drive = branch_drives(g, tables, scales[:, 0], scales[:, 1])  # (epochs, n)
         prob_sets, weights = _probability_sets(g, tables)
     else:
-        p_set, p_reset, reset_later = _drive_arrays(g, tables)
-        prob_sets, weights = [(p_set, p_reset)], np.ones(1)
+        drive = branch_drives(g, tables)  # (n,)
+        prob_sets, weights = [(drive.p_set, drive.p_reset)], np.ones(1)
+    reset_later = drive.reset_later
 
-    set_ok = u_set < p_set
-    reset_ok = u_reset < p_reset
+    set_ok = u_set < drive.p_set
+    reset_ok = u_reset < drive.p_reset
     from_off_on = set_ok & ~(reset_ok & reset_later)
     from_on_off = reset_ok & ~(set_ok & ~reset_later)
     final_on = np.where(on_init, ~from_on_off, from_off_on)

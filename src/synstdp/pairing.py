@@ -49,7 +49,9 @@ class PairingGeometry:
 
 @dataclass(frozen=True)
 class BranchDrive:
-    """Polarity peaks of one branch's potential and the resulting switch odds."""
+    """Polarity peaks of a branch's potential and the resulting switch odds:
+    floats for one branch, or arrays of shape (..., n) over the branches of
+    a bank (see `branch_drives`)."""
     v_max: float
     t_max: float
     v_min: float
@@ -58,8 +60,8 @@ class BranchDrive:
     p_reset: float
 
     @property
-    def reset_later(self) -> bool:
-        """True when the RESET peak occurs at or after the SET peak."""
+    def reset_later(self):
+        """True where the RESET peak occurs at or after the SET peak."""
         return self.t_min >= self.t_max
 
 
@@ -78,33 +80,22 @@ class CandidateTable:
     pre_v: np.ndarray
     valid: np.ndarray  # pair-only mask (or nonzero-anywhere mask)
 
-    def peaks(self, s_pre: float = 1.0, s_post: float = 1.0):
-        """(v_max, t_max, v_min, t_min) with both spikes rescaled."""
+    def peaks(self, s_pre=1.0, s_post=1.0):
+        """(v_max, t_max, v_min, t_min) with both spikes rescaled, each shaped
+        like the broadcast scales; a peak's time is 0 where the peak is 0."""
+        s_pre, s_post = np.broadcast_arrays(np.asarray(s_pre, dtype=float),
+                                            np.asarray(s_post, dtype=float))
         if not self.valid.any():
-            return 0.0, 0.0, 0.0, 0.0
-        v = np.where(self.valid, s_post * self.post_v - s_pre * self.pre_v, 0.0)
-        imax, imin = int(np.argmax(v)), int(np.argmin(v))
-        v_max, v_min = float(v[imax]), float(v[imin])
-        t_max = float(self.t[imax]) if v_max > 0.0 else 0.0
-        t_min = float(self.t[imin]) if v_min < 0.0 else 0.0
-        return max(v_max, 0.0), t_max, min(v_min, 0.0), t_min
-
-    def peaks_scaled(self, s_pre: np.ndarray, s_post: np.ndarray):
-        """Vectorized peaks for per-trial scale arrays; returns
-        (v_max, v_min, reset_later) with shape of s_pre."""
-        if not self.valid.any():
-            z = np.zeros_like(np.asarray(s_pre, dtype=float))
-            return z, z.copy(), np.zeros(z.shape, dtype=bool)
-        pv = self.post_v[self.valid]
-        qv = self.pre_v[self.valid]
-        tt = self.t[self.valid]
-        v = s_post[..., None] * pv - s_pre[..., None] * qv
-        imax = np.argmax(v, axis=-1)
-        imin = np.argmin(v, axis=-1)
-        v_max = np.maximum(np.take_along_axis(v, imax[..., None], -1)[..., 0], 0.0)
-        v_min = np.minimum(np.take_along_axis(v, imin[..., None], -1)[..., 0], 0.0)
-        reset_later = tt[imin] >= tt[imax]
-        return v_max, v_min, reset_later
+            return tuple(np.zeros(s_pre.shape) for _ in range(4))
+        t = self.t[self.valid]
+        v = s_post[..., None] * self.post_v[self.valid] - s_pre[..., None] * self.pre_v[self.valid]
+        imax = np.argmax(v, axis=-1)[..., None]
+        imin = np.argmin(v, axis=-1)[..., None]
+        v_max = np.take_along_axis(v, imax, -1)[..., 0]
+        v_min = np.take_along_axis(v, imin, -1)[..., 0]
+        t_max = np.where(v_max > 0.0, t[imax[..., 0]], 0.0)
+        t_min = np.where(v_min < 0.0, t[imin[..., 0]], 0.0)
+        return np.maximum(v_max, 0.0), t_max, np.minimum(v_min, 0.0), t_min
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -171,88 +162,21 @@ def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]
     return tables
 
 
-def candidate_table(g: PairingGeometry, i: int, delta_t: float) -> CandidateTable:
-    """Candidate table of branch i (1-based) at offset delta_t."""
-    if not (1 <= i <= g.bank.n):
-        raise IndexError(f"branch index {i} out of range 1..{g.bank.n}")
-    return candidate_tables(g, delta_t)[i - 1]
-
-
-def net_potential_trace(g: PairingGeometry, i: int, delta_t: float):
-    """Sampled series (t, volts) at multiples of dt_step over the union of
-    both supports; with pair_only, samples where either spike is zero are 0.
-    Disjoint supports yield the all-zero singleton trace."""
-    if not (1 <= i <= g.bank.n):
-        raise IndexError(f"branch index {i} out of range 1..{g.bank.n}")
-    alpha = g.bank.alphas[i - 1]
-    delay = g.bank.delays[i - 1]
-    pre_lo, pre_hi = g.pre.support()
-    post_lo, post_hi = g.post.support()
-    if g.pair_only and (min(pre_hi + delay, post_hi + delta_t)
-                        <= max(pre_lo + delay, post_lo + delta_t)):
-        return np.zeros(1), np.zeros(1)
-    lo = min(pre_lo + delay, post_lo + delta_t)
-    hi = max(pre_hi + delay, post_hi + delta_t)
-    t = _grid(lo, hi, g.dt_step)
-    post_v = g.post.evaluate(t - delta_t)
-    pre_v = alpha * g.pre.evaluate(t - delay)
-    v = post_v - pre_v
-    if g.pair_only:
-        v = np.where((post_v != 0.0) & (pre_v != 0.0), v, 0.0)
-    return t, v
-
-
-def table_drive(device: DeviceModel, tbl: CandidateTable,
-                s_pre: float = 1.0, s_post: float = 1.0) -> BranchDrive:
-    """Peak drive of one candidate table and its switch probabilities."""
-    v_max, t_max, v_min, t_min = tbl.peaks(s_pre, s_post)
-    return BranchDrive(
-        v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min,
-        p_set=set_probability(device, v_max),
-        p_reset=reset_probability(device, v_min),
-    )
-
-
-def branch_drive(g: PairingGeometry, i: int, delta_t: float,
-                 s_pre: float = 1.0, s_post: float = 1.0) -> BranchDrive:
-    """Peak drive of branch i at offset delta_t and its switch probabilities."""
-    return table_drive(g.device, candidate_table(g, i, delta_t), s_pre, s_post)
+def branch_drives(g: PairingGeometry, tables: list[CandidateTable],
+                  s_pre=1.0, s_post=1.0) -> BranchDrive:
+    """Drives of all branches of one offset from their candidate tables, as
+    one BranchDrive of (..., n) arrays; the scales broadcast to the leading
+    shape (one entry per epoch or quadrature node under amplitude noise)."""
+    v_max, t_max, v_min, t_min = (np.stack(x, axis=-1) for x in
+                                  zip(*(tbl.peaks(s_pre, s_post) for tbl in tables)))
+    return BranchDrive(v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min,
+                       p_set=set_probability(g.device, v_max),
+                       p_reset=reset_probability(g.device, v_min))
 
 
 def all_branch_drives(g: PairingGeometry, delta_t: float,
                       s_pre: float = 1.0, s_post: float = 1.0) -> list[BranchDrive]:
-    return [table_drive(g.device, tbl, s_pre, s_post) for tbl in candidate_tables(g, delta_t)]
-
-
-def apply_pairing(g: PairingGeometry, states: list, delta_t: float,
-                  rng: np.random.Generator):
-    """Apply one spike pairing to caller-owned device states.
-
-    Draws, in order: amplitude-noise scales (when enabled), then per branch
-    one SET and one RESET uniform.  Successful attempts land in chronological
-    order of the two peaks, so the later event wins the final state; attempts
-    on a device already in the target state are no-ops.  Returns
-    (n_set, n_reset) counting OFF->ON and ON->OFF transitions.
-    """
-    if len(states) != g.bank.n:
-        raise ValueError(f"need {g.bank.n} device states, got {len(states)}")
-    s_pre = s_post = 1.0
-    if g.amp_noise_sigma > 0.0:
-        s_pre, s_post = 1.0 + rng.normal(0.0, g.amp_noise_sigma, 2)
-    u = rng.random((g.bank.n, 2))
-    n_set = n_reset = 0
-    for idx, (st, drive) in enumerate(zip(states, all_branch_drives(g, delta_t, s_pre, s_post))):
-        set_ok = u[idx, 0] < drive.p_set
-        reset_ok = u[idx, 1] < drive.p_reset
-        events = [(drive.t_max, "set", set_ok), (drive.t_min, "reset", reset_ok)]
-        events.sort(key=lambda e: (e[0], e[1] == "reset"))  # reset wins a time tie
-        for _, kind, ok in events:
-            if not ok:
-                continue
-            if kind == "set" and not st.on:
-                st.on = True
-                n_set += 1
-            elif kind == "reset" and st.on:
-                st.on = False
-                n_reset += 1
-    return n_set, n_reset
+    """Per-branch drives at offset delta_t, one scalar BranchDrive per branch."""
+    d = branch_drives(g, candidate_tables(g, delta_t), s_pre, s_post)
+    return [BranchDrive(*map(float, row)) for row in
+            zip(d.v_max, d.t_max, d.v_min, d.t_min, d.p_set, d.p_reset)]

@@ -4,7 +4,8 @@ Four groups of checks: the energy table against its published reference
 values, Monte Carlo means against the analytic expectation on the two
 reference window setups, the Poisson-binomial recurrence against exhaustive
 enumeration, and the closed-form quadratic against an independent
-brute-force sum.
+brute-force sum.  The oracles (`mc_outliers`, `enumerate_pmf`,
+`bruteforce_direct`) are the ones the test suite imports.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .closedform import (ClosedFormParams, avg_conductance_continuous,
                          quadratic_coeffs_fitted, quadratic_coeffs_published)
 from .config import parse_config
 from .energy import table1
-from .montecarlo import run_window, state_distribution
+from .montecarlo import StdpWindow, run_window, state_distribution
 
 # worked closed-form parameter set used throughout the appendix checks
 WORKED_PARAMS = ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=0.08, v_th=1.0, gamma=2.0)
@@ -66,17 +67,22 @@ def check_energy_table() -> list[CheckResult]:
     return out
 
 
+def mc_outliers(w: StdpWindow) -> int:
+    """Offsets whose Monte Carlo mean is more than 4 standard errors from the
+    analytic expectation; zero-variance offsets must match exactly."""
+    mean = w.delta_g.mean(axis=1)
+    std = w.delta_g.std(axis=1, ddof=1)
+    bound = 4.0 * std / np.sqrt(w.epochs)
+    diff = np.abs(mean - w.analytic)
+    return int(np.sum(np.where(std > 0, diff > bound, diff > 1e-12)))
+
+
 def _mc_check(config_patch: dict, label: str, epochs: int) -> CheckResult:
     cfg = parse_config({"simulation": {"epochs": epochs}, **config_patch}).window_config()
     t0 = time.perf_counter()
     w = run_window(cfg)
     elapsed = time.perf_counter() - t0
-    mean = w.delta_g.mean(axis=1)
-    std = w.delta_g.std(axis=1, ddof=1)
-    bound = 4.0 * std / np.sqrt(w.epochs)
-    diff = np.abs(mean - w.analytic)
-    # zero-variance points must match exactly
-    outliers = int(np.sum(np.where(std > 0, diff > bound, diff > 1e-12)))
+    outliers = mc_outliers(w)
     return CheckResult(
         f"mc vs analytic [{label}]", outliers <= 1,
         f"{outliers} outlier(s) beyond 4*s/sqrt(N) over {w.delta_t.size} points, "
@@ -90,7 +96,9 @@ def check_mc_vs_analytic(epochs: int = 10_000) -> list[CheckResult]:
             _mc_check(fig4d, "ramped attenuation", epochs)]
 
 
-def _enumerate_pmf(ps: np.ndarray) -> np.ndarray:
+def enumerate_pmf(ps) -> np.ndarray:
+    """Poisson-binomial pmf by exhaustive enumeration of the 2^n outcomes."""
+    ps = np.asarray(ps, dtype=float)
     out = np.zeros(ps.size + 1)
     for bits in itertools.product((0, 1), repeat=ps.size):
         pr = 1.0
@@ -108,7 +116,7 @@ def check_poisson_binomial(vectors_per_n: int = 50, n_max: int = 12,
     for n in range(1, n_max + 1):
         for _ in range(vectors_per_n):
             ps = rng.random(n)
-            err = float(np.abs(state_distribution(ps) - _enumerate_pmf(ps)).max())
+            err = float(np.abs(state_distribution(ps) - enumerate_pmf(ps)).max())
             worst = max(worst, err)
     return CheckResult(
         "poisson binomial vs enumeration", worst <= 1e-12,
@@ -116,7 +124,7 @@ def check_poisson_binomial(vectors_per_n: int = 50, n_max: int = 12,
         f"({time.perf_counter() - t0:.2f} s)")
 
 
-def _bruteforce_direct(p: ClosedFormParams, dt: float) -> float:
+def bruteforce_direct(p: ClosedFormParams, dt: float) -> float:
     """Deliberately plain re-derivation of the direct sum."""
     total = 0.0
     for i in range(1, p.n + 1):
@@ -134,9 +142,10 @@ def check_closedform() -> list[CheckResult]:
     p = WORKED_PARAMS
     out = []
     v0 = avg_conductance_direct(p, 0.0)
+    brute0 = bruteforce_direct(p, 0.0)
     out.append(CheckResult(
-        "closed form [direct sum at 0]", abs(v0 - 4.2) <= 1e-12,
-        f"value {v0!r} vs brute force {_bruteforce_direct(p, 0.0)!r} and reference 4.2"))
+        "closed form [direct sum at 0]", abs(v0 - 4.2) <= 1e-12 and abs(v0 - brute0) <= 1e-12,
+        f"value {v0!r} vs brute force {brute0!r} and reference 4.2"))
 
     ki = k_index(p, 0.0)
     lo, hi = 0.0, (ki.a1 - 1.0) / ki.b1  # cutoff reaches the last active branch
@@ -144,7 +153,7 @@ def check_closedform() -> list[CheckResult]:
     probes = np.linspace(lo, hi, 20)
     fit_vals = fitted[0] - fitted[1] * probes + fitted[2] * probes ** 2
     cont = np.array([avg_conductance_continuous(p, x) for x in probes])
-    direct = np.array([_bruteforce_direct(p, x) for x in probes])
+    direct = np.array([bruteforce_direct(p, x) for x in probes])
     dev_cont = float(np.abs(fit_vals - cont).max())
     dev_direct = float(np.abs(fit_vals - direct).max())
     envelope = p.gamma * p.delta_v * p.n

@@ -151,15 +151,6 @@ class SpikeWaveform:
                 inside |= mine
         return values, inside
 
-    def limit_with_support(self, t: float, side: int) -> tuple[float, bool]:
-        """Scalar form of `limits_with_support`."""
-        values, inside = self.limits_with_support([t], [side])
-        return float(values[0]), bool(inside[0])
-
-    def evaluate_limit(self, t: float, side: int) -> float:
-        """One-sided limit at t: side=+1 approaches from above, -1 from below."""
-        return self.limit_with_support(t, side)[0]
-
     def integral(self, step: float = 0.01) -> float:
         """Piece-aware trapezoid integral (exact for linear pieces)."""
         total = 0.0

@@ -8,7 +8,6 @@ Criteria map:
   A4  closed-form quadratic oracle       A9  amplitude-noise sensitivity
   A5  window-shape classification        A10 byte-identical parallel output
 """
-import itertools
 import json
 import os
 import subprocess
@@ -18,12 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from synstdp import (ClosedFormParams, InitKind, avg_conductance_continuous,
-                     avg_conductance_direct, expected_delta_g, fit_exponential,
-                     fit_linear, parse_config, quadratic_coeffs_fitted,
-                     quadratic_coeffs_published, run_window,
+from synstdp import (ClosedFormParams, analytic_window, avg_conductance_continuous,
+                     avg_conductance_direct, fit_exponential, fit_linear, parse_config,
+                     quadratic_coeffs_fitted, quadratic_coeffs_published, run_window,
                      state_distribution, table1)
-from synstdp.montecarlo import analytic_window
+from synstdp.validate import bruteforce_direct, enumerate_pmf, mc_outliers
 
 EPOCHS = 10_000
 SEED = 42
@@ -82,18 +80,10 @@ def test_a1_energy_table():
 
 # ------------------------------------------------------------------ A2
 
-def _mc_outliers(w):
-    mean = w.delta_g.mean(axis=1)
-    std = w.delta_g.std(axis=1, ddof=1)
-    bound = 4.0 * std / np.sqrt(w.epochs)
-    diff = np.abs(mean - w.analytic)
-    return int(np.sum(np.where(std > 0, diff > bound, diff > 1e-12)))
-
-
 def test_a2_mc_vs_analytic(fig4b_run, fig4d_run):
     w_b, t_b = fig4b_run
     w_d, t_d = fig4d_run
-    out_b, out_d = _mc_outliers(w_b), _mc_outliers(w_d)
+    out_b, out_d = mc_outliers(w_b), mc_outliers(w_d)
     ok = (w_b.delta_t.size == 121 and w_d.delta_t.size == 121
           and out_b <= 1 and out_d <= 1 and (t_b + t_d) <= 10.0)
     assert report("A2 MC/analytic consistency", ok,
@@ -103,23 +93,13 @@ def test_a2_mc_vs_analytic(fig4b_run, fig4d_run):
 
 # ------------------------------------------------------------------ A3
 
-def _enumerated(ps):
-    out = np.zeros(ps.size + 1)
-    for bits in itertools.product((0, 1), repeat=ps.size):
-        pr = 1.0
-        for b, p in zip(bits, ps):
-            pr *= p if b else 1.0 - p
-        out[sum(bits)] += pr
-    return out
-
-
 def test_a3_poisson_binomial_oracle():
     rng = np.random.default_rng(777)
     cases = [(n, rng.random(n)) for n in range(1, 13) for _ in range(50)]
     t0 = time.perf_counter()
     computed = [state_distribution(ps) for _, ps in cases]
     dp_time = time.perf_counter() - t0
-    worst = max(float(np.abs(c - _enumerated(ps)).max())
+    worst = max(float(np.abs(c - enumerate_pmf(ps)).max())
                 for c, (_, ps) in zip(computed, cases))
     ok = worst <= 1e-12 and dp_time < 1.0
     assert report("A3 Poisson-binomial oracle", ok,
@@ -128,24 +108,16 @@ def test_a3_poisson_binomial_oracle():
 
 # ------------------------------------------------------------------ A4
 
-def _bruteforce(p, dt):
-    total = 0.0
-    for i in range(1, p.n + 1):
-        prob = p.gamma * (p.a_total - i * p.delta_v - p.beta * dt - p.v_th)
-        total += min(max(prob, 0.0), 1.0)
-    return total
-
-
 def test_a4_closed_form_oracle():
     p = ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=0.08, v_th=1.0, gamma=2.0)
     v0 = avg_conductance_direct(p, 0.0)
-    ok = abs(v0 - 4.2) <= 1e-12 and abs(v0 - _bruteforce(p, 0.0)) <= 1e-12
+    ok = abs(v0 - 4.2) <= 1e-12 and abs(v0 - bruteforce_direct(p, 0.0)) <= 1e-12
 
     a, b, c = quadratic_coeffs_fitted(p, 0.3, 0.4)
     probes = np.linspace(0.0, 3.4, 20)
     poly = a - b * probes + c * probes ** 2
     cont = np.array([avg_conductance_continuous(p, float(x)) for x in probes])
-    direct = np.array([_bruteforce(p, float(x)) for x in probes])
+    direct = np.array([bruteforce_direct(p, float(x)) for x in probes])
     envelope = p.gamma * p.delta_v * p.n
     ok &= float(np.abs(poly - cont).max()) <= 1e-9
     ok &= c > 0.0
@@ -161,24 +133,25 @@ def test_a4_closed_form_oracle():
 
 # ------------------------------------------------------------------ A5
 
-def _analytic_points(cfg, dts, init):
-    g = cfg.geometry()
-    return np.array([[dt, expected_delta_g(g, float(dt), init)] for dt in dts])
+def _analytic_points(patch, lo, hi, init):
+    """(dt, expected dG) rows on the offset grid lo..hi, every device starting
+    in one state (init all_on or all_off)."""
+    cfg = config_for(patch, delta_t_min=lo, delta_t_max=hi, delta_t_step=0.1,
+                     epochs=1, init_policy=init)
+    grid, analytic, _ = analytic_window(cfg.window_config())
+    return np.column_stack([grid, analytic])
 
 
 @pytest.fixture(scope="module")
 def a5_curves():
     t0 = time.perf_counter()
-    fig4d = config_for({})
-    fig4b = config_for({"dendrites": {"alpha_min": 1.0, "alpha_max": 1.0}})
+    fig4b = {"dendrites": {"alpha_min": 1.0, "alpha_max": 1.0}}
     # depression branch of the staggered window: the side whose decay the
     # attenuation spreads widest (the exponential-looking side)
-    dts_d = np.round(np.arange(-6.0, -1.0 + 1e-9, 0.1), 10)
-    pts_d = _analytic_points(fig4d, dts_d, InitKind.ALL_ON)
+    pts_d = _analytic_points({}, -6.0, -1.0, "all_on")
     pts_d = pts_d[pts_d[:, 1] != 0.0]
     # potentiation branch of the uniform window
-    dts_b = np.round(np.arange(1.0, 5.0 + 1e-9, 0.1), 10)
-    pts_b = _analytic_points(fig4b, dts_b, InitKind.ALL_OFF)
+    pts_b = _analytic_points(fig4b, 1.0, 5.0, "all_off")
     return pts_d, pts_b, time.perf_counter() - t0
 
 
@@ -203,13 +176,10 @@ LINEAR_LAW = {"device": {"prob_model": {"linear": {"gamma": 2.0}}}}
 def a5_linear_law_curves():
     # depression branch on the same grid as a5_curves, staggered and uniform
     # bank, both under the linear switching law
-    staggered = config_for(LINEAR_LAW)
-    uniform = config_for({**LINEAR_LAW,
-                          "dendrites": {"alpha_min": 1.0, "alpha_max": 1.0}})
-    dts = np.round(np.arange(-6.0, -1.0 + 1e-9, 0.1), 10)
+    uniform = {**LINEAR_LAW, "dendrites": {"alpha_min": 1.0, "alpha_max": 1.0}}
     curves = []
-    for cfg in (staggered, uniform):
-        pts = _analytic_points(cfg, dts, InitKind.ALL_ON)
+    for patch in (LINEAR_LAW, uniform):
+        pts = _analytic_points(patch, -6.0, -1.0, "all_on")
         curves.append(pts[pts[:, 1] != 0.0])
     return tuple(curves)
 
@@ -245,11 +215,9 @@ def test_a5_fig4b_linear_classification(a5_curves):
 # ------------------------------------------------------------------ A6
 
 def test_a6_plateau_invariants():
-    g = config_for({"dendrites": {"alpha_min": 1.0, "alpha_max": 1.0}}).geometry()
-    pot = [expected_delta_g(g, dt, InitKind.ALL_OFF)
-           for dt in np.round(np.arange(0.1, 1.0, 0.1), 10)]
-    dep = [expected_delta_g(g, dt, InitKind.ALL_ON)
-           for dt in np.round(np.arange(-0.9, 0.0, 0.1), 10)]
+    fig4b = {"dendrites": {"alpha_min": 1.0, "alpha_max": 1.0}}
+    pot = _analytic_points(fig4b, 0.1, 0.9, "all_off")[:, 1]
+    dep = _analytic_points(fig4b, -0.9, -0.1, "all_on")[:, 1]
     spread_pot = max(pot) - min(pot)
     spread_dep = max(dep) - min(dep)
     ok = spread_pot <= 1e-9 and spread_dep <= 1e-9

@@ -7,17 +7,9 @@ from synstdp import (ClosedFormParams, avg_conductance_continuous,
                      avg_conductance_direct, branch_peak, comparison_report,
                      k_index, make_bank, make_waveform, quadratic_coeffs_fitted,
                      quadratic_coeffs_published)
+from synstdp.validate import bruteforce_direct
 
 WORKED = ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=0.08, v_th=1.0, gamma=2.0)
-
-
-def bruteforce_sum(p, dt):
-    """Independent oracle: per-branch clamped ramp, summed with plain loops."""
-    total = 0.0
-    for i in range(1, p.n + 1):
-        prob = p.gamma * (p.a_total - i * p.delta_v - p.beta * dt - p.v_th)
-        total += min(max(prob, 0.0), 1.0)
-    return total
 
 
 def test_branch_peak_examples():
@@ -39,15 +31,15 @@ def test_k_index_examples():
 
 def test_direct_sum_worked_values():
     assert abs(avg_conductance_direct(WORKED, 0.0) - 4.2) <= 1e-12
-    assert abs(avg_conductance_direct(WORKED, 0.0) - bruteforce_sum(WORKED, 0.0)) == 0.0
+    assert abs(avg_conductance_direct(WORKED, 0.0) - bruteforce_direct(WORKED, 0.0)) == 0.0
     # one more branch drops out by dt = 0.25; every remaining term loses beta*dt
-    assert abs(avg_conductance_direct(WORKED, 0.25) - bruteforce_sum(WORKED, 0.25)) == 0.0
+    assert abs(avg_conductance_direct(WORKED, 0.25) - bruteforce_direct(WORKED, 0.25)) == 0.0
     assert abs(avg_conductance_direct(WORKED, 0.25) - 3.64) <= 1e-12
 
 
 def test_direct_sum_matches_bruteforce_everywhere():
     for dt in np.linspace(0.0, 5.0, 101):
-        assert avg_conductance_direct(WORKED, float(dt)) == bruteforce_sum(WORKED, float(dt))
+        assert avg_conductance_direct(WORKED, float(dt)) == bruteforce_direct(WORKED, float(dt))
 
 
 def test_direct_sum_nonincreasing_reaches_zero():
@@ -81,7 +73,7 @@ def test_fitted_quadratic_interpolates_continuous_form():
     envelope = WORKED.gamma * WORKED.delta_v * WORKED.n
     for x in probes:
         poly = a - b * x + c * x * x
-        assert abs(poly - bruteforce_sum(WORKED, float(x))) <= envelope
+        assert abs(poly - bruteforce_direct(WORKED, float(x))) <= envelope
 
 
 def test_fitted_quadratic_closed_form_values():

@@ -199,3 +199,29 @@ def test_non_finite_cli_exits_1_without_traceback(tmp_path):
                           capture_output=True, text=True, env={"PYTHONPATH": str(src)})
     assert proc.returncode == 1
     assert "dendrites.delay_max" in proc.stderr and "Traceback" not in proc.stderr
+
+
+BAD_INTEGERS = [  # JSON true/false are not counts, and seeds are non-negative
+    ("simulation.seed", {"simulation": {"seed": True}}, "expected int, got True"),
+    ("simulation.epochs", {"simulation": {"epochs": True}}, "expected int, got True"),
+    ("dendrites.n", {"dendrites": {"n": False}}, "expected int, got False"),
+    ("simulation.seed", {"simulation": {"seed": -1}}, "must be a non-negative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("key,raw,msg", BAD_INTEGERS,
+                         ids=["seed-true", "epochs-true", "n-false", "seed-negative"])
+def test_bool_and_negative_integers_rejected_with_path(tmp_path, capsys, key, raw, msg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key}: {msg}"):
+        load_config(path)
+    assert main(["window", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {key}: {msg}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_flag_exits_1_naming_the_seed(tmp_path, capsys):
+    assert main(["window", "--out", str(tmp_path / "o"), "--seed", "-1", "--epochs", "1"]) == 1
+    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from synstdp import DeviceModel, DeviceState, ProbModel, reset_probability, sample_on_conductance, set_probability
+from synstdp import DeviceModel, ProbModel, reset_probability, set_probability
+from synstdp.montecarlo import _lrs_draws, _point_stream
 
 # standard-normal table values
 PHI_3 = 0.99865
@@ -65,27 +66,27 @@ def test_linear_model():
     assert reset_probability(dev, -1.25) == 0.5
 
 
+# ON conductances are drawn by the window engine, normalized by 1/r_on
+
 def test_sample_on_conductance_zero_variance():
-    dev = DeviceModel(sigma_lrs=0.0, r_on=1e6)
-    rng = np.random.default_rng(0)
-    assert sample_on_conductance(dev, rng) == 1e-6
+    stream = _point_stream(0, 0)
+    assert np.array_equal(_lrs_draws(stream, 0.0, (4, 16)), np.ones((4, 16)))
+    assert stream.random() == _point_stream(0, 0).random()  # no draw taken
 
 
 def test_sample_on_conductance_statistics():
-    dev = DeviceModel(sigma_lrs=0.1, r_on=1e6)
-    rng = np.random.default_rng(123)
-    draws = np.array([sample_on_conductance(dev, rng) for _ in range(100_000)])
+    draws = _lrs_draws(_point_stream(123, 0), 0.1, 100_000)
     assert np.all(draws > 0.0)
-    assert abs(draws.mean() - 1e-6) < 1e-6 * 0.001
-    assert abs(draws.std() - 0.1e-6) < 0.1e-6 * 0.02
+    assert abs(draws.mean() - 1.0) < 0.001
+    assert abs(draws.std() - 0.1) < 0.1 * 0.02
 
 
 def test_sample_on_conductance_redraw_rule():
     # sigma close to the cap makes nonpositive raw draws plausible
-    dev = DeviceModel(sigma_lrs=0.49, r_on=1.0)
-    rng = np.random.default_rng(5)
-    draws = [sample_on_conductance(dev, rng) for _ in range(20_000)]
-    assert min(draws) > 0.0
+    raw = 1.0 + _point_stream(5, 0).normal(0.0, 0.49, 20_000)
+    draws = _lrs_draws(_point_stream(5, 0), 0.49, 20_000)
+    assert (raw <= 0.0).sum() > 100 and draws.min() > 0.0
+    assert np.array_equal(draws[raw > 0.0], raw[raw > 0.0])  # only those are redrawn
 
 
 def test_validation():
@@ -101,8 +102,6 @@ def test_validation():
         DeviceModel(r_off_ratio=0.5)
     with pytest.raises(ValueError):
         ProbModel(kind="nope")
-    with pytest.raises(ValueError):
-        DeviceState(on=True, g_on=0.0)
 
 
 def test_off_conductance_default_zero(dev):

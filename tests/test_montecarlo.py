@@ -1,27 +1,17 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from synstdp import (DeviceModel, InitKind, InitPolicy, PairingGeometry,
-                     WindowConfig, expected_delta_g, make_bank, make_waveform,
-                     rng_substream, run_window, state_distribution)
-from synstdp.montecarlo import analytic_window
+from synstdp import (DeviceModel, InitKind, InitPolicy, PairingGeometry, WindowConfig,
+                     all_branch_drives, analytic_window, make_bank, make_waveform,
+                     parse_config, run_window, state_distribution)
+from synstdp.montecarlo import _point_stream
+from synstdp.validate import enumerate_pmf, mc_outliers
 
 
 def phi(z):
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def enumerate_pmf(ps):
-    out = np.zeros(len(ps) + 1)
-    for bits in itertools.product((0, 1), repeat=len(ps)):
-        pr = 1.0
-        for b, p in zip(bits, ps):
-            pr *= p if b else 1 - p
-        out[sum(bits)] += pr
-    return out
 
 
 def make_geometry(alpha_min=0.6, alpha_max=1.0, delay_max=0.0, sigma_lrs=0.1,
@@ -64,17 +54,26 @@ def test_state_distribution_normalization_and_validation():
 
 # ---------------------------------------------------------------- expectation
 
+def analytic_mean(g, delta_t, init):
+    """Analytic mean conductance change of the single offset delta_t."""
+    cfg = WindowConfig(geometry=g, delta_t_min=delta_t, delta_t_max=delta_t + 1.0,
+                       delta_t_step=2.0, epochs=1, init_policy=InitPolicy(kind=init))
+    grid, analytic, _ = analytic_window(cfg)
+    assert grid.tolist() == [delta_t]
+    return float(analytic[0])
+
+
 def test_expected_delta_g_uniform_plateau():
     g = make_geometry(alpha_min=1.0, alpha_max=1.0)
-    v = expected_delta_g(g, 0.5, InitKind.ALL_OFF)
+    v = analytic_mean(g, 0.5, InitKind.ALL_OFF)
     assert abs(v - 16 * phi(3.0)) < 1e-12
     assert abs(v - 15.978) < 1e-3
 
 
 def test_expected_delta_g_beyond_support():
     g = make_geometry()
-    assert expected_delta_g(g, 30.0, InitKind.ALL_OFF) == 0.0
-    assert expected_delta_g(g, -30.0, InitKind.ALL_ON) == 0.0
+    assert analytic_mean(g, 30.0, InitKind.ALL_OFF) == 0.0
+    assert analytic_mean(g, -30.0, InitKind.ALL_ON) == 0.0
 
 
 def test_expected_delta_g_ramp_endpoints():
@@ -82,7 +81,7 @@ def test_expected_delta_g_ramp_endpoints():
     # per-branch peaks 0.9 + 0.32*alpha at dt = 2 -> z = 3.2*alpha - 1
     alphas = np.linspace(0.6, 1.0, 16)
     expect = sum(phi(3.2 * a - 1.0) for a in alphas)
-    v = expected_delta_g(g, 2.0, InitKind.ALL_OFF)
+    v = analytic_mean(g, 2.0, InitKind.ALL_OFF)
     assert abs(v - expect) < 1e-9
     assert abs(phi(3.2 * 0.6 - 1.0) - 0.8212) < 1e-4
     assert abs(phi(3.2 * 1.0 - 1.0) - 0.9861) < 1e-4
@@ -91,36 +90,38 @@ def test_expected_delta_g_ramp_endpoints():
 def test_expected_delta_g_attenuation_reduces_potentiation():
     ramp = make_geometry()
     uniform = make_geometry(alpha_min=1.0, alpha_max=1.0)
-    assert expected_delta_g(ramp, 4.0, InitKind.ALL_OFF) < \
-        expected_delta_g(uniform, 4.0, InitKind.ALL_OFF)
+    assert analytic_mean(ramp, 4.0, InitKind.ALL_OFF) < \
+        analytic_mean(uniform, 4.0, InitKind.ALL_OFF)
 
 
 def test_expected_delta_g_sign_conventions():
     g = make_geometry()
-    assert expected_delta_g(g, 2.0, InitKind.ALL_OFF) > 0
-    assert expected_delta_g(g, -2.0, InitKind.ALL_ON) < 0
-    with pytest.raises(ValueError):
-        expected_delta_g(g, 2.0, InitKind.SPLIT)
+    assert analytic_mean(g, 2.0, InitKind.ALL_OFF) > 0
+    assert analytic_mean(g, -2.0, InitKind.ALL_ON) < 0
+    # split init starts every device OFF for a positive offset, ON for a negative
+    assert analytic_mean(g, 2.0, InitKind.SPLIT) == analytic_mean(g, 2.0, InitKind.ALL_OFF)
+    assert analytic_mean(g, -2.0, InitKind.SPLIT) == analytic_mean(g, -2.0, InitKind.ALL_ON)
 
 
 # ---------------------------------------------------------------- rng streams
+# each grid point k draws from its own stream _point_stream(seed, k)
 
 def test_substream_determinism():
-    a = rng_substream(42, 3, 7).random(1000)
-    b = rng_substream(42, 3, 7).random(1000)
+    a = _point_stream(42, 3).random(1000)
+    b = _point_stream(42, 3).random(1000)
     assert np.array_equal(a, b)
 
 
 def test_substream_independence_chi_squared():
-    x = rng_substream(42, 0, 0).random(10_000)
-    y = rng_substream(42, 0, 1).random(10_000)
+    x = _point_stream(42, 0).random(10_000)
+    y = _point_stream(42, 1).random(10_000)
     counts, _, _ = np.histogram2d(x, y, bins=10, range=[[0, 1], [0, 1]])
     stat = ((counts - 100.0) ** 2 / 100.0).sum()
     assert stat < 148.23  # chi-squared 0.999 quantile, 99 dof
 
 
 def test_substream_seed_scan_no_collision():
-    first = {float(rng_substream(seed, 0, 0).random()) for seed in range(100)}
+    first = {float(_point_stream(seed, 0).random()) for seed in range(100)}
     assert len(first) == 100
 
 
@@ -154,12 +155,7 @@ def test_split_sign_property():
 def test_mc_matches_analytic_on_coarse_grid():
     cfg = small_config(epochs=4000, seed=11)
     w = run_window(cfg).validate()
-    mean = w.delta_g.mean(axis=1)
-    std = w.delta_g.std(axis=1, ddof=1)
-    bound = 4.0 * std / np.sqrt(w.epochs)
-    diff = np.abs(mean - w.analytic)
-    outliers = np.sum(np.where(std > 0, diff > bound, diff > 1e-12))
-    assert outliers <= 1
+    assert mc_outliers(w) <= 1
 
 
 def test_grid_construction():
@@ -257,3 +253,75 @@ def test_distinct_post_waveform():
     win = run_window(cfg)
     # rectangular pre tail pins the potentiation peak at 1.3 across the window
     assert np.allclose(win.analytic, win.analytic[0], atol=1e-12)
+
+
+# ---------------------------------------------------------------- draw contract
+
+def replay_offset(cfg, k, delta_t):
+    """Sequential oracle of grid point k: its stream's draws in contract order
+    (noise (E, 2), random init, u_set, u_reset, LRS), then each device's SET
+    and RESET attempt applied in time order, RESET winning a time tie."""
+    g, (E, n) = cfg.geometry, (cfg.epochs, cfg.geometry.bank.n)
+    stream, sigma = _point_stream(cfg.seed, k), g.amp_noise_sigma
+    scales = 1.0 + stream.normal(0.0, sigma, (E, 2)) if sigma > 0.0 else np.ones((E, 2))
+    if cfg.init_policy.kind is InitKind.RANDOM:
+        on0 = stream.random((E, n)) < cfg.init_policy.q
+    else:
+        on0 = np.full((E, n), cfg.init_policy.kind is InitKind.ALL_ON)
+    u_set, u_reset = stream.random((E, n)), stream.random((E, n))
+    lrs = 1.0 + stream.normal(0.0, g.device.sigma_lrs, (E, n))
+    assert lrs.min() > 0.0  # no redraw taken
+    n_set, n_reset, dg = np.zeros(E, int), np.zeros(E, int), np.zeros(E)
+    unscaled = all_branch_drives(g, delta_t)
+    for e in range(E):
+        drives = all_branch_drives(g, delta_t, *scales[e]) if sigma > 0.0 else unscaled
+        for i, d in enumerate(drives):
+            on = bool(on0[e, i])
+            for _, is_reset, ok in sorted([(d.t_max, False, u_set[e, i] < d.p_set),
+                                           (d.t_min, True, u_reset[e, i] < d.p_reset)]):
+                if ok and on == is_reset:  # SET acts on an OFF device, RESET on an ON one
+                    on = not on
+                    n_set[e] += not is_reset
+                    n_reset[e] += is_reset
+            dg[e] += (int(on) - int(on0[e, i])) * (lrs[e, i] - g.device.g_off_norm)
+    return dg, n_set, n_reset
+
+
+ORACLE_GRID = {"delta_t_min": -5.0, "delta_t_max": 5.0, "delta_t_step": 0.5, "epochs": 150}
+ORACLE_CASES = {  # config patch, expected (n_set, n_reset) of every epoch
+    "random_lone_spikes": ({"simulation": {**ORACLE_GRID, "pair_only": False,
+                                           "init_policy": {"random": {"q": 0.5}}}}, None),
+    "noise_delay_ramp": ({"dendrites": {"delay_max": 0.3},
+                          "simulation": {**ORACLE_GRID, "epochs": 30, "amp_noise_sigma": 0.05,
+                                         "init_policy": {"random": {"q": 0.5}}}}, None),
+    "sawtooth_all_off": ({"waveform": {"shape": "sawtooth"},
+                          "simulation": {**ORACLE_GRID, "pair_only": False,
+                                         "init_policy": "all_off"}}, None),
+    # a steep linear law saturates the plateau probability at exactly 1
+    "certain_switching": ({"dendrites": {"alpha_min": 1.0},
+                           "device": {"prob_model": {"linear": {"gamma": 10.0}}},
+                           "simulation": {**ORACLE_GRID, "delta_t_min": 0.5, "delta_t_max": 0.7,
+                                          "init_policy": "all_off"}}, (16, 0)),
+    # lone sawtooth spikes with a 1.5 V head and tail: SET and RESET peak on the
+    # two sides of the same jump, both certain, so RESET wins every device
+    "reset_wins_tie": ({"waveform": {"shape": "sawtooth", "a_plus": 1.5, "a_minus": 1.5},
+                        "device": {"prob_model": {"linear": {"gamma": 10.0}}},
+                        "simulation": {**ORACLE_GRID, "pair_only": False, "delta_t_min": 20.0,
+                                       "delta_t_max": 20.5, "init_policy": "all_off"}}, (16, 16)),
+    # the spikes never overlap: no attempt succeeds and every device stays ON
+    "beyond_support": ({"simulation": {**ORACLE_GRID, "delta_t_min": 20.0,
+                                       "delta_t_max": 20.5, "init_policy": "all_on"}}, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_sequential_oracle_matches_run_window(name):
+    patch, expect = ORACLE_CASES[name]
+    cfg = parse_config(patch).window_config()
+    w = run_window(cfg, workers=1)
+    for k, dt in enumerate(w.delta_t.tolist()):
+        dg, n_set, n_reset = replay_offset(cfg, k, dt)
+        assert np.array_equal(n_set, w.n_set[k]) and np.array_equal(n_reset, w.n_reset[k]), dt
+        assert np.abs(dg - w.delta_g[k]).max() <= 1e-12, dt
+    if expect is not None:
+        assert np.all(w.n_set == expect[0]) and np.all(w.n_reset == expect[1])

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from synstdp import (DeviceModel, DeviceState, PairingGeometry, ProbModel,
-                     all_branch_drives, apply_pairing, branch_drive, make_bank,
-                     make_waveform, net_potential_trace)
+from synstdp import (DeviceModel, PairingGeometry, all_branch_drives, branch_drives,
+                     make_bank, make_waveform)
 from synstdp.pairing import candidate_tables
 from synstdp.waveforms import EDGE_SNAP_TOL
 
@@ -38,64 +37,76 @@ def geometry(alpha=1.0, n=1, delay=0.0, pair_only=True, **dev_kw):
                            device=DeviceModel(**dev_kw), pair_only=pair_only)
 
 
+def drive(g, i, delta_t):
+    """Drive of branch i (1-based) at offset delta_t."""
+    return all_branch_drives(g, delta_t)[i - 1]
+
+
+def candidate_potential(g, i, delta_t):
+    """Branch i's potential at its candidate times, 0 where it is not
+    evaluated (outside the overlap with pair_only)."""
+    tbl = candidate_tables(g, delta_t)[i - 1]
+    return tbl.t, np.where(tbl.valid, tbl.post_v - tbl.pre_v, 0.0)
+
+
 def test_trace_peaks_pre_before_post(hrht):
     g = geometry(alpha=1.0)
-    t, v = net_potential_trace(g, 1, 0.5)
+    t, v = candidate_potential(g, 1, 0.5)
     assert v.max() == 1.3            # post head over pre tail at t=0
     assert abs(v.min() - (-0.04)) < 1e-12
 
 
 def test_trace_disjoint_supports(hrht):
     g = geometry()
-    t, v = net_potential_trace(g, 1, 20.0)
+    t, v = candidate_potential(g, 1, 20.0)
     assert t.shape == (1,) and v.shape == (1,)
     assert v[0] == 0.0
 
 
 def test_trace_attenuated_post_before_pre(hrht):
     g = geometry(alpha=0.6)
-    t, v = net_potential_trace(g, 1, -2.0)
+    t, v = candidate_potential(g, 1, -2.0)
     assert abs(v.min() - (-0.86)) < 1e-12
-    assert 0.09 < v.max() <= 0.096 + 1e-12
+    assert abs(v.max() - 0.096) < 1e-12  # candidates hold the exact peak
 
 
 def test_drive_peaks_match_dense_grid_oracle(hrht):
     for delta_t in (-4.5, -2.0, -0.3, 0.5, 1.7, 3.2, 5.5):
         for alpha in (0.6, 0.85, 1.0):
             g = geometry(alpha=alpha)
-            d = branch_drive(g, 1, delta_t)
+            d = drive(g, 1, delta_t)
             vmax, vmin = dense_grid_peaks(hrht, hrht, alpha, 0.0, delta_t)
             assert d.v_max >= vmax - 1e-12 and d.v_max - vmax < 2e-3
             assert d.v_min <= vmin + 1e-12 and vmin - d.v_min < 2e-3
 
 
 def test_drive_peaks_exact_values(hrht):
-    assert branch_drive(geometry(1.0), 1, 0.5).v_max == 1.3
-    d = branch_drive(geometry(1.0), 1, 2.0)
+    assert drive(geometry(1.0), 1, 0.5).v_max == 1.3
+    d = drive(geometry(1.0), 1, 2.0)
     assert abs(d.v_max - 1.22) < 1e-12          # 0.9 + 0.4*(1 - 1/5)
-    d = branch_drive(geometry(0.6), 1, 2.0)
+    d = drive(geometry(0.6), 1, 2.0)
     assert abs(d.v_max - 1.092) < 1e-12         # 0.9 + 0.24*0.8
-    d = branch_drive(geometry(0.6), 1, -2.0)
+    d = drive(geometry(0.6), 1, -2.0)
     assert abs(d.v_min - (-0.86)) < 1e-12       # -(0.6*0.9 + 0.4*0.8)
     assert abs(d.v_max - 0.096) < 1e-12
 
 
 def test_drive_probability_examples(hrht):
-    d = branch_drive(geometry(1.0), 1, 0.5)
+    d = drive(geometry(1.0), 1, 0.5)
     assert abs(d.p_set - phi(3.0)) < 1e-12 and abs(d.p_set - 0.99865) < 1e-4
     assert d.p_reset < 1e-12                     # Phi(-9.6)
-    d = branch_drive(geometry(1.0), 1, 2.0)
+    d = drive(geometry(1.0), 1, 2.0)
     assert abs(d.p_set - phi(2.2)) < 1e-12 and abs(d.p_set - 0.98610) < 1e-4
-    d = branch_drive(geometry(0.6), 1, 2.0)
+    d = drive(geometry(0.6), 1, 2.0)
     assert abs(d.p_set - phi(0.92)) < 1e-12 and abs(d.p_set - 0.82121) < 1e-4
-    d = branch_drive(geometry(0.6), 1, -2.0)
+    d = drive(geometry(0.6), 1, -2.0)
     assert abs(d.p_reset - phi(-1.4)) < 1e-12 and abs(d.p_reset - 0.08076) < 1e-4
 
 
 def test_potentiation_plateau(hrht):
     for alpha in (0.6, 1.0):
         g = geometry(alpha)
-        vmax = [branch_drive(g, 1, dt).v_max for dt in np.arange(0.1, 1.0, 0.1)]
+        vmax = [drive(g, 1, dt).v_max for dt in np.arange(0.1, 1.0, 0.1)]
         assert max(vmax) - min(vmax) == 0.0
         assert abs(vmax[0] - (0.9 + 0.4 * alpha)) < 1e-12
 
@@ -103,16 +114,16 @@ def test_potentiation_plateau(hrht):
 def test_depression_plateau(hrht):
     for alpha in (0.6, 1.0):
         g = geometry(alpha)
-        vmin = [branch_drive(g, 1, dt).v_min for dt in np.arange(-0.9, 0.0, 0.1)]
+        vmin = [drive(g, 1, dt).v_min for dt in np.arange(-0.9, 0.0, 0.1)]
         assert max(vmin) - min(vmin) == 0.0
         assert abs(vmin[0] + (0.9 * alpha + 0.4)) < 1e-12
 
 
 def test_peak_monotone_beyond_plateau(hrht):
     g = geometry(1.0)
-    vmax = [branch_drive(g, 1, dt).v_max for dt in np.arange(1.0, 6.0, 0.25)]
+    vmax = [drive(g, 1, dt).v_max for dt in np.arange(1.0, 6.0, 0.25)]
     assert np.all(np.diff(vmax) <= 1e-15)
-    vmin = [branch_drive(g, 1, -dt).v_min for dt in np.arange(1.0, 6.0, 0.25)]
+    vmin = [drive(g, 1, -dt).v_min for dt in np.arange(1.0, 6.0, 0.25)]
     assert np.all(np.diff(vmin) >= -1e-15)
 
 
@@ -150,7 +161,7 @@ def test_uniform_bank_identical_drives():
 
 def test_pair_only_false_exposes_lone_spike_disturb():
     g = geometry(alpha=1.0, pair_only=False)
-    d = branch_drive(g, 1, 20.0)  # spikes never overlap
+    d = drive(g, 1, 20.0)  # spikes never overlap
     assert abs(d.v_min - (-0.9)) < 1e-12   # lone pre head across the device
     assert abs(d.v_max - 0.9) < 1e-12      # lone post head
     assert abs(d.p_reset - phi(-1.0)) < 1e-12
@@ -166,48 +177,20 @@ def test_dt_step_validation(hrht):
                         device=DeviceModel(), dt_step=0.0)
 
 
-def test_branch_index_checks(hrht):
-    g = geometry(n=1)
-    with pytest.raises(IndexError):
-        branch_drive(g, 2, 0.5)
-    with pytest.raises(IndexError):
-        net_potential_trace(g, 0, 0.5)
-
-
-def test_apply_pairing_certain_switching():
-    # steep linear model saturates the plateau probability at exactly 1
-    g = geometry(alpha=1.0, n=16, prob_model=ProbModel(kind="linear", gamma=10.0))
-    states = [DeviceState(on=False, g_on=1e-6) for _ in range(16)]
-    rng = np.random.default_rng(0)
-    n_set, n_reset = apply_pairing(g, states, 0.5, rng)
-    assert n_set == 16 and n_reset == 0
-    assert all(s.on for s in states)
-
-
-def test_apply_pairing_noop():
-    g = geometry(alpha=1.0, n=16)
-    states = [DeviceState(on=True, g_on=1e-6) for _ in range(16)]
-    n_set, n_reset = apply_pairing(g, states, 20.0, np.random.default_rng(0))
-    assert (n_set, n_reset) == (0, 0)
-    assert all(s.on for s in states)
-
-
-def test_apply_pairing_length_mismatch():
-    g = geometry(n=4)
-    with pytest.raises(ValueError):
-        apply_pairing(g, [DeviceState(on=False, g_on=1e-6)], 0.5, np.random.default_rng(0))
-
-
-def test_apply_pairing_mean_switch_count():
-    g = geometry(alpha=1.0, n=16)
-    rng = np.random.default_rng(42)
-    total = 0
-    epochs = 10_000
-    for _ in range(epochs):
-        states = [DeviceState(on=False, g_on=1e-6) for _ in range(16)]
-        n_set, _ = apply_pairing(g, states, 0.5, rng)
-        total += n_set
-    assert abs(total / epochs - 16 * phi(3.0)) < 0.02  # 15.978 +- 4 sigma band
+def test_branch_drives_match_per_branch_drives():
+    """The (..., n) arrays of branch_drives: row k under per-epoch scales is
+    the scalar drive at those scales, and reset_later follows the peak times."""
+    w = make_waveform("sawtooth")
+    g = PairingGeometry(pre=w, post=w, bank=make_bank(16, 0.6, 1.0, 0.3), device=DeviceModel(),
+                        pair_only=False)
+    s_pre, s_post = np.array([1.0, 0.93, 1.08]), np.array([1.0, 1.05, 0.9])
+    for dt in (-2.0, -0.2, 0.0, 0.4, 3.0):
+        d = branch_drives(g, candidate_tables(g, dt), s_pre, s_post)
+        assert d.p_set.shape == d.reset_later.shape == (3, 16)
+        for k in range(3):
+            want = all_branch_drives(g, dt, s_pre[k], s_post[k])
+            for f in ("v_max", "t_max", "v_min", "t_min", "p_set", "p_reset", "reset_later"):
+                assert getattr(d, f)[k].tolist() == [getattr(x, f) for x in want], (dt, k, f)
 
 
 def test_drive_peaks_curved_shapes_match_dense_grid():
@@ -217,7 +200,7 @@ def test_drive_peaks_curved_shapes_match_dense_grid():
         g = PairingGeometry(pre=w, post=w, bank=make_bank(1, 0.8, 0.8, 0.0),
                             device=dev)
         for delta_t in (-3.0, -1.2, 0.4, 1.5, 3.7):
-            d = branch_drive(g, 1, delta_t)
+            d = drive(g, 1, delta_t)
             vmax, vmin = dense_grid_peaks(w, w, 0.8, 0.0, delta_t, step=0.0005)
             # curved pieces rely on dt_step sampling between breakpoints
             assert abs(d.v_max - vmax) < 0.05
@@ -231,7 +214,7 @@ def test_rectangular_pre_spike_makes_flat_window():
     post = make_waveform("hrht")
     g = PairingGeometry(pre=pre, post=post, bank=make_bank(1, 1.0, 1.0, 0.0),
                         device=DeviceModel())
-    ps = [branch_drive(g, 1, dt).p_set for dt in np.arange(0.5, 5.9, 0.3)]
+    ps = [drive(g, 1, dt).p_set for dt in np.arange(0.5, 5.9, 0.3)]
     assert max(ps) - min(ps) < 1e-12
     assert abs(ps[0] - phi(3.0)) < 1e-12  # peak 0.9 + 0.4 throughout
 
@@ -241,7 +224,7 @@ def test_mixed_pre_post_waveforms():
     post = make_waveform("sawtooth")
     g = PairingGeometry(pre=pre, post=post, bank=make_bank(2, 0.6, 1.0, 0.0),
                         device=DeviceModel())
-    d = branch_drive(g, 2, 2.0)
+    d = drive(g, 2, 2.0)
     vmax, vmin = dense_grid_peaks(pre, post, 1.0, 0.0, 2.0)
     assert d.v_max >= vmax - 1e-12 and d.v_max - vmax < 2e-3
 

@@ -99,21 +99,18 @@ def test_evaluate_bounded(shape):
 
 def test_one_sided_limits():
     w = make_waveform("hrht")
-    assert w.evaluate_limit(0.0, -1) == 0.9
-    assert w.evaluate_limit(0.0, +1) == -0.4
-    assert w.evaluate_limit(-1.0, -1) == 0.0
-    assert w.evaluate_limit(-1.0, +1) == 0.9
+    v, inside = w.limits_with_support([0.0, 0.0, -1.0, -1.0], [-1, +1, -1, +1])
+    assert v.tolist() == [0.9, -0.4, 0.0, 0.9]
+    assert inside.tolist() == [True, True, False, True]
     # tail decays continuously to zero: still inside at the edge from below
-    v, inside = w.limit_with_support(5.0, -1)
-    assert v == 0.0 and inside
-    v, inside = w.limit_with_support(5.0, +1)
-    assert v == 0.0 and not inside
+    v, inside = w.limits_with_support([5.0, 5.0], [-1, +1])
+    assert v.tolist() == [0.0, 0.0] and inside.tolist() == [True, False]
 
 
 def test_sawtooth_head_ramp():
     w = make_waveform("sawtooth")
     assert abs(w.evaluate(-1.0)) < 1e-15      # ramps from 0
-    assert w.evaluate_limit(0.0, -1) == 0.9   # peak at the head end
+    assert w.limits_with_support([0.0], [-1])[0][0] == 0.9   # peak at the head end
 
 
 def test_shape_enum_round_trip():
