@@ -5,12 +5,15 @@ simulator writes for a fixed config and seed; it must say which and why.
 Each case is a 200-epoch `window` run at the config's seed (42), written by
 `write_window_csv`.  The shape cases set only the spike shape and
 `pair_only = false`, so they also cover lone-spike candidates at the support
-edges.  The last three cases pin the drive paths the shipped configs leave
-out: amplitude noise on the delayed bank (per-epoch scaled peaks and the
-Gauss-Hermite analytic), random init with lone-spike candidates, and the
-linear switching law from all-OFF.  The dexp and bio shapes are left out: their `np.exp` may differ in
-the last bit across CPUs; the candidate-table oracle in test_pairing covers
-them.
+edges.  The other cases pin the drive paths and init policies the shipped
+configs leave out: amplitude noise on the delayed bank (per-epoch scaled
+peaks and the Gauss-Hermite analytic), random init with lone-spike
+candidates, the linear switching law from all-OFF, all-ON init, and random
+init under amplitude noise.  A last digest pins the `statedist` path: the
+`states.csv` that `analytic_window` and `write_states_csv` give for the
+noisy delayed bank, which is byte for byte the window run's.  The dexp and bio shapes are left out: their `np.exp` may
+differ in the last bit across CPUs; the candidate-table oracle in
+test_pairing covers them.
 """
 import dataclasses
 import hashlib
@@ -19,13 +22,14 @@ from pathlib import Path
 
 import pytest
 
-from synstdp import load_config, parse_config, run_window
-from synstdp.output import write_window_csv
+from synstdp import analytic_window, load_config, parse_config, run_window
+from synstdp.output import write_states_csv, write_window_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EPOCHS = 200
 FILES = ("window.csv", "mean.csv", "states.csv")
 DELAY_BANK = json.loads((CONFIGS / "fig7_delay.json").read_text())["dendrites"]
+DELAY_NOISE = {"dendrites": DELAY_BANK, "simulation": {"amp_noise_sigma": 0.05}}
 
 CASES = {
     "fig4b": CONFIGS / "fig4b.json",
@@ -34,10 +38,14 @@ CASES = {
     "hrht": {"waveform": {"shape": "hrht"}, "simulation": {"pair_only": False}},
     "rect": {"waveform": {"shape": "rect"}, "simulation": {"pair_only": False}},
     "sawtooth": {"waveform": {"shape": "sawtooth"}, "simulation": {"pair_only": False}},
-    "fig7_delay_noise": {"dendrites": DELAY_BANK, "simulation": {"amp_noise_sigma": 0.05}},
+    "fig7_delay_noise": DELAY_NOISE,
     "random_q05": {"simulation": {"pair_only": False, "init_policy": {"random": {"q": 0.5}}}},
     "linear_all_off": {"device": {"prob_model": {"linear": {"gamma": 2.0}}},
                        "simulation": {"init_policy": "all_off"}},
+    "all_on": {"simulation": {"init_policy": "all_on"}},
+    "random_q025_noise": {"dendrites": DELAY_BANK,
+                          "simulation": {"amp_noise_sigma": 0.05,
+                                         "init_policy": {"random": {"q": 0.25}}}},
 }
 
 GOLDEN = {
@@ -86,6 +94,16 @@ GOLDEN = {
         "mean.csv": "2745e3cd213d7b5f509bff8d4cfb2f738b13ef282f10a4452756487961217f47",
         "states.csv": "92d464d4c476a8e34d399633e821d50b798f9c583a1c8b2540dfb1dd8514f14b",
     },
+    "all_on": {
+        "window.csv": "fc0ad426ce5d708ff799915541962c2489765994a32030d5ad86ba8b5ae9d460",
+        "mean.csv": "72a4ed6be457ca62b4e0966ac396734da10164923171a63f02bb0eb13b963436",
+        "states.csv": "61364f5ebf11853c1c8aa41456b9ea3b875e63bcf3f1f8c58312de37baa16eca",
+    },
+    "random_q025_noise": {
+        "window.csv": "2ed92d41dde79c81cc432f222370312bd4a406a62baed7b9dcac7428ecbdb7d1",
+        "mean.csv": "b371131c21ffb31bab755304fbeaceaf5d148ca1d80eff56c02db4967268d613",
+        "states.csv": "8f21445527d91cea4dffb887110d9d4bb8e24e3fcb1718def2b2e7d2e46e09ec",
+    },
 }
 
 
@@ -100,3 +118,10 @@ def run_digests(case, out_dir) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
     assert run_digests(CASES[name], tmp_path) == GOLDEN[name]
+
+
+def test_statedist_digest(tmp_path):
+    grid, _, states = analytic_window(parse_config(DELAY_NOISE).window_config())
+    path = write_states_csv(grid, states, tmp_path / "states.csv")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN["fig7_delay_noise"]["states.csv"]
