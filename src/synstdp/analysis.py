@@ -28,15 +28,6 @@ class FitResult:
     converged: bool = True
     n_excluded: int = 0
 
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        p = self.params
-        if self.model == "exponential":
-            return p["A"] * np.exp(-np.abs(x) / p["tau"])
-        if self.model == "linear":
-            return p["slope"] * x + p["intercept"]
-        return p["a"] - p["b"] * x + p["c"] * x * x
-
     def to_dict(self) -> dict:
         return {
             "model": self.model,

@@ -82,6 +82,8 @@ def _load_run_config(path: Path | None):
 
 
 def _cmd_window(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
     cfg = _load_run_config(args.config)
     wcfg = cfg.window_config()
     if args.seed is not None:

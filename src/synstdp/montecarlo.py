@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import starmap
 from multiprocessing import get_context
 
 import numpy as np
@@ -101,67 +102,64 @@ def _point_stream(seed: int, point_index: int) -> np.random.Generator:
 
 def state_distribution(p) -> np.ndarray:
     """Exact Poisson-binomial pmf of the number of successes among
-    independent Bernoulli(p_i) trials, by the O(n^2) convolution recurrence."""
+    independent Bernoulli(p_i) trials, by the O(n^2) convolution recurrence;
+    p of shape (..., n) gives (..., n+1), each row bitwise equal to a 1-D call."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("need a 1-D probability vector")
+    if p.ndim == 0:
+        raise ValueError("need probabilities along a last axis, got a scalar")
     if np.any((p < 0.0) | (p > 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
-    out = np.zeros(p.size + 1)
+    p = np.moveaxis(p, -1, 0)  # trials first: one step per leading index
+    out = np.zeros((p.shape[0] + 1,) + p.shape[1:])
     out[0] = 1.0
-    for k, pk in enumerate(p):
-        out[1:k + 2] = out[1:k + 2] * (1.0 - pk) + out[:k + 1] * pk
-        out[0] *= (1.0 - pk)
-    return out
+    for pk, qk in zip(p, 1.0 - p):  # out[j] <- out[j] (1 - p_k) + out[j-1] p_k
+        step = out[:-1] * pk
+        out *= qk
+        out[1:] += step
+    return np.moveaxis(out, 0, -1)
 
 
-def _gh_nodes(sigma: float):
-    x, w = np.polynomial.hermite_e.hermegauss(_GH_POINTS)
-    return 1.0 + sigma * x, w / w.sum()
+def _start_on(policy: InitPolicy, delta_t: float) -> list[float]:
+    """Start-ON probabilities of a device, one per kind of epoch at offset
+    delta_t.  Split init starts every device OFF at a positive offset and ON
+    at a negative one; at delta_t = 0 the epochs alternate between the two."""
+    if policy.kind is InitKind.RANDOM:
+        return [policy.q]
+    if policy.kind is InitKind.SPLIT:
+        return [0.0, 1.0] if delta_t == 0.0 else [float(delta_t < 0.0)]
+    return [float(policy.kind is InitKind.ALL_ON)]
 
 
-def _probability_sets(g: PairingGeometry, tables):
-    """Per-branch (p_set, p_reset) vectors, one pair per amplitude-noise
-    quadrature node (a single pair when noise is off), with node weights."""
+def _node_drives(g: PairingGeometry, tables):
+    """Drives of all branches at the amplitude-noise quadrature nodes, shape
+    (nodes, n), with the node weights: Gauss-Hermite in both spike scales,
+    or the single unscaled node when noise is off."""
     if g.amp_noise_sigma == 0.0:
-        d = branch_drives(g, tables)
-        return [(d.p_set, d.p_reset)], np.ones(1)
-    scales, w = _gh_nodes(g.amp_noise_sigma)
-    s_pre, s_post = np.meshgrid(scales, scales, indexing="ij")
-    d = branch_drives(g, tables, s_pre.ravel(), s_post.ravel())
-    return list(zip(d.p_set, d.p_reset)), np.outer(w, w).ravel()
+        return branch_drives(g, tables), np.ones(1)
+    x, w = np.polynomial.hermite_e.hermegauss(_GH_POINTS)
+    scales, w = 1.0 + g.amp_noise_sigma * x, w / w.sum()
+    # node 12 i + j scales the pre spike by scales[i] and the post spike by scales[j]
+    s_pre, s_post = np.repeat(scales, _GH_POINTS), np.tile(scales, _GH_POINTS)
+    return branch_drives(g, tables, s_pre, s_post), np.outer(w, w).ravel()
 
 
-def _start_kind(policy: InitPolicy, delta_t: float) -> InitKind:
-    """Split init starts every device OFF at a positive offset and ON at a
-    negative one; at delta_t = 0 it keeps both initializations."""
-    if policy.kind is InitKind.SPLIT and delta_t != 0.0:
-        return InitKind.ALL_OFF if delta_t > 0.0 else InitKind.ALL_ON
-    return policy.kind
-
-
-def _analytic_and_states(cfg: WindowConfig, delta_t: float, prob_sets, weights):
-    n = cfg.geometry.bank.n
-    kind = _start_kind(cfg.init_policy, delta_t)
+def _analytic_and_states(cfg: WindowConfig, delta_t: float, drive, weights):
+    """Mean conductance change and switching-count pmf of one offset from
+    (n,) or (nodes, n) drives: a device starting ON with probability q switches
+    with probability (1 - q) p_set + q p_reset.  Each node's starts are
+    averaged, then the nodes are summed as a running sum from +0.0: the order
+    the output bytes are pinned to (a pairwise np.sum or the compensated
+    builtin sum of Python >= 3.12 changes them)."""
+    starts = _start_on(cfg.init_policy, delta_t)
+    q = np.array(starts)[:, None, None]  # (starts, 1, 1) against (nodes, n)
+    switch_on = (1.0 - q) * np.atleast_2d(drive.p_set)  # starts OFF, then SET
+    switch_off = q * np.atleast_2d(drive.p_reset)  # starts ON, then RESET
     off_step = 1.0 - cfg.geometry.device.g_off_norm
-    analytic = 0.0
-    states = np.zeros(n + 1)
-    for (ps, pr), w in zip(prob_sets, weights):
-        if kind is InitKind.ALL_OFF:
-            analytic += w * off_step * ps.sum()
-            states += w * state_distribution(ps)
-        elif kind is InitKind.ALL_ON:
-            analytic += w * off_step * -pr.sum()
-            states += w * state_distribution(pr)
-        elif kind is InitKind.SPLIT:  # delta_t = 0: half the epochs start OFF, half ON
-            analytic += w * off_step * 0.5 * (ps.sum() - pr.sum())
-            states += w * 0.5 * (state_distribution(ps) + state_distribution(pr))
-        else:
-            q = cfg.init_policy.q
-            analytic += w * off_step * ((1.0 - q) * ps - q * pr).sum()
-            # marginal of "device switched at least once"
-            states += w * state_distribution((1.0 - q) * ps + q * pr)
-    return analytic, states
+    change = (switch_on - switch_off).sum(axis=-1).sum(axis=0)
+    pmf = state_distribution(switch_on + switch_off).sum(axis=0)
+    analytic = 0.0 + np.cumsum(weights * off_step / len(starts) * change)[-1]
+    states = 0.0 + np.cumsum((weights / len(starts))[:, None] * pmf, axis=0)[-1]
+    return float(analytic), states
 
 
 def analytic_window(cfg: WindowConfig):
@@ -169,25 +167,20 @@ def analytic_window(cfg: WindowConfig):
     Monte Carlo trials; amplitude noise, when enabled, is averaged by
     Gauss-Hermite quadrature."""
     grid = cfg.grid()
-    n = cfg.geometry.bank.n
-    analytic = np.empty(grid.size)
-    states = np.empty((grid.size, n + 1))
-    for k, dt in enumerate(grid.tolist()):
-        tables = candidate_tables(cfg.geometry, dt)
-        analytic[k], states[k] = _analytic_and_states(
-            cfg, dt, *_probability_sets(cfg.geometry, tables))
+    g = cfg.geometry
+    rows = [_analytic_and_states(cfg, dt, *_node_drives(g, candidate_tables(g, dt)))
+            for dt in grid.tolist()]
+    analytic, states = (np.stack(col) for col in zip(*rows))
     return grid, analytic, states
 
 
 def _initial_on(cfg: WindowConfig, delta_t: float, epochs: int, n: int, stream):
-    kind = _start_kind(cfg.init_policy, delta_t)
-    if kind is InitKind.RANDOM:
-        return stream.random((epochs, n)) < cfg.init_policy.q
-    if kind is InitKind.SPLIT:  # delta_t = 0: both initializations, by epoch parity
-        on = np.zeros((epochs, n), dtype=bool)
-        on[1::2] = True
-        return on
-    return np.full((epochs, n), kind is InitKind.ALL_ON)
+    starts = _start_on(cfg.init_policy, delta_t)
+    if cfg.init_policy.kind is InitKind.RANDOM:
+        return stream.random((epochs, n)) < starts[0]
+    # q is 0 or 1 here; epoch e starts as starts[e % len(starts)]
+    on = np.array(starts, dtype=bool)[np.arange(epochs) % len(starts)]
+    return np.broadcast_to(on[:, None], (epochs, n))
 
 
 def _lrs_draws(stream, sigma_lrs: float, shape) -> np.ndarray:
@@ -216,15 +209,13 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
     u_reset = stream.random((epochs, n))
     lrs = _lrs_draws(stream, g.device.sigma_lrs, (epochs, n))
 
-    # the offset's tables (and, without noise, its drives) are built once
-    # and feed both the sampler and the analytic expectation
+    # the offset's tables feed both the sampler and the analytic expectation;
+    # without noise the single node's (n,) drive is the sampler's drive
     tables = candidate_tables(g, delta_t)
+    nodes = _node_drives(g, tables)
+    drive = nodes[0]
     if g.amp_noise_sigma > 0.0:
         drive = branch_drives(g, tables, scales[:, 0], scales[:, 1])  # (epochs, n)
-        prob_sets, weights = _probability_sets(g, tables)
-    else:
-        drive = branch_drives(g, tables)  # (n,)
-        prob_sets, weights = [(drive.p_set, drive.p_reset)], np.ones(1)
     reset_later = drive.reset_later
 
     set_ok = u_set < drive.p_set
@@ -240,52 +231,35 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
     lost = (on_init & ~final_on)
     delta_g = (step * gained).sum(axis=1) - (step * lost).sum(axis=1)
 
-    analytic, states = _analytic_and_states(cfg, delta_t, prob_sets, weights)
+    analytic, states = _analytic_and_states(cfg, delta_t, *nodes)
     return delta_g, n_set.astype(np.int32), n_reset.astype(np.int32), analytic, states
-
-
-def _point_worker(args):
-    cfg, k, delta_t = args
-    return k, _compute_point(cfg, k, float(delta_t))
-
-
-def default_workers() -> int:
-    return max(1, int(os.environ.get("SYNSTDP_WORKERS", "1")))
 
 
 def run_window(cfg: WindowConfig, workers: int | None = None) -> StdpWindow:
     """Sweep the delta_t grid; grid points are independent and may be
-    computed by a worker pool, with output order fixed by the grid."""
+    computed by a pool of at most one worker per point, with output order
+    fixed by the grid."""
     grid = cfg.grid()
     if workers is None:
-        workers = default_workers()
-    jobs = [(cfg, k, dt) for k, dt in enumerate(grid)]
-    if workers > 1 and len(jobs) > 1:
+        workers = max(1, int(os.environ.get("SYNSTDP_WORKERS", "1")))
+    jobs = [(cfg, k, dt) for k, dt in enumerate(grid.tolist())]
+    workers = min(workers, len(jobs))
+    if workers > 1:
         with get_context("fork").Pool(processes=workers) as pool:
-            results = dict(pool.map(_point_worker, jobs, chunksize=4))
+            results = pool.starmap(_compute_point, jobs, chunksize=4)
     else:
-        results = dict(map(_point_worker, jobs))
-
-    n = cfg.geometry.bank.n
-    P, E = len(grid), cfg.epochs
-    window = StdpWindow(
+        results = list(starmap(_compute_point, jobs))
+    delta_g, n_set, n_reset, analytic, states = (np.stack(col) for col in zip(*results))
+    return StdpWindow(
         delta_t=grid,
-        delta_g=np.empty((P, E)),
-        n_set=np.empty((P, E), dtype=np.int32),
-        n_reset=np.empty((P, E), dtype=np.int32),
-        analytic=np.empty(P),
-        states=np.empty((P, n + 1)),
-        n_branches=n,
-        epochs=E,
+        delta_g=delta_g,
+        n_set=n_set,
+        n_reset=n_reset,
+        analytic=analytic,
+        states=states,
+        n_branches=cfg.geometry.bank.n,
+        epochs=cfg.epochs,
         seed=cfg.seed,
         init_policy=cfg.init_policy,
         sigma_lrs=cfg.geometry.device.sigma_lrs,
     )
-    for k in range(P):
-        dg, ns, nr, analytic, states = results[k]
-        window.delta_g[k] = dg
-        window.n_set[k] = ns
-        window.n_reset[k] = nr
-        window.analytic[k] = analytic
-        window.states[k] = states
-    return window

@@ -102,6 +102,15 @@ def test_bad_config_fails_nonzero(tmp_path, capsys):
     assert "dendrites.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_window_rejects_nonpositive_workers(tmp_path, quick_config, capsys, workers):
+    out = tmp_path / "o"
+    assert main(["window", "--config", str(quick_config), "--out", str(out),
+                 "--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_fails(tmp_path):
     assert main(["window", "--config", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "o")]) == 1

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import synstdp.montecarlo as montecarlo
 from synstdp import (DeviceModel, InitKind, InitPolicy, PairingGeometry, WindowConfig,
                      all_branch_drives, analytic_window, make_bank, make_waveform,
                      parse_config, run_window, state_distribution)
@@ -49,7 +51,20 @@ def test_state_distribution_normalization_and_validation():
     with pytest.raises(ValueError):
         state_distribution([0.5, 1.5])
     with pytest.raises(ValueError):
-        state_distribution([[0.5]])
+        state_distribution(0.5)
+
+
+def test_state_distribution_batch_rows_match_1d_calls():
+    rng = np.random.default_rng(7)
+    p = rng.random((2, 144, 16))
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[0, :5, 3] = 1.0
+    p[1, 7, :] = 1.0
+    p[1, 9, :] = 0.0
+    batch = state_distribution(p)
+    assert batch.shape == (2, 144, 17)
+    for i, j in np.ndindex(p.shape[:2]):
+        assert np.array_equal(batch[i, j], state_distribution(p[i, j]))
 
 
 # ---------------------------------------------------------------- expectation
@@ -180,8 +195,12 @@ def test_random_policy_extremes_match_fixed_policies():
     w_off = run_window(small_config(init_policy=InitPolicy(kind=InitKind.RANDOM, q=0.0), **base))
     w_all_off = run_window(small_config(init_policy=InitPolicy(kind=InitKind.ALL_OFF), **base))
     assert np.array_equal(w_off.analytic, w_all_off.analytic)
+    assert np.array_equal(w_off.states, w_all_off.states)
     w_on = run_window(small_config(init_policy=InitPolicy(kind=InitKind.RANDOM, q=1.0), **base))
+    w_all_on = run_window(small_config(init_policy=InitPolicy(kind=InitKind.ALL_ON), **base))
     assert np.all(w_on.delta_g <= 0)
+    assert np.array_equal(w_on.analytic, w_all_on.analytic)
+    assert np.array_equal(w_on.states, w_all_on.states)
 
 
 def test_workers_do_not_change_results():
@@ -191,6 +210,37 @@ def test_workers_do_not_change_results():
     assert np.array_equal(w1.delta_g, w4.delta_g)
     assert np.array_equal(w1.n_set, w4.n_set)
     assert np.array_equal(w1.analytic, w4.analytic)
+
+
+def test_pool_is_capped_at_one_worker_per_point(monkeypatch):
+    started = []
+
+    class RecordingPool:  # runs the jobs in this process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs, chunksize=1):
+            return [fn(*job) for job in jobs]
+
+    monkeypatch.setattr(montecarlo, "get_context",
+                        lambda method: SimpleNamespace(Pool=RecordingPool))
+    three = WindowConfig(geometry=make_geometry(), delta_t_min=-1.0, delta_t_max=1.0,
+                         delta_t_step=1.0, epochs=5, seed=1)
+    w = run_window(three, workers=64)
+    assert started == [3]
+    assert np.array_equal(w.delta_g, run_window(three, workers=1).delta_g)
+    run_window(small_config(epochs=5), workers=2)
+    assert started == [3, 2]
+    one = WindowConfig(geometry=make_geometry(), delta_t_min=0.5, delta_t_max=0.6,
+                       delta_t_step=5.0, epochs=5, seed=1)
+    run_window(one, workers=8)
+    assert started == [3, 2]  # a single point runs without a pool
 
 
 def test_delay_window_produces_change_at_zero_offset():
@@ -213,12 +263,18 @@ def test_amplitude_noise_mc_agrees_with_quadrature():
 
 
 def test_analytic_window_matches_run_window():
-    cfg = small_config(epochs=2)
-    w = run_window(cfg)
-    grid, analytic, states = analytic_window(cfg)
-    assert np.array_equal(grid, w.delta_t)
-    assert np.allclose(analytic, w.analytic, atol=1e-15)
-    assert np.allclose(states, w.states, atol=1e-15)
+    cases = {"split": {},  # on a grid through 0
+             "all_on": {"init_policy": InitPolicy(kind=InitKind.ALL_ON)},
+             "random_q025": {"init_policy": InitPolicy(kind=InitKind.RANDOM, q=0.25)},
+             "noise": {"amp_noise": 0.05}}
+    for name, kw in cases.items():
+        cfg = small_config(epochs=2, **kw)
+        w = run_window(cfg)
+        grid, analytic, states = analytic_window(cfg)
+        assert 0.0 in grid
+        assert np.array_equal(grid, w.delta_t), name
+        assert np.array_equal(analytic, w.analytic), name
+        assert np.array_equal(states, w.states), name
 
 
 def test_config_validation():
