@@ -235,13 +235,26 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
     return delta_g, n_set.astype(np.int32), n_reset.astype(np.int32), analytic, states
 
 
+def _env_workers() -> int:
+    """The pool size SYNSTDP_WORKERS asks for, 1 when it is unset; anything
+    but a positive integer is a ValueError that names the variable."""
+    raw = os.environ.get("SYNSTDP_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SYNSTDP_WORKERS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def run_window(cfg: WindowConfig, workers: int | None = None) -> StdpWindow:
     """Sweep the delta_t grid; grid points are independent and may be
     computed by a pool of at most one worker per point, with output order
     fixed by the grid."""
     grid = cfg.grid()
     if workers is None:
-        workers = max(1, int(os.environ.get("SYNSTDP_WORKERS", "1")))
+        workers = _env_workers()
     jobs = [(cfg, k, dt) for k, dt in enumerate(grid.tolist())]
     workers = min(workers, len(jobs))
     if workers > 1:

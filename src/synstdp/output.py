@@ -13,13 +13,22 @@ import numpy as np
 from .montecarlo import StdpWindow
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _floats(a) -> list[float]:
+    """Python floats of an array: their repr is the shortest round-trip form."""
+    return np.asarray(a, dtype=float).tolist()
+
+
+def _indices(n: int) -> list[str]:
+    """The ",i," middles of rows numbered 0..n-1 within one offset."""
+    return [f",{i}," for i in range(n)]
 
 
 def write_window_csv(w: StdpWindow, out_dir: str | Path) -> dict[str, Path]:
     """Write window.csv (per-epoch outcomes), mean.csv (per-point stats) and
-    states.csv (switching-count probabilities) into out_dir."""
+    states.csv (switching-count probabilities) into out_dir.
+
+    Each offset's rows are joined into one string and written at once; the
+    whole file is never held in memory."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -28,19 +37,21 @@ def write_window_csv(w: StdpWindow, out_dir: str | Path) -> dict[str, Path]:
         p = out / "window.csv"
         with p.open("w", encoding="utf-8", newline="\n") as f:
             f.write("delta_t,epoch,delta_g_norm,n_set,n_reset\n")
-            for k, dt in enumerate(w.delta_t):
-                dts = _fmt(dt)
-                for e in range(w.epochs):
-                    f.write(f"{dts},{e},{_fmt(w.delta_g[k, e])},"
-                            f"{int(w.n_set[k, e])},{int(w.n_reset[k, e])}\n")
+            epochs = _indices(w.epochs)
+            for k, dt in enumerate(_floats(w.delta_t)):
+                dts = repr(dt)
+                f.write("".join([f"{dts}{e}{g!r},{s},{r}\n" for e, g, s, r in
+                                 zip(epochs, _floats(w.delta_g[k]), w.n_set[k].tolist(),
+                                     w.n_reset[k].tolist())]))
         paths["window"] = p
 
         p = out / "mean.csv"
         with p.open("w", encoding="utf-8", newline="\n") as f:
             f.write("delta_t,mc_mean,mc_std,analytic\n")
-            for k, dt in enumerate(w.delta_t):
-                f.write(f"{_fmt(dt)},{_fmt(w.delta_g[k].mean())},"
-                        f"{_fmt(w.delta_g[k].std())},{_fmt(w.analytic[k])}\n")
+            mean = _floats([row.mean() for row in w.delta_g])
+            std = _floats([row.std() for row in w.delta_g])
+            f.write("".join([f"{dt!r},{m!r},{s!r},{a!r}\n" for dt, m, s, a in
+                             zip(_floats(w.delta_t), mean, std, _floats(w.analytic))]))
         paths["mean"] = p
 
         paths["states"] = write_states_csv(w.delta_t, w.states, out / "states.csv")
@@ -85,7 +96,9 @@ def write_svg_scatter(w: StdpWindow, level_bin: float = 1.0, title: str = "") ->
     x_lo, x_hi = float(w.delta_t.min()), float(w.delta_t.max())
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    y_abs = max(float(np.abs(w.delta_g).max()), float(np.abs(w.analytic).max()), 1.0)
+    # max(-min, max) is max |delta_g| without a full-size temporary
+    y_abs = max(float(max(-w.delta_g.min(), w.delta_g.max())),
+                float(np.abs(w.analytic).max()), 1.0)
     y_lo, y_hi = -1.05 * y_abs, 1.05 * y_abs
 
     def sx(x):
@@ -157,10 +170,10 @@ def write_states_csv(delta_t, states, path: str | Path) -> Path:
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("w", encoding="utf-8", newline="\n") as f:
         f.write("delta_t,state_index,probability\n")
-        for k, dt in enumerate(delta_t):
-            dts = _fmt(dt)
-            for s in range(states.shape[1]):
-                f.write(f"{dts},{s},{_fmt(states[k, s])}\n")
+        indices = _indices(states.shape[1])
+        for k, dt in enumerate(_floats(delta_t)):
+            dts = repr(dt)
+            f.write("".join([f"{dts}{s}{q!r}\n" for s, q in zip(indices, _floats(states[k]))]))
     return p
 
 

@@ -111,6 +111,33 @@ def test_window_rejects_nonpositive_workers(tmp_path, quick_config, capsys, work
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+def test_window_rejects_bad_workers_variable(tmp_path, quick_config, capsys, monkeypatch, raw):
+    import synstdp.montecarlo
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(synstdp.montecarlo, "get_context", no_pool)
+    monkeypatch.setenv("SYNSTDP_WORKERS", raw)
+    out = tmp_path / "o"
+    assert main(["window", "--config", str(quick_config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: SYNSTDP_WORKERS must be a positive integer, got {raw!r}" in err
+    assert not out.exists()
+
+
+def test_rerun_from_resolved_config_gives_same_bytes(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["window", "--config", str(CONFIGS / "fig7_delay.json"), "--out", str(first),
+                 "--epochs", "50", "--seed", "5"]) == 0
+    assert main(["window", "--config", str(first / "resolved-config.json"),
+                 "--out", str(second)]) == 0
+    files = ("window.csv", "mean.csv", "states.csv", "window.svg", "resolved-config.json")
+    for name in files:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_missing_config_file_fails(tmp_path):
     assert main(["window", "--config", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "o")]) == 1

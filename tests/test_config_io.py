@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synstdp import ConfigError, default_config, load_config, parse_config, run_window
+from synstdp import (ConfigError, InitPolicy, StdpWindow, default_config, load_config,
+                     parse_config, run_window)
 from synstdp.cli import main
-from synstdp.output import (read_mean_csv, write_svg_scatter, write_svg_states,
-                            write_window_csv)
+from synstdp.output import (read_mean_csv, write_states_csv, write_svg_scatter,
+                            write_svg_states, write_window_csv)
 from tests.test_montecarlo import small_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -138,6 +139,63 @@ def test_csv_row_ordering(tmp_path):
             (tmp_path / "window.csv").read_text().splitlines()[1:]]
     keys = [(float(dt), int(e)) for dt, e in rows]
     assert keys == sorted(keys)
+
+
+def _reference_csvs(w: StdpWindow) -> dict[str, str]:
+    """The writer as one formatted write per row: repr(float(x)) of each
+    numpy scalar and int(n) of each count.  The array writers must match it
+    byte for byte."""
+    window = ["delta_t,epoch,delta_g_norm,n_set,n_reset\n"]
+    mean = ["delta_t,mc_mean,mc_std,analytic\n"]
+    states = ["delta_t,state_index,probability\n"]
+    for k, dt in enumerate(w.delta_t):
+        for e in range(w.epochs):
+            window.append(f"{float(dt)!r},{e},{float(w.delta_g[k, e])!r},"
+                          f"{int(w.n_set[k, e])},{int(w.n_reset[k, e])}\n")
+        mean.append(f"{float(dt)!r},{float(w.delta_g[k].mean())!r},"
+                    f"{float(w.delta_g[k].std())!r},{float(w.analytic[k])!r}\n")
+        for s in range(w.states.shape[1]):
+            states.append(f"{float(dt)!r},{s},{float(w.states[k, s])!r}\n")
+    return {"window.csv": "".join(window), "mean.csv": "".join(mean),
+            "states.csv": "".join(states)}
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 123456789.125]
+
+
+def _edge_window(delta_t, epochs: int) -> StdpWindow:
+    """A hand-built window whose cells cycle through EDGE_FLOATS (and their
+    negatives) and through the counts 0 and 16."""
+    p = len(delta_t)
+    values = np.resize(EDGE_FLOATS + [-x for x in EDGE_FLOATS], p * epochs)
+    counts = np.resize(np.array([0, 16, 3], dtype=np.int32), p * epochs)
+    return StdpWindow(
+        delta_t=np.array(delta_t, dtype=float),
+        delta_g=values.reshape(p, epochs),
+        n_set=counts.reshape(p, epochs),
+        n_reset=counts[::-1].reshape(p, epochs),
+        analytic=np.resize(EDGE_FLOATS, p),
+        states=np.resize(EDGE_FLOATS + [0.0, 1.0], (p, 17)),
+        n_branches=16, epochs=epochs, seed=0, init_policy=InitPolicy(), sigma_lrs=0.0)
+
+
+EDGE_WINDOWS = {
+    "one-offset": ([-0.0], 6),
+    "one-offset-one-epoch": ([-0.0], 1),
+    "offsets-one-epoch": ([-0.0, -6.0, 0.1 + 0.2, 1e-05, 5e-324, 123456789.125], 1),
+    "offsets-epochs": ([-1.5, -0.0, 0.1 + 0.2, 6.0], 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_WINDOWS))
+def test_csv_writers_match_per_row_reference(tmp_path, name):
+    w = _edge_window(*EDGE_WINDOWS[name])
+    expected = _reference_csvs(w)
+    write_window_csv(w, tmp_path / "w")
+    for file, text in expected.items():
+        assert (tmp_path / "w" / file).read_bytes() == text.encode(), file
+    path = write_states_csv(w.delta_t, w.states, tmp_path / "s" / "states.csv")
+    assert path.read_bytes() == expected["states.csv"].encode()
 
 
 def test_svg_deterministic_and_valid():
