@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: window, statedist, fit, closedform, energy, validate.  Every
-subcommand exits nonzero on any error.  Worker count for window sweeps comes
-from --workers or the SYNSTDP_WORKERS environment variable.
+subcommand exits nonzero on any error.  Window sweeps run in one process
+unless --workers asks for a pool.
 """
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out", type=Path, required=True, help="output directory")
     w.add_argument("--seed", type=int, help="override the config seed")
     w.add_argument("--epochs", type=int, help="override the config epoch count")
-    w.add_argument("--workers", type=int, help="worker processes for the sweep")
+    w.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the sweep (default 1)")
 
     s = sub.add_parser("statedist", help="analytic switching-count state distributions")
     s.add_argument("--config", type=Path)
@@ -82,21 +83,15 @@ def _load_run_config(path: Path | None):
 
 
 def _cmd_window(args) -> int:
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
     cfg = _load_run_config(args.config)
-    wcfg = cfg.window_config()
-    if args.seed is not None:
-        wcfg = dataclasses.replace(wcfg, seed=args.seed)
-    if args.epochs is not None:
-        wcfg = dataclasses.replace(wcfg, epochs=args.epochs)
-    window = run_window(wcfg, workers=args.workers)
+    overrides = {"seed": args.seed, "epochs": args.epochs}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    window = run_window(cfg.window_config(), workers=args.workers)
     paths = write_window_csv(window, args.out)
-    resolved = cfg.to_dict()
-    resolved["simulation"]["seed"] = wcfg.seed
-    resolved["simulation"]["epochs"] = wcfg.epochs
     (args.out / "resolved-config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     if cfg.output.svg:
         svg = write_svg_scatter(window, level_bin=cfg.output.level_bin)
         (args.out / "window.svg").write_text(svg, encoding="utf-8")

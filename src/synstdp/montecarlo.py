@@ -8,7 +8,6 @@ distribution are recorded per point.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
@@ -143,17 +142,31 @@ def _node_drives(g: PairingGeometry, tables):
     return branch_drives(g, tables, s_pre, s_post), np.outer(w, w).ravel()
 
 
+def _transitions(s, r, reset_later):
+    """Pairing rule of one device, from its SET attempt s and RESET attempt r:
+    the attempts act in the time order of their peaks, RESET winning a tie.
+    Returns (both, set_then_reset, up, down): both attempts succeed; both
+    succeed with RESET last; the device ends ON from OFF (up); it ends OFF
+    from ON (down).  On 0/1 indicators these are indicators; the rule is linear
+    in each attempt, so on independent probabilities they are the exact
+    probabilities of the same events."""
+    both = s * r
+    set_then_reset = np.where(reset_later, both, 0)
+    return both, set_then_reset, s - set_then_reset, r - (both - set_then_reset)
+
+
 def _analytic_and_states(cfg: WindowConfig, delta_t: float, drive, weights):
     """Mean conductance change and switching-count pmf of one offset from
     (n,) or (nodes, n) drives: a device starting ON with probability q switches
-    with probability (1 - q) p_set + q p_reset.  Each node's starts are
-    averaged, then the nodes are summed as a running sum from +0.0: the order
-    the output bytes are pinned to (a pairwise np.sum or the compensated
+    with probability (1 - q) up + q down of `_transitions`.  Each node's starts
+    are averaged, then the nodes are summed as a running sum from +0.0: the
+    order the output bytes are pinned to (a pairwise np.sum or the compensated
     builtin sum of Python >= 3.12 changes them)."""
     starts = _start_on(cfg.init_policy, delta_t)
     q = np.array(starts)[:, None, None]  # (starts, 1, 1) against (nodes, n)
-    switch_on = (1.0 - q) * np.atleast_2d(drive.p_set)  # starts OFF, then SET
-    switch_off = q * np.atleast_2d(drive.p_reset)  # starts ON, then RESET
+    _, _, up, down = _transitions(drive.p_set, drive.p_reset, drive.reset_later)
+    switch_on = (1.0 - q) * np.atleast_2d(up)  # starts OFF, ends ON
+    switch_off = q * np.atleast_2d(down)  # starts ON, ends OFF
     off_step = 1.0 - cfg.geometry.device.g_off_norm
     change = (switch_on - switch_off).sum(axis=-1).sum(axis=0)
     pmf = state_distribution(switch_on + switch_off).sum(axis=0)
@@ -216,45 +229,25 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
     drive = nodes[0]
     if g.amp_noise_sigma > 0.0:
         drive = branch_drives(g, tables, scales[:, 0], scales[:, 1])  # (epochs, n)
-    reset_later = drive.reset_later
-
-    set_ok = u_set < drive.p_set
-    reset_ok = u_reset < drive.p_reset
-    from_off_on = set_ok & ~(reset_ok & reset_later)
-    from_on_off = reset_ok & ~(set_ok & ~reset_later)
-    final_on = np.where(on_init, ~from_on_off, from_off_on)
-
-    n_set = np.where(on_init, reset_ok & set_ok & ~reset_later, set_ok).sum(axis=1)
-    n_reset = np.where(on_init, reset_ok, set_ok & reset_ok & reset_later).sum(axis=1)
+    s = (u_set < drive.p_set).view(np.uint8)
+    r = (u_reset < drive.p_reset).view(np.uint8)
+    both, set_then_reset, up, down = _transitions(s, r, drive.reset_later)
+    n_set = np.where(on_init, both - set_then_reset, s).sum(axis=1)
+    n_reset = np.where(on_init, r, set_then_reset).sum(axis=1)
     step = lrs - g.device.g_off_norm
-    gained = (~on_init & final_on)
-    lost = (on_init & ~final_on)
+    gained = up & ~on_init
+    lost = down & on_init
     delta_g = (step * gained).sum(axis=1) - (step * lost).sum(axis=1)
 
     analytic, states = _analytic_and_states(cfg, delta_t, *nodes)
     return delta_g, n_set.astype(np.int32), n_reset.astype(np.int32), analytic, states
 
 
-def _env_workers() -> int:
-    """The pool size SYNSTDP_WORKERS asks for, 1 when it is unset; anything
-    but a positive integer is a ValueError that names the variable."""
-    raw = os.environ.get("SYNSTDP_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"SYNSTDP_WORKERS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def run_window(cfg: WindowConfig, workers: int | None = None) -> StdpWindow:
+def run_window(cfg: WindowConfig, workers: int = 1) -> StdpWindow:
     """Sweep the delta_t grid; grid points are independent and may be
     computed by a pool of at most one worker per point, with output order
     fixed by the grid."""
     grid = cfg.grid()
-    if workers is None:
-        workers = _env_workers()
     jobs = [(cfg, k, dt) for k, dt in enumerate(grid.tolist())]
     workers = min(workers, len(jobs))
     if workers > 1:

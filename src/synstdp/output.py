@@ -61,20 +61,62 @@ def write_window_csv(w: StdpWindow, out_dir: str | Path) -> dict[str, Path]:
 
 
 def read_mean_csv(path: str | Path):
-    """(delta_t, mc_mean, mc_std, analytic) arrays from a mean.csv file."""
+    """(delta_t, mc_mean, mc_std, analytic) arrays from a mean.csv file; a
+    file without rows, or with a row that is not four numbers, is a
+    ValueError that names the file and the line."""
     rows = []
     with Path(path).open(encoding="utf-8") as f:
         header = f.readline().strip().split(",")
         if header != ["delta_t", "mc_mean", "mc_std", "analytic"]:
             raise ValueError(f"{path}: unexpected header {header}")
-        for line in f:
-            rows.append([float(v) for v in line.strip().split(",")])
+        for lineno, line in enumerate(f, start=2):
+            fields = line.strip().split(",")
+            if len(fields) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows)
     return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
 
 _W, _H = 800.0, 500.0
 _ML, _MR, _MT, _MB = 60.0, 20.0, 20.0, 45.0
+
+
+def _frame(delta_t: np.ndarray, title: str):
+    """(x_lo, x_hi, sx, parts) of a plot over the offsets delta_t: the x range,
+    widened around a single offset, its scale, and the opening SVG lines."""
+    if delta_t.size == 0:
+        raise ValueError("empty window")
+    x_lo, x_hi = float(delta_t.min()), float(delta_t.max())
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+
+    def sx(x):
+        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:g}" height="{_H:g}" '
+        f'viewBox="0 0 {_W:g} {_H:g}">',
+        f'<rect width="{_W:g}" height="{_H:g}" fill="white"/>',
+    ]
+    if title:
+        parts.append(f'<text x="{_W / 2:.2f}" y="15" font-size="13" text-anchor="middle">{title}</text>')
+    return x_lo, x_hi, sx, parts
+
+
+def _close(parts: list[str], y_label: str) -> str:
+    """The SVG text of parts with both axis labels and the closing tag added."""
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 8:g}" font-size="12" '
+                 f'text-anchor="middle">relative spike timing &#916;t (time units)</text>')
+    parts.append(f'<text x="14" y="{(_MT + _H - _MB) / 2:.2f}" font-size="12" text-anchor="middle" '
+                 f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.2f})">{y_label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _xticks(lo: float, hi: float):
@@ -91,29 +133,14 @@ def _xticks(lo: float, hi: float):
 def write_svg_scatter(w: StdpWindow, level_bin: float = 1.0, title: str = "") -> str:
     """Standalone SVG of the window: one dot per (delta_t, binned outcome)
     with opacity proportional to outcome frequency, analytic curve overlaid."""
-    if w.delta_t.size == 0:
-        raise ValueError("empty window")
-    x_lo, x_hi = float(w.delta_t.min()), float(w.delta_t.max())
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    x_lo, x_hi, sx, parts = _frame(w.delta_t, title)
     # max(-min, max) is max |delta_g| without a full-size temporary
     y_abs = max(float(max(-w.delta_g.min(), w.delta_g.max())),
                 float(np.abs(w.analytic).max()), 1.0)
     y_lo, y_hi = -1.05 * y_abs, 1.05 * y_abs
 
-    def sx(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
-
     def sy(y):
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:g}" height="{_H:g}" '
-        f'viewBox="0 0 {_W:g} {_H:g}">',
-        f'<rect width="{_W:g}" height="{_H:g}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{_W / 2:.2f}" y="15" font-size="13" text-anchor="middle">{title}</text>')
 
     # dots, grouped per (point, binned level)
     parts.append('<g fill="#d62728">')
@@ -151,13 +178,7 @@ def write_svg_scatter(w: StdpWindow, level_bin: float = 1.0, title: str = "") ->
         parts.append(f'<text x="{_ML - 8:g}" y="{sy(t) + 3:.2f}" font-size="10" '
                      f'text-anchor="end">{t:g}</text>')
         t += y_step
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 8:g}" font-size="12" '
-                 f'text-anchor="middle">relative spike timing &#916;t (time units)</text>')
-    parts.append(f'<text x="14" y="{(_MT + _H - _MB) / 2:.2f}" font-size="12" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.2f})">'
-                 f'normalized conductance change &#916;G&#183;R_ON</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _close(parts, "normalized conductance change &#916;G&#183;R_ON")
 
 
 _STATE_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -182,25 +203,11 @@ def write_svg_states(delta_t, states, title: str = "") -> str:
     switching-count state."""
     delta_t = np.asarray(delta_t, dtype=float)
     states = np.asarray(states, dtype=float)
-    if delta_t.size == 0:
-        raise ValueError("empty window")
-    x_lo, x_hi = float(delta_t.min()), float(delta_t.max())
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-
-    def sx(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+    x_lo, x_hi, sx, parts = _frame(delta_t, title)
 
     def sy(p):
         return _H - _MB - p * (_H - _MT - _MB)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:g}" height="{_H:g}" '
-        f'viewBox="0 0 {_W:g} {_H:g}">',
-        f'<rect width="{_W:g}" height="{_H:g}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{_W / 2:.2f}" y="15" font-size="13" text-anchor="middle">{title}</text>')
     for s in range(states.shape[1]):
         color = _STATE_COLORS[s % len(_STATE_COLORS)]
         pts = " ".join(f"{sx(dt):.2f},{sy(p):.2f}" for dt, p in zip(delta_t, states[:, s]))
@@ -215,9 +222,4 @@ def write_svg_states(delta_t, states, title: str = "") -> str:
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(f'<text x="{_ML - 8:g}" y="{sy(p) + 3:.2f}" font-size="10" '
                      f'text-anchor="end">{p:g}</text>')
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 8:g}" font-size="12" '
-                 f'text-anchor="middle">relative spike timing &#916;t (time units)</text>')
-    parts.append(f'<text x="14" y="{(_MT + _H - _MB) / 2:.2f}" font-size="12" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.2f})">state probability</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _close(parts, "state probability")

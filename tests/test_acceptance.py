@@ -9,7 +9,6 @@ Criteria map:
   A5  window-shape classification        A10 byte-identical parallel output
 """
 import json
-import os
 import subprocess
 import sys
 import time
@@ -283,11 +282,10 @@ def test_a10_deterministic_parallel_output(tmp_path):
     digests = {}
     for workers in (1, 4, 16):
         out = tmp_path / f"w{workers}"
-        env = dict(os.environ, SYNSTDP_WORKERS=str(workers))
         proc = subprocess.run(
             [sys.executable, "-m", "synstdp.cli", "window", "--config", str(cfg_path),
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600)
+             "--out", str(out), "--workers", str(workers)],
+            capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         digests[workers] = (out / "window.csv").read_bytes()
     ok = digests[1] == digests[4] == digests[16]

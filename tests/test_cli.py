@@ -60,6 +60,16 @@ def test_fit_missing_results_dir_fails(tmp_path):
     assert main(["fit", "--in", str(tmp_path / "nope")]) == 1
 
 
+@pytest.mark.parametrize("body", ["", "0.5,1.0,0.1\n", "0.5,1.0,0.1,x\n"],
+                         ids=["header-only", "short-row", "not-a-number"])
+def test_fit_bad_mean_csv_exits_1_naming_the_file(tmp_path, capsys, body):
+    mean_csv = tmp_path / "mean.csv"
+    mean_csv.write_text("delta_t,mc_mean,mc_std,analytic\n" + body, encoding="utf-8")
+    assert main(["fit", "--in", str(tmp_path), "--domain", "0.5", "2.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mean_csv}") and "Traceback" not in err
+
+
 def test_statedist_subcommand(tmp_path, quick_config):
     out = tmp_path / "states"
     assert main(["statedist", "--config", str(quick_config), "--out", str(out)]) == 0
@@ -108,22 +118,6 @@ def test_window_rejects_nonpositive_workers(tmp_path, quick_config, capsys, work
     assert main(["window", "--config", str(quick_config), "--out", str(out),
                  "--workers", workers]) == 1
     assert "--workers" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
-def test_window_rejects_bad_workers_variable(tmp_path, quick_config, capsys, monkeypatch, raw):
-    import synstdp.montecarlo
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(synstdp.montecarlo, "get_context", no_pool)
-    monkeypatch.setenv("SYNSTDP_WORKERS", raw)
-    out = tmp_path / "o"
-    assert main(["window", "--config", str(quick_config), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"error: SYNSTDP_WORKERS must be a positive integer, got {raw!r}" in err
     assert not out.exists()
 
 

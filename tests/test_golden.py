@@ -51,18 +51,18 @@ CASES = {
 GOLDEN = {
     "fig4b": {
         "window.csv": "f5f101f0a5788d0f49b08e69983e381e7b1bce8a157b8c188309017050b0dab4",
-        "mean.csv": "23b27e5d04a67d67988c8562a0b2e204f4329bcd54099dd62169aa660488b24b",
-        "states.csv": "a488964f1be79952a9b9281d4ded90e0f40a0120fd76b2e614635e15a3529916",
+        "mean.csv": "3f7349701e26105d014cc1908fe8feceea14c3e743905e3b6c097bff2825b8be",
+        "states.csv": "09c6709db35e70ca327c4db49a66f6a531fc06f21604e284ece39240093ba1e3",
     },
     "fig4d": {
         "window.csv": "1419633bc462f3064e43afd9b1514839fc3d56e73046ca9d7e20e264e8fe4dc2",
-        "mean.csv": "1810835edd4df1c209c1336287f55c61067e727e7a166c6c61b06eae02490e4a",
-        "states.csv": "347d7464b178e84422948d72e13e7ab649cb19f80161dc321d96e6b72022c1cd",
+        "mean.csv": "3028cda4ca2ee59c5cad9196dfea50c8ed7f9e5ed0030402f7935a5211df0160",
+        "states.csv": "1df18f071195f18586a5a46cf107c5cdaca99753220f002163266a8fe6c5f090",
     },
     "fig7_delay": {
         "window.csv": "2e9b11c4f490307919028b9922b635b647b4f2709f0e4ca650463bdcbd7b7554",
-        "mean.csv": "7627a1bf824985757fdfe96ed9d4bb9045571c87328970fc76d9ad4a9d5be36d",
-        "states.csv": "399630e45b0b48fd7da9bde9394087561ab5be7d23ceb44dd97e9c59d30cd354",
+        "mean.csv": "77b68b131889ae1ec57625f9f21e06aa97b0cbb81b2a3b2e5204112fb795354b",
+        "states.csv": "b506a1186ea3679e43147a1047c0f264546751a0010a11194c1a03350fb2cc7c",
     },
     "hrht": {
         "window.csv": "d65c462d0d6755cbc5fb46b1359786e261809b74ba710b0d8de3d3bee58d4c0d",
@@ -81,13 +81,13 @@ GOLDEN = {
     },
     "fig7_delay_noise": {
         "window.csv": "030b8b209703d7e0c26d406656b101088e9de2e5d7ded434f3ee41a19619de5a",
-        "mean.csv": "ca2d54d85ccd8af8771091864b5d3ad2fce97cbef3afae5c312fb83adc1c977c",
-        "states.csv": "29900a926db9076e9fde2c793cd3271adbafd59ad002fa378d97f07e466ca1fe",
+        "mean.csv": "e8aec8ee72a391cbff3072cafd20dc75d6b3609f76cf586a2e1344f53789a350",
+        "states.csv": "993ff5848fcdf67a68c817a26c1450291acb9a3b09afe40c0360f6a68301c604",
     },
     "random_q05": {
         "window.csv": "f174feeea312bfd08b0b8ebe0fc6aad0ec35100e2bd139d6157456a51d8476a2",
-        "mean.csv": "67c9690dd6c8a0b6b65cd88068257b3a9ca8f53580874c30e94183e074099307",
-        "states.csv": "68096768b4858f27fd7535a4d3f43a43ff5bf906859f935d9629c66f544ee5d2",
+        "mean.csv": "8e6304dcc7806c787fb6a632904d4780a90cc62489628a0899834db108a665bc",
+        "states.csv": "41b7c074bb5c716711868a7604bed963b13f5c3cd3eb7ab13be24f2072f997d9",
     },
     "linear_all_off": {
         "window.csv": "273b517b9c692150725011125097a1f8512456849da24f2cdc7f58740925f260",
@@ -96,13 +96,13 @@ GOLDEN = {
     },
     "all_on": {
         "window.csv": "fc0ad426ce5d708ff799915541962c2489765994a32030d5ad86ba8b5ae9d460",
-        "mean.csv": "72a4ed6be457ca62b4e0966ac396734da10164923171a63f02bb0eb13b963436",
-        "states.csv": "61364f5ebf11853c1c8aa41456b9ea3b875e63bcf3f1f8c58312de37baa16eca",
+        "mean.csv": "e9a83c876ac7e5ed8863fbd611d00b50e7ba1e982cb746150c9792e0a7ebeb93",
+        "states.csv": "16ece59c49d0fc0c1a37d8b0de3d9bc14b5a95442a7fb70d91e38dbb579ac895",
     },
     "random_q025_noise": {
         "window.csv": "2ed92d41dde79c81cc432f222370312bd4a406a62baed7b9dcac7428ecbdb7d1",
-        "mean.csv": "b371131c21ffb31bab755304fbeaceaf5d148ca1d80eff56c02db4967268d613",
-        "states.csv": "8f21445527d91cea4dffb887110d9d4bb8e24e3fcb1718def2b2e7d2e46e09ec",
+        "mean.csv": "83f2b4fe6fe724f19b77a010b70190afc93d332fdaf9d66585c799079ff5f8ec",
+        "states.csv": "cf6094c4c8df9d07efaf7de06eef2d8b05dab02ab0f9a214644257e5d412a066",
     },
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -332,15 +333,24 @@ def replay_offset(cfg, k, delta_t):
     for e in range(E):
         drives = all_branch_drives(g, delta_t, *scales[e]) if sigma > 0.0 else unscaled
         for i, d in enumerate(drives):
-            on = bool(on0[e, i])
-            for _, is_reset, ok in sorted([(d.t_max, False, u_set[e, i] < d.p_set),
-                                           (d.t_min, True, u_reset[e, i] < d.p_reset)]):
-                if ok and on == is_reset:  # SET acts on an OFF device, RESET on an ON one
-                    on = not on
-                    n_set[e] += not is_reset
-                    n_reset[e] += is_reset
+            on, sets, resets = replay_device(bool(on0[e, i]), u_set[e, i] < d.p_set,
+                                             u_reset[e, i] < d.p_reset, d.t_max, d.t_min)
+            n_set[e] += sets
+            n_reset[e] += resets
             dg[e] += (int(on) - int(on0[e, i])) * (lrs[e, i] - g.device.g_off_norm)
     return dg, n_set, n_reset
+
+
+def replay_device(on, set_ok, reset_ok, t_set, t_reset):
+    """One device's SET and RESET attempts applied in the time order of their
+    peaks, RESET winning a time tie: (ends ON, SET count, RESET count)."""
+    n_set = n_reset = 0
+    for _, is_reset, ok in sorted([(t_set, False, set_ok), (t_reset, True, reset_ok)]):
+        if ok and on == is_reset:  # SET acts on an OFF device, RESET on an ON one
+            on = not on
+            n_set += not is_reset
+            n_reset += is_reset
+    return on, n_set, n_reset
 
 
 ORACLE_GRID = {"delta_t_min": -5.0, "delta_t_max": 5.0, "delta_t_step": 0.5, "epochs": 150}
@@ -381,3 +391,76 @@ def test_sequential_oracle_matches_run_window(name):
         assert np.abs(dg - w.delta_g[k]).max() <= 1e-12, dt
     if expect is not None:
         assert np.all(w.n_set == expect[0]) and np.all(w.n_reset == expect[1])
+
+
+# ---------------------------------------------------------------- pairing rule
+
+ORDERS = {"reset_later": (0.0, 1.0), "tie": (0.0, 0.0), "reset_earlier": (1.0, 0.0)}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("start_on,s,r", list(itertools.product((0, 1), repeat=3)))
+def test_transitions_corners_match_sequential_rule(start_on, s, r, order):
+    t_set, t_reset = ORDERS[order]
+    both, set_then_reset, up, down = montecarlo._transitions(
+        np.uint8(s), np.uint8(r), np.bool_(t_reset >= t_set))
+    on, n_set, n_reset = replay_device(bool(start_on), bool(s), bool(r), t_set, t_reset)
+    if start_on:  # the sampler's tally of a device that starts ON
+        assert (1 - down, both - set_then_reset, r) == (on, n_set, n_reset)
+    else:
+        assert (up, s, set_then_reset) == (on, n_set, n_reset)
+
+
+def test_transitions_on_probabilities_is_the_corner_expectation():
+    rng = np.random.default_rng(3)
+    p_set, p_reset = rng.random((2, 64, 16))
+    p_set[:, :3], p_reset[:, 3:6] = 0.0, 1.0
+    later = rng.random((64, 16)) < 0.5
+    exact = montecarlo._transitions(p_set, p_reset, later)
+    expect = [0.0] * 4
+    for s, r in itertools.product((0, 1), repeat=2):
+        weight = (p_set if s else 1.0 - p_set) * (p_reset if r else 1.0 - p_reset)
+        corner = montecarlo._transitions(np.uint8(s), np.uint8(r), later)
+        expect = [x + weight * c for x, c in zip(expect, corner)]
+    for got, want in zip(exact, expect):
+        assert np.abs(got - want).max() <= 1e-15
+
+
+# An offset whose N epochs all gave the same value c has no standard error.
+# If delta_g differs from c with per-epoch probability p, all N epochs agree
+# with probability (1 - p)^N <= exp(-p N); at confidence 1 - ZERO_VAR_ALPHA,
+# p <= ln(1 / ZERO_VAR_ALPHA) / N, and |E - c| <= p (max - min of delta_g)
+# <= p 2 n (1 + 6 sigma_lrs), the range StdpWindow.validate bounds delta_g to.
+ZERO_VAR_ALPHA = 1e-6
+
+
+def disagreements(w) -> list[float]:
+    """Offsets whose MC mean is beyond 4 standard errors of the analytic
+    mean (live offsets) or beyond the N-derived bound above (zero variance)."""
+    mean = w.delta_g.mean(axis=1)
+    std = w.delta_g.std(axis=1, ddof=1) if w.epochs > 1 else np.zeros_like(mean)
+    diff = np.abs(mean - w.analytic)
+    span = 2.0 * w.n_branches * (1.0 + 6.0 * w.sigma_lrs)
+    zero_var_tol = span * math.log(1.0 / ZERO_VAR_ALPHA) / w.epochs
+    bad = np.where(std > 0, diff > 4.0 * std / np.sqrt(w.epochs), diff > zero_var_tol)
+    return w.delta_t[bad].tolist()
+
+
+# setups where SET and RESET can both fire on one device in one pairing
+BOTH_ATTEMPTS = {
+    "all_off": {"simulation": {"pair_only": False, "init_policy": "all_off"}},
+    "all_on": {"simulation": {"pair_only": False, "init_policy": "all_on"}},
+    "sawtooth_delay_random": {"waveform": {"shape": "sawtooth"},
+                              "dendrites": {"delay_max": 0.3},
+                              "simulation": {"pair_only": False,
+                                             "init_policy": {"random": {"q": 0.5}}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOTH_ATTEMPTS))
+def test_mc_matches_analytic_when_both_attempts_fire(name):
+    patch = BOTH_ATTEMPTS[name]
+    sim = {**patch["simulation"], "epochs": 4000, "seed": 4}
+    cfg = parse_config({**patch, "simulation": sim}).window_config()
+    w = run_window(cfg).validate()
+    assert disagreements(w) == []
