@@ -3,8 +3,7 @@ with dendritic-inspired attenuation and delay."""
 
 __version__ = "0.1.0"
 
-from .analysis import (FitResult, PointSummary, fit_exponential, fit_linear,
-                       fit_quadratic, window_summary)
+from .analysis import FitResult, fit_exponential, fit_linear, fit_quadratic
 from .closedform import (ClosedFormParams, KIndex, avg_conductance_continuous,
                          avg_conductance_direct, branch_peak, comparison_report,
                          k_index, quadratic_coeffs_fitted, quadratic_coeffs_published)
@@ -23,7 +22,7 @@ __all__ = [
     "AGGRESSIVE", "ClosedFormParams", "BranchDrive", "CONSERVATIVE", "ConfigError",
     "DendriteBank", "DeviceModel", "EnergyScenario", "FitResult", "InitKind",
     "InitPolicy", "KIndex", "MEDIUM", "OutputOptions", "PairingGeometry",
-    "PointSummary", "ProbModel", "RunConfig", "SCENARIOS", "Shape", "SpikeWaveform",
+    "ProbModel", "RunConfig", "SCENARIOS", "Shape", "SpikeWaveform",
     "StdpWindow", "WindowConfig", "all_branch_drives", "analytic_window",
     "avg_conductance_continuous", "avg_conductance_direct", "branch_drives",
     "branch_peak", "branch_pre_spike_value", "comparison_report", "default_config",
@@ -31,5 +30,5 @@ __all__ = [
     "make_bank", "make_waveform", "parse_config", "quadratic_coeffs_fitted",
     "quadratic_coeffs_published", "render_table", "reset_probability", "run_window",
     "set_probability", "snn_event_energy", "spike_energy", "state_distribution",
-    "table1", "throughput_per_watt", "window_summary",
+    "table1", "throughput_per_watt",
 ]

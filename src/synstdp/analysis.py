@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import StdpWindow
-
 MAX_GN_ITERATIONS = 100
 GN_STEP_TOL = 1e-9
 
@@ -162,29 +160,3 @@ def fit_quadratic(points) -> FitResult:
         domain=(float(x.min()), float(x.max())),
     )
 
-
-@dataclass(frozen=True)
-class PointSummary:
-    delta_t: float
-    mc_mean: float
-    mc_std: float
-    analytic: float
-    distinct_levels: int
-
-
-def window_summary(w: StdpWindow) -> list[PointSummary]:
-    """Per-point sample statistics; distinct_levels counts distinct integer
-    net switch counts (n_set - n_reset) observed at that offset."""
-    if w.delta_t.size == 0:
-        raise ValueError("empty window")
-    out = []
-    for k, dt in enumerate(w.delta_t):
-        levels = np.unique(w.n_set[k].astype(int) - w.n_reset[k].astype(int))
-        out.append(PointSummary(
-            delta_t=float(dt),
-            mc_mean=float(w.delta_g[k].mean()),
-            mc_std=float(w.delta_g[k].std()),
-            analytic=float(w.analytic[k]),
-            distinct_levels=int(levels.size),
-        ))
-    return out

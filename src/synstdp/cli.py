@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .analysis import fit_exponential, fit_linear, fit_quadratic
 from .closedform import ClosedFormParams, comparison_report
-from .config import ConfigError, default_config, load_config
+from .config import ConfigError, default_config, load_config, load_params
 from .energy import (DEFAULT_GPU_BASELINE, SCENARIOS, EnergyScenario,
                      render_table, table1)
 from .montecarlo import analytic_window, run_window
@@ -87,8 +87,9 @@ def _cmd_window(args) -> int:
         raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
     cfg = _load_run_config(args.config)
     overrides = {"seed": args.seed, "epochs": args.epochs}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    window = run_window(cfg.window_config(), workers=args.workers)
+    cfg = dataclasses.replace(cfg, window=dataclasses.replace(
+        cfg.window, **{k: v for k, v in overrides.items() if v is not None}))
+    window = run_window(cfg.window, workers=args.workers)
     paths = write_window_csv(window, args.out)
     (args.out / "resolved-config.json").write_text(
         json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -102,7 +103,7 @@ def _cmd_window(args) -> int:
 
 def _cmd_statedist(args) -> int:
     cfg = _load_run_config(args.config)
-    grid, _, states = analytic_window(cfg.window_config())
+    grid, _, states = analytic_window(cfg.window)
     args.out.mkdir(parents=True, exist_ok=True)
     path = write_states_csv(grid, states, args.out / "states.csv")
     if cfg.output.svg:
@@ -115,11 +116,8 @@ def _default_fit_domain(results: Path) -> tuple[float, float]:
     meta = results / "resolved-config.json"
     if not meta.exists():
         raise ConfigError("no resolved-config.json next to mean.csv; pass --domain LO HI")
-    data = json.loads(meta.read_text(encoding="utf-8"))
-    wf = data.get("waveform", {})
-    tau_minus = float(wf.get("tau_minus", 1.0))
-    tau_plus = float(wf.get("tau_plus", 5.0))
-    return tau_minus, tau_minus + tau_plus
+    pre = load_config(meta).window.geometry.pre
+    return pre.tau_minus, pre.tau_minus + pre.tau_plus
 
 
 def _cmd_fit(args) -> int:
@@ -148,11 +146,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_closedform(args) -> int:
     if args.params:
-        raw = json.loads(args.params.read_text(encoding="utf-8"))
-        try:
-            params = ClosedFormParams(**raw)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{args.params}: {e}") from None
+        params = load_params(args.params, ClosedFormParams)
     else:
         from .validate import WORKED_PARAMS
         params = WORKED_PARAMS
@@ -169,11 +163,7 @@ def _cmd_energy(args) -> int:
     if args.scenario == "custom":
         if not args.params:
             raise ConfigError("--scenario custom requires --params FILE")
-        raw = json.loads(args.params.read_text(encoding="utf-8"))
-        try:
-            scenarios = {"custom": EnergyScenario(**raw)}
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{args.params}: {e}") from None
+        scenarios = {"custom": load_params(args.params, EnergyScenario)}
     elif args.scenario == "all":
         scenarios = dict(SCENARIOS)
     else:
@@ -207,7 +197,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # ConfigError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

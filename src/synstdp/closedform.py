@@ -15,13 +15,9 @@ direct sum rather than silently reconciled.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dendrite import DendriteBank
-from .waveforms import SpikeWaveform
 
 
 @dataclass(frozen=True)
@@ -44,24 +40,10 @@ class ClosedFormParams:
         if self.n * self.delta_v >= self.a_total:
             raise ValueError("need n*delta_v < a_total so every branch peaks positive at dt=0")
 
-    @classmethod
-    def from_waveform(cls, w: SpikeWaveform, bank: DendriteBank,
-                      v_th: float = 1.0, gamma: float = 2.0) -> "ClosedFormParams":
-        """Derive the idealized parameters from a waveform and attenuation
-        bank: beta = a_minus/tau_plus and the amplitude step spreads the
-        peak-to-peak swing across the attenuation span."""
-        n = bank.n
-        span = max(bank.alphas) - min(bank.alphas)
-        a_total = w.a_plus + w.a_minus
-        delta_v = span * a_total / (n - 1) if n > 1 and span > 0 else a_total / (10 * n)
-        return cls(n=n, a_total=a_total, delta_v=delta_v,
-                   beta=w.a_minus / w.tau_plus, v_th=v_th, gamma=gamma)
-
 
 @dataclass(frozen=True)
 class KIndex:
     k: float       # continuous cutoff index a1 + b1*dt
-    k_ceil: int
     a1: float      # (A - v_th) / delta_v
     b1: float      # beta / delta_v
 
@@ -79,7 +61,7 @@ def k_index(p: ClosedFormParams, delta_t: float) -> KIndex:
     a1 = (p.a_total - p.v_th) / p.delta_v
     b1 = p.beta / p.delta_v
     k = a1 + b1 * delta_t
-    return KIndex(k=k, k_ceil=int(math.ceil(k)), a1=a1, b1=b1)
+    return KIndex(k=k, a1=a1, b1=b1)
 
 
 def branch_probability(p: ClosedFormParams, i: int, delta_t: float) -> float:

@@ -3,12 +3,16 @@
 Every key is validated with a path-qualified error message; unknown keys
 are rejected.  An empty config resolves to the dendritic-attenuation
 reference setup (16 branches, attenuation 0.6..1, HRHT spikes, Gaussian
-switching with 0.1 V spread, 10k epochs over offsets -6..6).
+switching with 0.1 V spread, 10k epochs over offsets -6..6).  Each default
+is read from the dataclass that owns the field.
 """
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from .pairing import PairingGeometry
 from .waveforms import Shape, SpikeWaveform, make_waveform
 
 SCHEMA_VERSION = 1
+_BANK_DEFAULTS = inspect.signature(make_bank).parameters  # delay_max, delay_assignment
 
 
 class ConfigError(ValueError):
@@ -33,66 +38,46 @@ class OutputOptions:
 
 @dataclass(frozen=True)
 class RunConfig:
-    pre: SpikeWaveform
-    post: SpikeWaveform
-    bank: DendriteBank
-    device: DeviceModel
-    dt_step: float
-    pair_only: bool
-    amp_noise_sigma: float
-    delta_t_min: float
-    delta_t_max: float
-    delta_t_step: float
-    epochs: int
-    seed: int
-    init_policy: InitPolicy
+    window: WindowConfig
     output: OutputOptions
-    schema_version: int = SCHEMA_VERSION
-
-    def geometry(self) -> PairingGeometry:
-        return PairingGeometry(pre=self.pre, post=self.post, bank=self.bank,
-                               device=self.device, dt_step=self.dt_step,
-                               pair_only=self.pair_only,
-                               amp_noise_sigma=self.amp_noise_sigma)
 
     def window_config(self) -> WindowConfig:
-        return WindowConfig(geometry=self.geometry(),
-                            delta_t_min=self.delta_t_min,
-                            delta_t_max=self.delta_t_max,
-                            delta_t_step=self.delta_t_step,
-                            epochs=self.epochs, seed=self.seed,
-                            init_policy=self.init_policy)
+        # perfbench/trace_child.py calls this accessor; it goes when the
+        # benchmark reads `.window` instead
+        return self.window
 
     def to_dict(self) -> dict:
         def wf(w: SpikeWaveform) -> dict:
             return {"shape": w.shape.value, "a_plus": w.a_plus, "a_minus": w.a_minus,
                     "tau_minus": w.tau_minus, "tau_plus": w.tau_plus,
                     "extra": dict(w.extra)}
+        win = self.window
+        g, bank, device = win.geometry, win.geometry.bank, win.geometry.device
         init: dict | str
-        if self.init_policy.kind is InitKind.RANDOM:
-            init = {"random": {"q": self.init_policy.q}}
+        if win.init_policy.kind is InitKind.RANDOM:
+            init = {"random": {"q": win.init_policy.q}}
         else:
-            init = self.init_policy.kind.value
+            init = win.init_policy.kind.value
         return {
-            "schema_version": self.schema_version,
-            "waveform": wf(self.pre),
-            "post_waveform": wf(self.post),
-            "dendrites": {"n": self.bank.n,
-                          "alpha_min": self.bank.alphas[0],
-                          "alpha_max": self.bank.alphas[-1],
-                          "delay_max": max(self.bank.delays),
-                          "delay_assignment": _infer_assignment(self.bank)},
-            "device": {"vth_pos": self.device.vth_pos, "vth_neg": self.device.vth_neg,
-                       "sigma_th": self.device.sigma_th, "r_on_ohm": self.device.r_on,
-                       "sigma_lrs": self.device.sigma_lrs,
-                       "r_off_ratio": self.device.r_off_ratio,
-                       "prob_model": ("gaussian" if self.device.prob_model.kind == "gaussian"
-                                      else {"linear": {"gamma": self.device.prob_model.gamma}})},
-            "simulation": {"dt_step": self.dt_step, "pair_only": self.pair_only,
-                           "amp_noise_sigma": self.amp_noise_sigma,
-                           "delta_t_min": self.delta_t_min, "delta_t_max": self.delta_t_max,
-                           "delta_t_step": self.delta_t_step, "epochs": self.epochs,
-                           "seed": self.seed, "init_policy": init},
+            "schema_version": SCHEMA_VERSION,
+            "waveform": wf(g.pre),
+            "post_waveform": wf(g.post),
+            "dendrites": {"n": bank.n,
+                          "alpha_min": bank.alphas[0],
+                          "alpha_max": bank.alphas[-1],
+                          "delay_max": max(bank.delays),
+                          "delay_assignment": _infer_assignment(bank)},
+            "device": {"vth_pos": device.vth_pos, "vth_neg": device.vth_neg,
+                       "sigma_th": device.sigma_th, "r_on_ohm": device.r_on,
+                       "sigma_lrs": device.sigma_lrs,
+                       "r_off_ratio": device.r_off_ratio,
+                       "prob_model": ("gaussian" if device.prob_model.kind == "gaussian"
+                                      else {"linear": {"gamma": device.prob_model.gamma}})},
+            "simulation": {"dt_step": g.dt_step, "pair_only": g.pair_only,
+                           "amp_noise_sigma": g.amp_noise_sigma,
+                           "delta_t_min": win.delta_t_min, "delta_t_max": win.delta_t_max,
+                           "delta_t_step": win.delta_t_step, "epochs": win.epochs,
+                           "seed": win.seed, "init_policy": init},
             "output": {"svg": self.output.svg, "level_bin": self.output.level_bin},
         }
 
@@ -110,19 +95,24 @@ def _expect_mapping(obj, path: str) -> dict:
     return obj
 
 
-def _take(section: dict, path: str, key: str, default, kind=None):
+def _take(section: dict, path: str, key: str, default, kind):
+    """Pop section[key] (default when absent) as a finite value of kind.
+    A default of dataclasses.MISSING makes the key required; null passes
+    only for a key whose default is None."""
     val = section.pop(key, default)
+    if val is dataclasses.MISSING:
+        raise ConfigError(f"{path}.{key}: required key is missing")
+    if val is None and default is None:
+        return None
     # bool is a subclass of int: JSON true/false must not pass as a count or seed
-    if kind is not None and val is not None and (
-            not isinstance(val, kind) or (kind is int and isinstance(val, bool))):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         if kind is float and isinstance(val, int) and not isinstance(val, bool):
             try:
                 val = float(val)
             except OverflowError:  # an integer literal beyond the float range
                 val = math.inf
         else:
-            names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-            raise ConfigError(f"{path}.{key}: expected {names}, got {val!r}")
+            raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {val!r}")
     # JSON admits NaN and Infinity; reject them here, before they reach a
     # NaN curve or a traceback at run time
     if isinstance(val, float) and not math.isfinite(val):
@@ -143,15 +133,11 @@ def _parse_waveform(raw: dict | None, path: str) -> SpikeWaveform:
     except ValueError:
         raise ConfigError(f"{path}.shape: unknown shape {shape!r}; "
                           f"expected one of {[s.value for s in Shape]}") from None
-    kw = {}
-    for key in ("a_plus", "a_minus", "tau_minus", "tau_plus"):
-        v = _take(sec, path, key, None, float)
-        if v is not None:
-            kw[key] = v
-    extra = _take(sec, path, "extra", None, dict)
-    if extra is not None:
-        extra = dict(extra)
-        kw["extra"] = {k: _take(extra, f"{path}.extra", k, None, float) for k in list(extra)}
+    kw = {key: _take(sec, path, key, getattr(SpikeWaveform, key), float)
+          for key in ("a_plus", "a_minus", "tau_minus", "tau_plus")}
+    extra = dict(_take(sec, path, "extra", {}, dict))
+    kw["extra"] = {k: _take(extra, f"{path}.extra", k, dataclasses.MISSING, float)
+                   for k in list(extra)}
     _reject_unknown(sec, path)
     try:
         return make_waveform(shape, **kw)
@@ -172,7 +158,7 @@ def _parse_init_policy(raw, path: str) -> InitPolicy:
     if inner is None:
         raise ConfigError(f"{path}: expected a policy name or {{'random': {{'q': ...}}}}")
     inner = dict(inner)
-    q = _take(inner, f"{path}.random", "q", 0.5, float)
+    q = _take(inner, f"{path}.random", "q", InitPolicy.q, float)
     _reject_unknown(inner, f"{path}.random")
     try:
         return InitPolicy(kind=InitKind.RANDOM, q=q)
@@ -194,8 +180,9 @@ def parse_config(data: dict) -> RunConfig:
     n = _take(den, "dendrites", "n", 16, int)
     alpha_min = _take(den, "dendrites", "alpha_min", 0.6, float)
     alpha_max = _take(den, "dendrites", "alpha_max", 1.0, float)
-    delay_max = _take(den, "dendrites", "delay_max", 0.0, float)
-    assignment = _take(den, "dendrites", "delay_assignment", "ramp", str)
+    delay_max = _take(den, "dendrites", "delay_max", _BANK_DEFAULTS["delay_max"].default, float)
+    assignment = _take(den, "dendrites", "delay_assignment",
+                       _BANK_DEFAULTS["delay_assignment"].default, str)
     _reject_unknown(den, "dendrites")
     if n < 1:
         raise ConfigError(f"dendrites.n: need at least one branch, got {n}")
@@ -209,7 +196,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"dendrites: {e}") from None
 
     dev = dict(_expect_mapping(root.pop("device", {}), "device"))
-    pm_raw = dev.pop("prob_model", "gaussian")
+    pm_raw = dev.pop("prob_model", ProbModel.kind)
     if isinstance(pm_raw, str):
         if pm_raw != "gaussian":
             raise ConfigError(f"device.prob_model: expected 'gaussian' or "
@@ -222,19 +209,19 @@ def parse_config(data: dict) -> RunConfig:
         if lin is None:
             raise ConfigError("device.prob_model: expected a 'linear' object")
         lin = dict(lin)
-        gamma = _take(lin, "device.prob_model.linear", "gamma", 2.0, float)
+        gamma = _take(lin, "device.prob_model.linear", "gamma", ProbModel.gamma, float)
         _reject_unknown(lin, "device.prob_model.linear")
         try:
             prob_model = ProbModel(kind="linear", gamma=gamma)
         except ValueError as e:
             raise ConfigError(f"device.prob_model.linear: {e}") from None
     device_kw = dict(
-        vth_pos=_take(dev, "device", "vth_pos", 1.0, float),
-        vth_neg=_take(dev, "device", "vth_neg", -1.0, float),
-        sigma_th=_take(dev, "device", "sigma_th", 0.1, float),
-        r_on=_take(dev, "device", "r_on_ohm", 1e6, float),
-        sigma_lrs=_take(dev, "device", "sigma_lrs", 0.1, float),
-        r_off_ratio=_take(dev, "device", "r_off_ratio", None, float),
+        vth_pos=_take(dev, "device", "vth_pos", DeviceModel.vth_pos, float),
+        vth_neg=_take(dev, "device", "vth_neg", DeviceModel.vth_neg, float),
+        sigma_th=_take(dev, "device", "sigma_th", DeviceModel.sigma_th, float),
+        r_on=_take(dev, "device", "r_on_ohm", DeviceModel.r_on, float),
+        sigma_lrs=_take(dev, "device", "sigma_lrs", DeviceModel.sigma_lrs, float),
+        r_off_ratio=_take(dev, "device", "r_off_ratio", DeviceModel.r_off_ratio, float),
     )
     try:
         device = DeviceModel(**device_kw, prob_model=prob_model)
@@ -243,50 +230,65 @@ def parse_config(data: dict) -> RunConfig:
     _reject_unknown(dev, "device")
 
     sim = dict(_expect_mapping(root.pop("simulation", {}), "simulation"))
-    dt_step = _take(sim, "simulation", "dt_step", 0.01, float)
-    pair_only = _take(sim, "simulation", "pair_only", True, bool)
-    amp_noise = _take(sim, "simulation", "amp_noise_sigma", 0.0, float)
-    d_min = _take(sim, "simulation", "delta_t_min", -6.0, float)
-    d_max = _take(sim, "simulation", "delta_t_max", 6.0, float)
-    d_step = _take(sim, "simulation", "delta_t_step", 0.1, float)
-    epochs = _take(sim, "simulation", "epochs", 10_000, int)
-    seed = _take(sim, "simulation", "seed", 42, int)
-    if seed < 0:
-        raise ConfigError(f"simulation.seed: must be a non-negative integer, got {seed}")
-    init_policy = _parse_init_policy(sim.pop("init_policy", "split"), "simulation.init_policy")
+    geometry_kw = {key: _take(sim, "simulation", key, getattr(PairingGeometry, key), kind)
+                   for key, kind in (("dt_step", float), ("pair_only", bool),
+                                     ("amp_noise_sigma", float))}
+    window_kw = {key: _take(sim, "simulation", key, getattr(WindowConfig, key), kind)
+                 for key, kind in (("delta_t_min", float), ("delta_t_max", float),
+                                   ("delta_t_step", float), ("epochs", int), ("seed", int))}
+    if window_kw["seed"] < 0:
+        raise ConfigError(f"simulation.seed: must be a non-negative integer, "
+                          f"got {window_kw['seed']}")
+    init_policy = _parse_init_policy(
+        sim.pop("init_policy", WindowConfig.init_policy.kind.value), "simulation.init_policy")
     _reject_unknown(sim, "simulation")
 
     out = dict(_expect_mapping(root.pop("output", {}), "output"))
-    output = OutputOptions(svg=_take(out, "output", "svg", True, bool),
-                           level_bin=_take(out, "output", "level_bin", 1.0, float))
+    output = OutputOptions(svg=_take(out, "output", "svg", OutputOptions.svg, bool),
+                           level_bin=_take(out, "output", "level_bin",
+                                           OutputOptions.level_bin, float))
     _reject_unknown(out, "output")
     if output.level_bin <= 0:
         raise ConfigError(f"output.level_bin: must be positive, got {output.level_bin}")
     _reject_unknown(root, "config")
 
-    cfg = RunConfig(pre=pre, post=post, bank=bank, device=device, dt_step=dt_step,
-                    pair_only=pair_only, amp_noise_sigma=amp_noise,
-                    delta_t_min=d_min, delta_t_max=d_max, delta_t_step=d_step,
-                    epochs=epochs, seed=seed, init_policy=init_policy, output=output)
     try:
-        cfg.geometry()
-        cfg.window_config()
+        geometry = PairingGeometry(pre=pre, post=post, bank=bank, device=device, **geometry_kw)
+        window = WindowConfig(geometry=geometry, init_policy=init_policy, **window_kw)
     except ValueError as e:
         raise ConfigError(f"simulation: {e}") from None
-    return cfg
+    return RunConfig(window=window, output=output)
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _read_json(path: str | Path):
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read config {p}: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {p}: {e}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON: {e}") from None
-    return parse_config(data)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return parse_config(_read_json(path))
+
+
+def load_params(path: str | Path, cls):
+    """An instance of the flat dataclass cls from a JSON object of its
+    fields, each checked like a run-config key; errors name the file."""
+    raw = dict(_expect_mapping(_read_json(path), str(path)))
+    kinds = typing.get_type_hints(cls)
+    label = f"{path}: {cls.__name__}"
+    kw = {f.name: _take(raw, label, f.name, f.default, kinds[f.name])
+          for f in dataclasses.fields(cls)}
+    _reject_unknown(raw, label)
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def default_config() -> RunConfig:

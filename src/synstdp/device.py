@@ -63,6 +63,19 @@ class DeviceModel:
         return 0.0 if self.r_off_ratio is None else 1.0 / self.r_off_ratio
 
 
+def _switch_probability(m: DeviceModel, v, vth: float, off):
+    """The switching law applied to |v| against threshold vth (> 0): the
+    Gaussian threshold integral Phi((|v|-vth)/sigma) - Phi(-vth/sigma), or
+    the linear ramp gamma (|v| - vth), clamped to [0, 1]; 0 where off."""
+    mag = np.abs(v)
+    if m.prob_model.kind == "gaussian":
+        p = _phi((mag - vth) / m.sigma_th) - _phi((0.0 - vth) / m.sigma_th)
+    else:
+        p = m.prob_model.gamma * (mag - vth)
+    p = np.where(off, 0.0, np.clip(p, 0.0, 1.0))
+    return float(p) if v.ndim == 0 else p
+
+
 def set_probability(m: DeviceModel, v_peak):
     """SET probability for peak voltage(s) v_peak; 0 for v_peak <= 0.
 
@@ -70,24 +83,10 @@ def set_probability(m: DeviceModel, v_peak):
     i.e. Phi((v-vth)/sigma) - Phi(-vth/sigma), clamped to [0, 1].
     """
     v = np.asarray(v_peak, dtype=float)
-    if m.prob_model.kind == "gaussian":
-        p = _phi((v - m.vth_pos) / m.sigma_th) - _phi((0.0 - m.vth_pos) / m.sigma_th)
-        p = np.clip(p, 0.0, 1.0)
-    else:
-        p = np.clip(m.prob_model.gamma * (v - m.vth_pos), 0.0, 1.0)
-    p = np.where(v <= 0.0, 0.0, p)
-    return float(p) if np.isscalar(v_peak) or v.ndim == 0 else p
+    return _switch_probability(m, v, m.vth_pos, v <= 0.0)
 
 
 def reset_probability(m: DeviceModel, v_peak):
     """RESET probability, the mirror of SET against |vth_neg|; 0 for v_peak >= 0."""
     v = np.asarray(v_peak, dtype=float)
-    mag = np.abs(v)
-    if m.prob_model.kind == "gaussian":
-        vth = abs(m.vth_neg)
-        p = _phi((mag - vth) / m.sigma_th) - _phi((0.0 - vth) / m.sigma_th)
-        p = np.clip(p, 0.0, 1.0)
-    else:
-        p = np.clip(m.prob_model.gamma * (mag - abs(m.vth_neg)), 0.0, 1.0)
-    p = np.where(v >= 0.0, 0.0, p)
-    return float(p) if np.isscalar(v_peak) or v.ndim == 0 else p
+    return _switch_probability(m, v, abs(m.vth_neg), v >= 0.0)

@@ -75,18 +75,23 @@ class StdpWindow:
     n_reset: np.ndarray   # (P, E)
     analytic: np.ndarray  # (P,)
     states: np.ndarray    # (P, n+1) switching-count probabilities
-    n_branches: int
-    epochs: int
-    seed: int
-    init_policy: InitPolicy
     sigma_lrs: float
+
+    @property
+    def n_branches(self) -> int:
+        return self.states.shape[1] - 1
+
+    @property
+    def epochs(self) -> int:
+        return self.delta_g.shape[1]
 
     def validate(self):
         sums = self.states.sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= 1e-9):
             raise AssertionError(f"state distributions must sum to 1, worst {sums}")
         bound = self.n_branches * (1.0 + 6.0 * self.sigma_lrs)
-        worst = float(np.abs(self.delta_g).max())
+        # max |delta_g| without a full-size abs temporary
+        worst = float(max(-self.delta_g.min(), self.delta_g.max()))
         if worst > bound + 1e-12:
             raise AssertionError(f"|delta_g| {worst} exceeds bound {bound}")
         return self
@@ -263,9 +268,5 @@ def run_window(cfg: WindowConfig, workers: int = 1) -> StdpWindow:
         n_reset=n_reset,
         analytic=analytic,
         states=states,
-        n_branches=cfg.geometry.bank.n,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        init_policy=cfg.init_policy,
         sigma_lrs=cfg.geometry.device.sigma_lrs,
-    )
+    ).validate()

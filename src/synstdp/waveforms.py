@@ -7,7 +7,6 @@ exact peak extraction in the pairing engine.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -150,15 +149,6 @@ class SpikeWaveform:
                 values[mine] = p.func(t[mine])
                 inside |= mine
         return values, inside
-
-    def integral(self, step: float = 0.01) -> float:
-        """Piece-aware trapezoid integral (exact for linear pieces)."""
-        total = 0.0
-        for p in self.pieces():
-            n = max(2, int(math.ceil((p.hi - p.lo) / step)) + 1)
-            ts = np.linspace(p.lo, p.hi, n)
-            total += float(np.trapezoid(p.func(ts), ts))
-        return total
 
 
 def make_waveform(shape: Shape | str, params: dict | None = None, **kw) -> SpikeWaveform:

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from synstdp import (InitPolicy, StdpWindow, WindowConfig, fit_exponential,
-                     fit_linear, fit_quadratic, run_window, window_summary)
-from synstdp.montecarlo import InitKind
-from tests.test_montecarlo import make_geometry, small_config
+from synstdp import fit_exponential, fit_linear, fit_quadratic
 
 
 def test_exponential_self_recovery():
@@ -109,33 +106,3 @@ def test_better_model_has_higher_r_squared():
     pts = np.column_stack([t, y])
     fits = sorted([fit_exponential(pts), fit_linear(pts)], key=lambda f: f.rmse)
     assert fits[0].r_squared >= fits[1].r_squared
-
-
-def test_window_summary_all_zero():
-    cfg = small_config(epochs=4)
-    w = run_window(cfg)
-    zero = StdpWindow(delta_t=w.delta_t, delta_g=np.zeros_like(w.delta_g),
-                      n_set=np.zeros_like(w.n_set), n_reset=np.zeros_like(w.n_reset),
-                      analytic=np.zeros_like(w.analytic), states=w.states,
-                      n_branches=w.n_branches, epochs=w.epochs, seed=w.seed,
-                      init_policy=w.init_policy, sigma_lrs=w.sigma_lrs)
-    rows = window_summary(zero)
-    assert all(r.mc_mean == 0 and r.mc_std == 0 and r.distinct_levels == 1 for r in rows)
-
-
-def test_window_summary_single_epoch_std_zero():
-    cfg = small_config(epochs=1, sigma_lrs=0.0)
-    rows = window_summary(run_window(cfg))
-    assert all(r.mc_std == 0.0 for r in rows)
-
-
-def test_window_summary_level_union_covers_full_range():
-    cfg = WindowConfig(geometry=make_geometry(sigma_lrs=0.0), epochs=10_000, seed=42,
-                       init_policy=InitPolicy(kind=InitKind.SPLIT))
-    w = run_window(cfg)
-    rows = window_summary(w)
-    assert {r.delta_t for r in rows} == set(np.round(np.arange(-6, 6.01, 0.1), 10))
-    observed = set()
-    for k in range(w.delta_t.size):
-        observed |= set(np.abs(w.n_set[k].astype(int) - w.n_reset[k].astype(int)).tolist())
-    assert set(range(0, 17)) <= observed

@@ -151,3 +151,52 @@ def test_fit_mc_source(tmp_path, quick_config):
                  "--source", "mc", "--domain", "0.5", "2.0"]) == 0
     fits = json.loads((out / "fits.json").read_text())
     assert fits["source"] == "mc"
+
+
+CLOSEDFORM = json.loads((CONFIGS / "closedform.json").read_text(encoding="utf-8"))
+ENERGY = json.loads((CONFIGS / "energy_custom.json").read_text(encoding="utf-8"))
+PARAMS_ARGS = {"closedform": ["closedform", "--params"],
+               "energy": ["energy", "--scenario", "custom", "--params"]}
+
+
+def _without(params: dict, key: str) -> dict:
+    return {k: v for k, v in params.items() if k != key}
+
+
+BAD_PARAMS = {  # id -> (command, file contents, expected error after "error: FILE: ")
+    "closedform-nan": ("closedform", {**CLOSEDFORM, "a_total": float("nan")},
+                       "ClosedFormParams.a_total: must be a finite number, got nan"),
+    "closedform-infinity": ("closedform", {**CLOSEDFORM, "beta": float("inf")},
+                            "ClosedFormParams.beta: must be a finite number, got inf"),
+    "closedform-int-true": ("closedform", {**CLOSEDFORM, "n": True},
+                            "ClosedFormParams.n: expected int, got True"),
+    "closedform-unknown-key": ("closedform", {**CLOSEDFORM, "bogus": 1},
+                               "ClosedFormParams: unknown keys ['bogus']"),
+    "closedform-missing-key": ("closedform", _without(CLOSEDFORM, "gamma"),
+                               "ClosedFormParams.gamma: required key is missing"),
+    "closedform-not-object": ("closedform", [CLOSEDFORM], "expected an object, got list"),
+    "energy-nan": ("energy", {**ENERGY, "tau_minus_s": float("nan")},
+                   "EnergyScenario.tau_minus_s: must be a finite number, got nan"),
+    "energy-infinity": ("energy", {**ENERGY, "tau_plus_s": float("inf")},
+                        "EnergyScenario.tau_plus_s: must be a finite number, got inf"),
+    "energy-int-true": ("energy", {**ENERGY, "synapses": True},
+                        "EnergyScenario.synapses: expected int, got True"),
+    "energy-int-float": ("energy", {**ENERGY, "synapses": 6.1e7},
+                         "EnergyScenario.synapses: expected int, got 61000000.0"),
+    "energy-unknown-key": ("energy", {**ENERGY, "bogus": 1},
+                           "EnergyScenario: unknown keys ['bogus']"),
+    "energy-missing-key": ("energy", _without(ENERGY, "tau_minus_s"),
+                           "EnergyScenario.tau_minus_s: required key is missing"),
+    "energy-not-object": ("energy", [ENERGY], "expected an object, got list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_bad_params_file_exits_1_naming_file_and_key(tmp_path, capsys, case):
+    command, contents, message = BAD_PARAMS[case]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(contents), encoding="utf-8")  # NaN / Infinity literals
+    assert main([*PARAMS_ARGS[command], str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""

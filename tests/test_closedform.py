@@ -5,7 +5,7 @@ import pytest
 
 from synstdp import (ClosedFormParams, avg_conductance_continuous,
                      avg_conductance_direct, branch_peak, comparison_report,
-                     k_index, make_bank, make_waveform, quadratic_coeffs_fitted,
+                     k_index, quadratic_coeffs_fitted,
                      quadratic_coeffs_published)
 from synstdp.validate import bruteforce_direct
 
@@ -26,7 +26,6 @@ def test_k_index_examples():
     assert abs(ki.b1 - 4.0) < 1e-12
     ki = k_index(WORKED, 0.25)
     assert abs(ki.k - 16.0) < 1e-9
-    assert ki.k_ceil == 16
 
 
 def test_direct_sum_worked_values():
@@ -137,15 +136,6 @@ def test_params_validation():
         ClosedFormParams(n=16, a_total=1.3, delta_v=0.1, beta=0.08, v_th=1.0, gamma=2.0)
     with pytest.raises(ValueError):
         ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=-0.1, v_th=1.0, gamma=2.0)
-
-
-def test_from_waveform():
-    w = make_waveform("hrht")
-    bank = make_bank(16, 0.6, 1.0, 0.0)
-    p = ClosedFormParams.from_waveform(w, bank)
-    assert abs(p.beta - 0.08) < 1e-12
-    assert abs(p.a_total - 1.3) < 1e-12
-    assert p.n == 16 and p.n * p.delta_v < p.a_total
 
 
 def test_comparison_report():

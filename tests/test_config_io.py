@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synstdp import (ConfigError, InitPolicy, StdpWindow, default_config, load_config,
-                     parse_config, run_window)
+from synstdp import (ConfigError, StdpWindow, default_config, load_config, parse_config,
+                     run_window)
 from synstdp.cli import main
 from synstdp.output import (read_mean_csv, write_states_csv, write_svg_scatter,
                             write_svg_states, write_window_csv)
@@ -19,17 +19,18 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def test_empty_config_is_attenuation_reference_setup():
     cfg = parse_config({})
-    assert cfg.bank.n == 16
-    assert cfg.bank.alphas[0] == 0.6 and cfg.bank.alphas[-1] == 1.0
-    assert all(d == 0.0 for d in cfg.bank.delays)
-    assert cfg.pre.shape.value == "hrht"
-    assert cfg.post == cfg.pre
-    assert cfg.device.sigma_th == 0.1 and cfg.device.sigma_lrs == 0.1
-    assert cfg.device.r_off_ratio is None
-    assert (cfg.delta_t_min, cfg.delta_t_max, cfg.delta_t_step) == (-6.0, 6.0, 0.1)
-    assert cfg.epochs == 10_000 and cfg.seed == 42
-    assert cfg.init_policy.kind.value == "split"
-    assert cfg.pair_only and cfg.amp_noise_sigma == 0.0
+    win, g = cfg.window, cfg.window.geometry
+    assert g.bank.n == 16
+    assert g.bank.alphas[0] == 0.6 and g.bank.alphas[-1] == 1.0
+    assert all(d == 0.0 for d in g.bank.delays)
+    assert g.pre.shape.value == "hrht"
+    assert g.post == g.pre
+    assert g.device.sigma_th == 0.1 and g.device.sigma_lrs == 0.1
+    assert g.device.r_off_ratio is None
+    assert (win.delta_t_min, win.delta_t_max, win.delta_t_step) == (-6.0, 6.0, 0.1)
+    assert win.epochs == 10_000 and win.seed == 42
+    assert win.init_policy.kind.value == "split"
+    assert g.pair_only and g.amp_noise_sigma == 0.0
     assert default_config() == cfg
 
 
@@ -40,11 +41,12 @@ def test_invalid_branch_count_names_key():
 
 def test_shipped_reference_configs():
     fig4b = load_config(CONFIGS / "fig4b.json")
-    assert fig4b.bank.alphas == tuple([1.0] * 16)
+    assert fig4b.window.geometry.bank.alphas == tuple([1.0] * 16)
     fig4d = load_config(CONFIGS / "fig4d.json")
     assert fig4d == default_config()
     fig7 = load_config(CONFIGS / "fig7_delay.json")
-    assert max(fig7.bank.delays) == 0.3 and fig7.bank.delays[0] == 0.0
+    delays = fig7.window.geometry.bank.delays
+    assert max(delays) == 0.3 and delays[0] == 0.0
 
 
 def test_unknown_keys_rejected_with_path():
@@ -78,9 +80,9 @@ def test_linear_prob_model_and_random_policy_round_trip():
         "device": {"prob_model": {"linear": {"gamma": 3.0}}},
         "simulation": {"init_policy": {"random": {"q": 0.25}}},
     })
-    assert cfg.device.prob_model.kind == "linear"
-    assert cfg.device.prob_model.gamma == 3.0
-    assert cfg.init_policy.q == 0.25
+    assert cfg.window.geometry.device.prob_model.kind == "linear"
+    assert cfg.window.geometry.device.prob_model.gamma == 3.0
+    assert cfg.window.init_policy.q == 0.25
     again = parse_config(cfg.to_dict())
     assert again == cfg
 
@@ -175,8 +177,7 @@ def _edge_window(delta_t, epochs: int) -> StdpWindow:
         n_set=counts.reshape(p, epochs),
         n_reset=counts[::-1].reshape(p, epochs),
         analytic=np.resize(EDGE_FLOATS, p),
-        states=np.resize(EDGE_FLOATS + [0.0, 1.0], (p, 17)),
-        n_branches=16, epochs=epochs, seed=0, init_policy=InitPolicy(), sigma_lrs=0.0)
+        states=np.resize(EDGE_FLOATS + [0.0, 1.0], (p, 17)), sigma_lrs=0.0)
 
 
 EDGE_WINDOWS = {
@@ -223,8 +224,9 @@ def test_svg_states_plot():
 def test_post_waveform_section():
     cfg = parse_config({"waveform": {"shape": "rect"},
                         "post_waveform": {"shape": "hrht", "a_plus": 0.8}})
-    assert cfg.pre.shape.value == "rect"
-    assert cfg.post.shape.value == "hrht" and cfg.post.a_plus == 0.8
+    g = cfg.window.geometry
+    assert g.pre.shape.value == "rect"
+    assert g.post.shape.value == "hrht" and g.post.a_plus == 0.8
     assert parse_config(cfg.to_dict()) == cfg
 
 
@@ -283,3 +285,20 @@ def test_negative_seed_flag_exits_1_naming_the_seed(tmp_path, capsys):
     assert main(["window", "--out", str(tmp_path / "o"), "--seed", "-1", "--epochs", "1"]) == 1
     assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+NULLS = [  # null stands for "unset" only where the default is None (r_off_ratio)
+    ("simulation.epochs", {"simulation": {"epochs": None}}, "expected int, got None"),
+    ("output.svg", {"output": {"svg": None}}, "expected bool, got None"),
+    ("waveform.a_plus", {"waveform": {"a_plus": None}}, "expected float, got None"),
+    ("waveform.extra.tau_head", {"waveform": {"shape": "dexp", "extra": {"tau_head": None}}},
+     "expected float, got None"),
+]
+
+
+@pytest.mark.parametrize("key,raw,msg", NULLS, ids=[k for k, _, _ in NULLS])
+def test_null_rejected_where_the_default_is_a_value(tmp_path, capsys, key, raw, msg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["statedist", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {key}: {msg}\n"

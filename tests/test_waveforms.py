@@ -65,17 +65,6 @@ def test_zero_outside_support(shape):
     assert np.all(w.evaluate(t) == 0.0)
 
 
-def test_hrht_integral():
-    w = make_waveform("hrht")
-    expect = w.a_plus * w.tau_minus - w.a_minus * w.tau_plus / 2.0
-    assert abs(w.integral(step=0.01) - expect) < 1e-3
-
-
-@pytest.mark.parametrize("shape", ALL_SHAPES)
-def test_integral_finite(shape):
-    assert np.isfinite(make_waveform(shape).integral())
-
-
 @pytest.mark.parametrize("shape", ["hrht", "rect", "sawtooth"])
 def test_extrema_piecewise(shape):
     w = make_waveform(shape)
