@@ -85,11 +85,16 @@ class StdpWindow:
     def epochs(self) -> int:
         return self.delta_g.shape[1]
 
+    @property
+    def delta_g_bound(self) -> float:
+        """Bound on |delta_g|: n devices, each ON conductance within 6 sigma_lrs."""
+        return self.n_branches * (1.0 + 6.0 * self.sigma_lrs)
+
     def validate(self):
         sums = self.states.sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= 1e-9):
             raise AssertionError(f"state distributions must sum to 1, worst {sums}")
-        bound = self.n_branches * (1.0 + 6.0 * self.sigma_lrs)
+        bound = self.delta_g_bound
         # max |delta_g| without a full-size abs temporary
         worst = float(max(-self.delta_g.min(), self.delta_g.max()))
         if worst > bound + 1e-12:

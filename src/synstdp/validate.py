@@ -10,6 +10,7 @@ brute-force sum.  The oracles (`mc_outliers`, `enumerate_pmf`,
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -67,25 +68,43 @@ def check_energy_table() -> list[CheckResult]:
     return out
 
 
-def mc_outliers(w: StdpWindow) -> int:
-    """Offsets whose Monte Carlo mean is more than 4 standard errors from the
-    analytic expectation; zero-variance offsets must match exactly."""
+# An offset whose N epochs all gave the same value c has no standard error.
+# If delta_g differs from c with per-epoch probability p, all N epochs agree
+# with probability (1 - p)^N <= exp(-p N), which is below ZERO_VAR_ALPHA once
+# p > ln(1 / ZERO_VAR_ALPHA) / N.  Below that p, |E - c| <= p (max - min of
+# delta_g) <= 2 B p, B = StdpWindow.delta_g_bound.  So if the analytic value
+# and c differed by more than 2 B ln(1 / ZERO_VAR_ALPHA) / N, all N epochs
+# would agree with probability below ZERO_VAR_ALPHA.
+ZERO_VAR_ALPHA = 1e-6
+
+
+def zero_var_tolerance(w: StdpWindow) -> float:
+    """Largest |MC mean - analytic| allowed where all N epochs agree."""
+    return 2.0 * w.delta_g_bound * math.log(1.0 / ZERO_VAR_ALPHA) / w.epochs
+
+
+def mc_outliers(w: StdpWindow) -> list[float]:
+    """The offsets at which the Monte Carlo mean disagrees with the analytic
+    expectation: beyond 4 s / sqrt(N) at a live offset (sample std s > 0,
+    ddof = 1), beyond `zero_var_tolerance` where all N epochs agree (every
+    offset when N = 1)."""
     mean = w.delta_g.mean(axis=1)
-    std = w.delta_g.std(axis=1, ddof=1)
-    bound = 4.0 * std / np.sqrt(w.epochs)
+    std = w.delta_g.std(axis=1, ddof=1) if w.epochs > 1 else np.zeros_like(mean)
     diff = np.abs(mean - w.analytic)
-    return int(np.sum(np.where(std > 0, diff > bound, diff > 1e-12)))
+    bad = np.where(std > 0, diff > 4.0 * std / np.sqrt(w.epochs), diff > zero_var_tolerance(w))
+    return w.delta_t[bad].tolist()
 
 
 def _mc_check(config_patch: dict, label: str, epochs: int) -> CheckResult:
-    cfg = parse_config({"simulation": {"epochs": epochs}, **config_patch}).window_config()
+    cfg = parse_config({"simulation": {"epochs": epochs}, **config_patch}).window
     t0 = time.perf_counter()
     w = run_window(cfg)
     elapsed = time.perf_counter() - t0
     outliers = mc_outliers(w)
     return CheckResult(
-        f"mc vs analytic [{label}]", outliers <= 1,
-        f"{outliers} outlier(s) beyond 4*s/sqrt(N) over {w.delta_t.size} points, "
+        f"mc vs analytic [{label}]", len(outliers) <= 1,
+        f"{len(outliers)} outlier(s) (1 allowed) beyond 4*s/sqrt(N), or "
+        f"{zero_var_tolerance(w):.3g} where all epochs agree, over {w.delta_t.size} points, "
         f"{epochs} epochs, {elapsed:.2f} s")
 
 

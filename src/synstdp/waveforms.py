@@ -151,19 +151,17 @@ class SpikeWaveform:
         return values, inside
 
 
-def make_waveform(shape: Shape | str, params: dict | None = None, **kw) -> SpikeWaveform:
+def make_waveform(shape: Shape | str, **params) -> SpikeWaveform:
     """Validated construction; missing parameters fall back to the defaults
     (a_plus=0.9 V, tau_minus=1, a_minus=0.4 V, tau_plus=5)."""
     shape = Shape(shape)
-    p = dict(params or {})
-    p.update(kw)
-    a_plus = float(p.pop("a_plus", DEFAULT_A_PLUS))
-    a_minus = float(p.pop("a_minus", DEFAULT_A_MINUS))
-    tau_minus = float(p.pop("tau_minus", DEFAULT_TAU_MINUS))
-    tau_plus = float(p.pop("tau_plus", DEFAULT_TAU_PLUS))
-    extra_in = dict(p.pop("extra", {}))
-    if p:
-        raise ValueError(f"unknown waveform parameters: {sorted(p)}")
+    a_plus = float(params.pop("a_plus", DEFAULT_A_PLUS))
+    a_minus = float(params.pop("a_minus", DEFAULT_A_MINUS))
+    tau_minus = float(params.pop("tau_minus", DEFAULT_TAU_MINUS))
+    tau_plus = float(params.pop("tau_plus", DEFAULT_TAU_PLUS))
+    extra_in = dict(params.pop("extra", {}))
+    if params:
+        raise ValueError(f"unknown waveform parameters: {sorted(params)}")
 
     if not (0.0 < a_plus <= MAX_AMPLITUDE):
         raise ValueError(f"a_plus must be in (0, {MAX_AMPLITUDE}] V, got {a_plus}")

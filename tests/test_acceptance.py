@@ -16,11 +16,11 @@ import time
 import numpy as np
 import pytest
 
-from synstdp import (ClosedFormParams, analytic_window, avg_conductance_continuous,
-                     avg_conductance_direct, fit_exponential, fit_linear, parse_config,
-                     quadratic_coeffs_fitted, quadratic_coeffs_published, run_window,
-                     state_distribution, table1)
-from synstdp.validate import bruteforce_direct, enumerate_pmf, mc_outliers
+from synstdp import (analytic_window, avg_conductance_continuous, avg_conductance_direct,
+                     fit_exponential, fit_linear, parse_config, quadratic_coeffs_fitted,
+                     quadratic_coeffs_published, run_window, state_distribution, table1)
+from synstdp.validate import (TABLE1_ACCELERATION, TABLE1_REFERENCE, WORKED_PARAMS,
+                              bruteforce_direct, enumerate_pmf, mc_outliers)
 
 EPOCHS = 10_000
 SEED = 42
@@ -41,7 +41,7 @@ def config_for(patch: dict, **sim):
 def fig4b_run():
     cfg = config_for({"dendrites": {"alpha_min": 1.0, "alpha_max": 1.0}})
     t0 = time.perf_counter()
-    w = run_window(cfg.window_config())
+    w = run_window(cfg.window)
     return w, time.perf_counter() - t0
 
 
@@ -49,7 +49,7 @@ def fig4b_run():
 def fig4d_run():
     cfg = config_for({})
     t0 = time.perf_counter()
-    w = run_window(cfg.window_config())
+    w = run_window(cfg.window)
     return w, time.perf_counter() - t0
 
 
@@ -59,21 +59,19 @@ def test_a1_energy_table():
     t0 = time.perf_counter()
     res = table1(mode="head")
     rows = res["rows"]
-    refs = {"conservative": (45e-15, 62e-6, 16e3),
-            "medium": (0.45e-15, 560e-9, 1.8e6),
-            "aggressive": (0.045e-15, 25e-9, 41e6)}
     ok = True
-    for name, (e_spk, e_snn, thr) in refs.items():
+    for name, (e_spk, e_snn, thr) in TABLE1_REFERENCE.items():
         r = rows[name]
         ok &= abs(r["e_spike_j"] - e_spk) <= 0.005 * e_spk
         ok &= abs(r["e_event_j"] - e_snn) <= 0.02 * e_snn
         ok &= abs(r["img_per_s_per_w"] - thr) <= 0.02 * thr
-    acc = rows["conservative"]["acceleration_vs_gpu"]
-    ok &= abs(acc - 94.0) <= 0.03 * 94.0
+    scenario, ratio, tol = TABLE1_ACCELERATION
+    acc = rows[scenario]["acceleration_vs_gpu"]
+    ok &= abs(acc - ratio) <= tol * ratio
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 0.1
     assert report("A1 energy table", ok,
-                  f"E_spk exact, E_SNN/throughput within 2%, x{acc:.1f} vs x94, "
+                  f"E_spk exact, E_SNN/throughput within 2%, x{acc:.1f} vs x{ratio:g}, "
                   f"{elapsed * 1e3:.1f} ms")
 
 
@@ -82,7 +80,7 @@ def test_a1_energy_table():
 def test_a2_mc_vs_analytic(fig4b_run, fig4d_run):
     w_b, t_b = fig4b_run
     w_d, t_d = fig4d_run
-    out_b, out_d = mc_outliers(w_b), mc_outliers(w_d)
+    out_b, out_d = len(mc_outliers(w_b)), len(mc_outliers(w_d))
     ok = (w_b.delta_t.size == 121 and w_d.delta_t.size == 121
           and out_b <= 1 and out_d <= 1 and (t_b + t_d) <= 10.0)
     assert report("A2 MC/analytic consistency", ok,
@@ -108,7 +106,7 @@ def test_a3_poisson_binomial_oracle():
 # ------------------------------------------------------------------ A4
 
 def test_a4_closed_form_oracle():
-    p = ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=0.08, v_th=1.0, gamma=2.0)
+    p = WORKED_PARAMS
     v0 = avg_conductance_direct(p, 0.0)
     ok = abs(v0 - 4.2) <= 1e-12 and abs(v0 - bruteforce_direct(p, 0.0)) <= 1e-12
 
@@ -137,7 +135,7 @@ def _analytic_points(patch, lo, hi, init):
     in one state (init all_on or all_off)."""
     cfg = config_for(patch, delta_t_min=lo, delta_t_max=hi, delta_t_step=0.1,
                      epochs=1, init_policy=init)
-    grid, analytic, _ = analytic_window(cfg.window_config())
+    grid, analytic, _ = analytic_window(cfg.window)
     return np.column_stack([grid, analytic])
 
 
@@ -228,7 +226,7 @@ def test_a6_plateau_invariants():
 
 def test_a7_sixteen_level_resolution():
     cfg = config_for({"device": {"sigma_lrs": 0.0}})
-    w = run_window(cfg.window_config())
+    w = run_window(cfg.window)
     observed = set(np.unique(np.abs(w.delta_g.astype(int))).tolist())
     missing = set(range(1, 17)) - observed
     ok = not missing
@@ -242,7 +240,7 @@ def test_a7_sixteen_level_resolution():
 def test_a8_delay_effect():
     cfg = config_for({"dendrites": {"delay_max": 0.3}},
                      delta_t_min=-0.1, delta_t_max=0.1, delta_t_step=0.1, epochs=1)
-    grid, analytic, states = analytic_window(cfg.window_config())
+    grid, analytic, states = analytic_window(cfg.window)
     by_dt = dict(zip(np.round(grid, 10), analytic))
     switch_prob = dict(zip(np.round(grid, 10), 1.0 - states[:, 0]))
     ok = all(abs(by_dt[dt]) > 0.0 for dt in (-0.1, 0.0, 0.1))
@@ -257,7 +255,7 @@ def test_a8_delay_effect():
 def _states_with_noise(noise: float):
     cfg = config_for({"simulation": {"amp_noise_sigma": noise, "epochs": 1,
                                      "seed": SEED}})
-    _, _, states = analytic_window(cfg.window_config())
+    _, _, states = analytic_window(cfg.window)
     return states
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,6 +88,18 @@ def test_closedform_subcommand(tmp_path, capsys):
     assert rep["fitted_coeffs"]["c"] > 0
     assert abs(rep["published_coeffs"]["b"] - 0.64) < 1e-12
     assert main(["closedform", "--params", str(CONFIGS / "closedform.json")]) == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(flags):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, *flags, "-m", "synstdp.cli", "closedform"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_energy_subcommand(tmp_path, capsys):

@@ -7,9 +7,7 @@ from synstdp import (ClosedFormParams, avg_conductance_continuous,
                      avg_conductance_direct, branch_peak, comparison_report,
                      k_index, quadratic_coeffs_fitted,
                      quadratic_coeffs_published)
-from synstdp.validate import bruteforce_direct
-
-WORKED = ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=0.08, v_th=1.0, gamma=2.0)
+from synstdp.validate import WORKED_PARAMS as WORKED, bruteforce_direct
 
 
 def test_branch_peak_examples():

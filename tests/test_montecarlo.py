@@ -171,7 +171,7 @@ def test_split_sign_property():
 def test_mc_matches_analytic_on_coarse_grid():
     cfg = small_config(epochs=4000, seed=11)
     w = run_window(cfg).validate()
-    assert mc_outliers(w) <= 1
+    assert len(mc_outliers(w)) <= 1
 
 
 def test_grid_construction():
@@ -258,9 +258,7 @@ def test_amplitude_noise_mc_agrees_with_quadrature():
                        delta_t_min=2.0, delta_t_max=2.2, delta_t_step=0.2,
                        epochs=6000, seed=13)
     w = run_window(cfg).validate()
-    mean = w.delta_g.mean(axis=1)
-    std = w.delta_g.std(axis=1, ddof=1)
-    assert np.all(np.abs(mean - w.analytic) <= 5.0 * std / np.sqrt(w.epochs))
+    assert mc_outliers(w) == []
 
 
 def test_analytic_window_matches_run_window():
@@ -383,7 +381,7 @@ ORACLE_CASES = {  # config patch, expected (n_set, n_reset) of every epoch
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_sequential_oracle_matches_run_window(name):
     patch, expect = ORACLE_CASES[name]
-    cfg = parse_config(patch).window_config()
+    cfg = parse_config(patch).window
     w = run_window(cfg, workers=1)
     for k, dt in enumerate(w.delta_t.tolist()):
         dg, n_set, n_reset = replay_offset(cfg, k, dt)
@@ -426,26 +424,6 @@ def test_transitions_on_probabilities_is_the_corner_expectation():
         assert np.abs(got - want).max() <= 1e-15
 
 
-# An offset whose N epochs all gave the same value c has no standard error.
-# If delta_g differs from c with per-epoch probability p, all N epochs agree
-# with probability (1 - p)^N <= exp(-p N); at confidence 1 - ZERO_VAR_ALPHA,
-# p <= ln(1 / ZERO_VAR_ALPHA) / N, and |E - c| <= p (max - min of delta_g)
-# <= p 2 n (1 + 6 sigma_lrs), the range StdpWindow.validate bounds delta_g to.
-ZERO_VAR_ALPHA = 1e-6
-
-
-def disagreements(w) -> list[float]:
-    """Offsets whose MC mean is beyond 4 standard errors of the analytic
-    mean (live offsets) or beyond the N-derived bound above (zero variance)."""
-    mean = w.delta_g.mean(axis=1)
-    std = w.delta_g.std(axis=1, ddof=1) if w.epochs > 1 else np.zeros_like(mean)
-    diff = np.abs(mean - w.analytic)
-    span = 2.0 * w.n_branches * (1.0 + 6.0 * w.sigma_lrs)
-    zero_var_tol = span * math.log(1.0 / ZERO_VAR_ALPHA) / w.epochs
-    bad = np.where(std > 0, diff > 4.0 * std / np.sqrt(w.epochs), diff > zero_var_tol)
-    return w.delta_t[bad].tolist()
-
-
 # setups where SET and RESET can both fire on one device in one pairing
 BOTH_ATTEMPTS = {
     "all_off": {"simulation": {"pair_only": False, "init_policy": "all_off"}},
@@ -461,6 +439,6 @@ BOTH_ATTEMPTS = {
 def test_mc_matches_analytic_when_both_attempts_fire(name):
     patch = BOTH_ATTEMPTS[name]
     sim = {**patch["simulation"], "epochs": 4000, "seed": 4}
-    cfg = parse_config({**patch, "simulation": sim}).window_config()
+    cfg = parse_config({**patch, "simulation": sim}).window
     w = run_window(cfg).validate()
-    assert disagreements(w) == []
+    assert mc_outliers(w) == []

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synstdp import parse_config, run_window
-
-from .test_montecarlo import disagreements
+from synstdp.validate import mc_outliers
 
 INIT_POLICIES = st.one_of(
     st.sampled_from(["split", "all_off", "all_on"]),
@@ -27,7 +26,7 @@ def test_mc_mean_matches_analytic_for_any_setup(shape, pair_only, delay_max, ini
         "simulation": {"pair_only": pair_only, "init_policy": init_policy, "seed": seed,
                        "delta_t_min": -3.0, "delta_t_max": 3.0, "delta_t_step": 0.5,
                        "epochs": 2000},
-    }).window_config()
+    }).window
     w = run_window(cfg)
     assert np.all(np.abs(w.states.sum(axis=1) - 1.0) <= 1e-9)
-    assert disagreements(w) == []
+    assert mc_outliers(w) == []
