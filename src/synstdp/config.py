@@ -3,27 +3,32 @@
 Every key is validated with a path-qualified error message; unknown keys
 are rejected.  An empty config resolves to the dendritic-attenuation
 reference setup (16 branches, attenuation 0.6..1, HRHT spikes, Gaussian
-switching with 0.1 V spread, 10k epochs over offsets -6..6).  Each default
-is read from the dataclass that owns the field.
+switching with 0.1 V spread, 10k epochs over offsets -6..6).  Each section
+is read, and written back by `RunConfig.to_dict`, from the dataclass that
+owns it: a bool, int, float or str field is a key with the field's own
+default and type (`_fields` / `_values`).
 """
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import json
 import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dendrite import DendriteBank, make_bank
+from .dendrite import DendriteBank
 from .device import DeviceModel, ProbModel
 from .montecarlo import InitKind, InitPolicy, WindowConfig
 from .pairing import PairingGeometry
-from .waveforms import Shape, SpikeWaveform, make_waveform
+from .waveforms import Shape, SpikeWaveform
 
 SCHEMA_VERSION = 1
-_BANK_DEFAULTS = inspect.signature(make_bank).parameters  # delay_max, delay_assignment
+_JSON_KEYS = {"r_on": "r_on_ohm"}  # field name -> JSON key, where they differ
+_SCALARS = (bool, int, float, str)
+# name-or-object keys: (the kinds named alone, the kind written {kind: {params}})
+_KINDS = {ProbModel: (("gaussian",), "linear"),
+          InitPolicy: (tuple(k.value for k in InitKind), "random")}
 
 
 class ConfigError(ValueError):
@@ -34,6 +39,10 @@ class ConfigError(ValueError):
 class OutputOptions:
     svg: bool = True
     level_bin: float = 1.0  # dot-grouping bin for scatter opacity
+
+    def __post_init__(self):
+        if self.level_bin <= 0:
+            raise ValueError(f"level_bin: must be positive, got {self.level_bin}")
 
 
 @dataclass(frozen=True)
@@ -47,46 +56,58 @@ class RunConfig:
         return self.window
 
     def to_dict(self) -> dict:
-        def wf(w: SpikeWaveform) -> dict:
-            return {"shape": w.shape.value, "a_plus": w.a_plus, "a_minus": w.a_minus,
-                    "tau_minus": w.tau_minus, "tau_plus": w.tau_plus,
-                    "extra": dict(w.extra)}
-        win = self.window
-        g, bank, device = win.geometry, win.geometry.bank, win.geometry.device
-        init: dict | str
-        if win.init_policy.kind is InitKind.RANDOM:
-            init = {"random": {"q": win.init_policy.q}}
-        else:
-            init = win.init_policy.kind.value
+        def waveform(w: SpikeWaveform) -> dict:
+            return {"shape": w.shape.value, **_values(w), "extra": dict(w.extra)}
+        win, g = self.window, self.window.geometry
         return {
             "schema_version": SCHEMA_VERSION,
-            "waveform": wf(g.pre),
-            "post_waveform": wf(g.post),
-            "dendrites": {"n": bank.n,
-                          "alpha_min": bank.alphas[0],
-                          "alpha_max": bank.alphas[-1],
-                          "delay_max": max(bank.delays),
-                          "delay_assignment": _infer_assignment(bank)},
-            "device": {"vth_pos": device.vth_pos, "vth_neg": device.vth_neg,
-                       "sigma_th": device.sigma_th, "r_on_ohm": device.r_on,
-                       "sigma_lrs": device.sigma_lrs,
-                       "r_off_ratio": device.r_off_ratio,
-                       "prob_model": ("gaussian" if device.prob_model.kind == "gaussian"
-                                      else {"linear": {"gamma": device.prob_model.gamma}})},
-            "simulation": {"dt_step": g.dt_step, "pair_only": g.pair_only,
-                           "amp_noise_sigma": g.amp_noise_sigma,
-                           "delta_t_min": win.delta_t_min, "delta_t_max": win.delta_t_max,
-                           "delta_t_step": win.delta_t_step, "epochs": win.epochs,
-                           "seed": win.seed, "init_policy": init},
-            "output": {"svg": self.output.svg, "level_bin": self.output.level_bin},
+            "waveform": waveform(g.pre),
+            "post_waveform": waveform(g.post),
+            "dendrites": _values(g.bank),
+            "device": {**_values(g.device), "prob_model": _kind_value(g.device.prob_model)},
+            "simulation": {**_values(g), **_values(win),
+                           "init_policy": _kind_value(win.init_policy)},
+            "output": _values(self.output),
         }
 
 
-def _infer_assignment(bank: DendriteBank) -> str:
-    d = bank.delays
-    if all(x == d[0] for x in d):
-        return "uniform" if d[0] > 0 else "ramp"
-    return "reversed" if d[0] > d[-1] else "ramp"
+def _scalars(cls, skip=()) -> dict:
+    """name -> (type, default) of each field of cls that one JSON key sets:
+    a bool, int, float or str, where X | None reads as X."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        kind, args = hints[f.name], typing.get_args(hints[f.name])
+        if type(None) in args:
+            (kind,) = set(args) - {type(None)}
+        if kind in _SCALARS and f.name not in skip:
+            out[f.name] = (kind, f.default)
+    return out
+
+
+def _fields(section: dict, path: str, cls, skip=()) -> dict:
+    """Pop each scalar field of cls from section under its JSON key, with
+    the field's own default and type (see _take)."""
+    return {name: _take(section, path, _JSON_KEYS.get(name, name), default, kind)
+            for name, (kind, default) in _scalars(cls, skip).items()}
+
+
+def _values(obj, skip=()) -> dict:
+    """The inverse of _fields: obj's scalar fields under their JSON keys."""
+    return {_JSON_KEYS.get(name, name): getattr(obj, name) for name in _scalars(type(obj), skip)}
+
+
+def _build(cls, path: str, **kw):
+    """cls(**kw), its ValueError a ConfigError under path.  A message that
+    starts with a field name and a colon is about that field alone and is
+    put under its key."""
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        name, sep, rest = str(e).partition(": ")
+        if sep and name in kw:
+            raise ConfigError(f"{path}.{_JSON_KEYS.get(name, name)}: {rest}") from None
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -125,45 +146,54 @@ def _reject_unknown(section: dict, path: str):
         raise ConfigError(f"{path}: unknown keys {sorted(section)}")
 
 
+def _section(raw, path: str, cls, **given):
+    """cls from the JSON object raw: the given fields, and each other scalar
+    field from its key."""
+    sec = dict(_expect_mapping(raw, path))
+    kw = _fields(sec, path, cls, skip=given)
+    _reject_unknown(sec, path)
+    return _build(cls, path, **kw, **given)
+
+
+def _kind_or_params(section: dict, path: str, owner, key: str):
+    """owner's field `key`, a ProbModel or InitPolicy, from section[key]
+    (owner's default when absent): the name of a kind that takes no
+    parameters, or {tagged: {params}} for the kind that does."""
+    default = getattr(owner, key)
+    if key not in section:
+        return default
+    cls, raw, path = type(default), section.pop(key), f"{path}.{key}"
+    names, tagged = _KINDS[cls]
+    kind = typing.get_type_hints(cls)["kind"]  # str, or the enum of the names
+    params = None
+    if not isinstance(raw, str):
+        sec = dict(_expect_mapping(raw, path))
+        params = _take(sec, path, tagged, None, dict)
+        _reject_unknown(sec, path)
+    if params is not None:
+        return _section(params, f"{path}.{tagged}", cls, kind=kind(tagged))
+    if raw not in names:
+        raise ConfigError(f"{path}: expected one of {list(names)} or "
+                          f"{{{tagged!r}: {{...}}}}, got {raw!r}")
+    return cls(kind=kind(raw))
+
+
+def _kind_value(obj):
+    """The inverse of _kind_or_params."""
+    _, tagged = _KINDS[type(obj)]
+    kind = getattr(obj.kind, "value", obj.kind)
+    return {tagged: _values(obj, skip=("kind",))} if kind == tagged else kind
+
+
 def _parse_waveform(raw: dict | None, path: str) -> SpikeWaveform:
     sec = dict(_expect_mapping(raw if raw is not None else {}, path))
-    shape = _take(sec, path, "shape", "hrht", str)
-    try:
-        shape = Shape(shape)
-    except ValueError:
+    shape = _take(sec, path, "shape", SpikeWaveform.shape.value, str)
+    if shape not in {s.value for s in Shape}:
         raise ConfigError(f"{path}.shape: unknown shape {shape!r}; "
-                          f"expected one of {[s.value for s in Shape]}") from None
-    kw = {key: _take(sec, path, key, getattr(SpikeWaveform, key), float)
-          for key in ("a_plus", "a_minus", "tau_minus", "tau_plus")}
+                          f"expected one of {[s.value for s in Shape]}")
     extra = dict(_take(sec, path, "extra", {}, dict))
-    kw["extra"] = {k: _take(extra, f"{path}.extra", k, dataclasses.MISSING, float)
-                   for k in list(extra)}
-    _reject_unknown(sec, path)
-    try:
-        return make_waveform(shape, **kw)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def _parse_init_policy(raw, path: str) -> InitPolicy:
-    if isinstance(raw, str):
-        try:
-            kind = InitKind(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: unknown init policy {raw!r}") from None
-        return InitPolicy(kind=kind)
-    sec = dict(_expect_mapping(raw, path))
-    inner = _take(sec, path, "random", None, dict)
-    _reject_unknown(sec, path)
-    if inner is None:
-        raise ConfigError(f"{path}: expected a policy name or {{'random': {{'q': ...}}}}")
-    inner = dict(inner)
-    q = _take(inner, f"{path}.random", "q", InitPolicy.q, float)
-    _reject_unknown(inner, f"{path}.random")
-    try:
-        return InitPolicy(kind=InitKind.RANDOM, q=q)
-    except ValueError as e:
-        raise ConfigError(f"{path}.random: {e}") from None
+    extra = {k: _take(extra, f"{path}.extra", k, dataclasses.MISSING, float) for k in list(extra)}
+    return _section(sec, path, SpikeWaveform, shape=Shape(shape), extra=extra)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -175,88 +205,28 @@ def parse_config(data: dict) -> RunConfig:
     pre = _parse_waveform(root.pop("waveform", None), "waveform")
     post_raw = root.pop("post_waveform", None)
     post = _parse_waveform(post_raw, "post_waveform") if post_raw is not None else pre
-
-    den = dict(_expect_mapping(root.pop("dendrites", {}), "dendrites"))
-    n = _take(den, "dendrites", "n", 16, int)
-    alpha_min = _take(den, "dendrites", "alpha_min", 0.6, float)
-    alpha_max = _take(den, "dendrites", "alpha_max", 1.0, float)
-    delay_max = _take(den, "dendrites", "delay_max", _BANK_DEFAULTS["delay_max"].default, float)
-    assignment = _take(den, "dendrites", "delay_assignment",
-                       _BANK_DEFAULTS["delay_assignment"].default, str)
-    _reject_unknown(den, "dendrites")
-    if n < 1:
-        raise ConfigError(f"dendrites.n: need at least one branch, got {n}")
-    if alpha_min <= 0.0:
-        raise ConfigError(f"dendrites.alpha_min: must be positive, got {alpha_min}")
-    if delay_max < 0.0:
-        raise ConfigError(f"dendrites.delay_max: must be >= 0, got {delay_max}")
-    try:
-        bank = make_bank(n, alpha_min, alpha_max, delay_max, assignment)
-    except ValueError as e:
-        raise ConfigError(f"dendrites: {e}") from None
+    bank = _section(root.pop("dendrites", {}), "dendrites", DendriteBank)
 
     dev = dict(_expect_mapping(root.pop("device", {}), "device"))
-    pm_raw = dev.pop("prob_model", ProbModel.kind)
-    if isinstance(pm_raw, str):
-        if pm_raw != "gaussian":
-            raise ConfigError(f"device.prob_model: expected 'gaussian' or "
-                              f"{{'linear': {{'gamma': ...}}}}, got {pm_raw!r}")
-        prob_model = ProbModel(kind="gaussian")
-    else:
-        pm = dict(_expect_mapping(pm_raw, "device.prob_model"))
-        lin = _take(pm, "device.prob_model", "linear", None, dict)
-        _reject_unknown(pm, "device.prob_model")
-        if lin is None:
-            raise ConfigError("device.prob_model: expected a 'linear' object")
-        lin = dict(lin)
-        gamma = _take(lin, "device.prob_model.linear", "gamma", ProbModel.gamma, float)
-        _reject_unknown(lin, "device.prob_model.linear")
-        try:
-            prob_model = ProbModel(kind="linear", gamma=gamma)
-        except ValueError as e:
-            raise ConfigError(f"device.prob_model.linear: {e}") from None
-    device_kw = dict(
-        vth_pos=_take(dev, "device", "vth_pos", DeviceModel.vth_pos, float),
-        vth_neg=_take(dev, "device", "vth_neg", DeviceModel.vth_neg, float),
-        sigma_th=_take(dev, "device", "sigma_th", DeviceModel.sigma_th, float),
-        r_on=_take(dev, "device", "r_on_ohm", DeviceModel.r_on, float),
-        sigma_lrs=_take(dev, "device", "sigma_lrs", DeviceModel.sigma_lrs, float),
-        r_off_ratio=_take(dev, "device", "r_off_ratio", DeviceModel.r_off_ratio, float),
-    )
-    try:
-        device = DeviceModel(**device_kw, prob_model=prob_model)
-    except ValueError as e:
-        raise ConfigError(f"device: {e}") from None
-    _reject_unknown(dev, "device")
+    prob_model = _kind_or_params(dev, "device", DeviceModel, "prob_model")
+    device = _section(dev, "device", DeviceModel, prob_model=prob_model)
 
     sim = dict(_expect_mapping(root.pop("simulation", {}), "simulation"))
-    geometry_kw = {key: _take(sim, "simulation", key, getattr(PairingGeometry, key), kind)
-                   for key, kind in (("dt_step", float), ("pair_only", bool),
-                                     ("amp_noise_sigma", float))}
-    window_kw = {key: _take(sim, "simulation", key, getattr(WindowConfig, key), kind)
-                 for key, kind in (("delta_t_min", float), ("delta_t_max", float),
-                                   ("delta_t_step", float), ("epochs", int), ("seed", int))}
+    geometry_kw = _fields(sim, "simulation", PairingGeometry)
+    window_kw = _fields(sim, "simulation", WindowConfig)
     if window_kw["seed"] < 0:
         raise ConfigError(f"simulation.seed: must be a non-negative integer, "
                           f"got {window_kw['seed']}")
-    init_policy = _parse_init_policy(
-        sim.pop("init_policy", WindowConfig.init_policy.kind.value), "simulation.init_policy")
+    init_policy = _kind_or_params(sim, "simulation", WindowConfig, "init_policy")
     _reject_unknown(sim, "simulation")
 
-    out = dict(_expect_mapping(root.pop("output", {}), "output"))
-    output = OutputOptions(svg=_take(out, "output", "svg", OutputOptions.svg, bool),
-                           level_bin=_take(out, "output", "level_bin",
-                                           OutputOptions.level_bin, float))
-    _reject_unknown(out, "output")
-    if output.level_bin <= 0:
-        raise ConfigError(f"output.level_bin: must be positive, got {output.level_bin}")
+    output = _section(root.pop("output", {}), "output", OutputOptions)
     _reject_unknown(root, "config")
 
-    try:
-        geometry = PairingGeometry(pre=pre, post=post, bank=bank, device=device, **geometry_kw)
-        window = WindowConfig(geometry=geometry, init_policy=init_policy, **window_kw)
-    except ValueError as e:
-        raise ConfigError(f"simulation: {e}") from None
+    geometry = _build(PairingGeometry, "simulation", pre=pre, post=post, bank=bank,
+                      device=device, **geometry_kw)
+    window = _build(WindowConfig, "simulation", geometry=geometry, init_policy=init_policy,
+                    **window_kw)
     return RunConfig(window=window, output=output)
 
 
@@ -280,15 +250,10 @@ def load_params(path: str | Path, cls):
     """An instance of the flat dataclass cls from a JSON object of its
     fields, each checked like a run-config key; errors name the file."""
     raw = dict(_expect_mapping(_read_json(path), str(path)))
-    kinds = typing.get_type_hints(cls)
     label = f"{path}: {cls.__name__}"
-    kw = {f.name: _take(raw, label, f.name, f.default, kinds[f.name])
-          for f in dataclasses.fields(cls)}
+    kw = _fields(raw, label, cls)
     _reject_unknown(raw, label)
-    try:
-        return cls(**kw)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    return _build(cls, str(path), **kw)
 
 
 def default_config() -> RunConfig:

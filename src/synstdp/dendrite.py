@@ -17,56 +17,59 @@ DELAY_ASSIGNMENTS = ("ramp", "uniform", "reversed")
 
 @dataclass(frozen=True)
 class DendriteBank:
-    alphas: tuple[float, ...]  # attenuation per branch, each in (0, 1]
-    delays: tuple[float, ...]  # delay per branch, each >= 0
-
-    def __post_init__(self):
-        if len(self.alphas) == 0 or len(self.alphas) != len(self.delays):
-            raise ValueError("bank needs n >= 1 branches with matching alpha/delay lists")
-        for a in self.alphas:
-            if not (0.0 < a <= 1.0):
-                raise ValueError(f"attenuation factors must be in (0, 1], got {a}")
-        for d in self.delays:
-            if d < 0.0:
-                raise ValueError(f"delays must be >= 0, got {d}")
-
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
-
-
-def make_bank(n: int, alpha_min: float, alpha_max: float, delay_max: float = 0.0,
-              delay_assignment: str = "ramp") -> DendriteBank:
-    """Branches with attenuation ramping linearly alpha_min -> alpha_max and
-    delays assigned per `delay_assignment`:
+    """n branches with attenuation ramping linearly alpha_min -> alpha_max
+    and delays assigned per `delay_assignment`:
 
     - "ramp":     0 -> delay_max across branches (tied to the attenuation order)
     - "uniform":  every branch delayed by delay_max
     - "reversed": delay_max -> 0 across branches
 
-    For n = 1 the single branch gets alpha_max and delay 0 (ramp) or delay_max.
+    For n = 1 the single branch gets alpha_max and delay 0 (ramp) or
+    delay_max.  The bank holds these five numbers; `alphas` and `delays`
+    are derived on each read.  A message that starts with a field name and
+    a colon is placed under that key by config.py.
     """
-    if n < 1:
-        raise ValueError(f"need at least one branch, got n={n}")
-    if alpha_min <= 0.0:
-        raise ValueError(f"alpha_min must be positive, got {alpha_min}")
-    if not (alpha_min <= alpha_max <= 1.0):
-        raise ValueError(f"need 0 < alpha_min <= alpha_max <= 1, got {alpha_min}, {alpha_max}")
-    if delay_max < 0.0:
-        raise ValueError(f"delay_max must be >= 0, got {delay_max}")
-    if delay_assignment not in DELAY_ASSIGNMENTS:
-        raise ValueError(f"delay_assignment must be one of {DELAY_ASSIGNMENTS}, got {delay_assignment!r}")
+    n: int = 16
+    alpha_min: float = 0.6
+    alpha_max: float = 1.0
+    delay_max: float = 0.0
+    delay_assignment: str = "ramp"
 
-    frac = np.zeros(n) if n == 1 else np.arange(n) / (n - 1)
-    alphas = alpha_max * np.ones(n) if n == 1 else alpha_min + (alpha_max - alpha_min) * frac
-    if delay_assignment == "ramp":
-        delays = delay_max * frac
-    elif delay_assignment == "uniform":
-        delays = np.full(n, float(delay_max))
-    else:
-        delays = delay_max * frac[::-1]
-    return DendriteBank(alphas=tuple(float(a) for a in alphas),
-                        delays=tuple(float(d) for d in delays))
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n: need at least one branch, got {self.n}")
+        if self.alpha_min <= 0.0:
+            raise ValueError(f"alpha_min: must be positive, got {self.alpha_min}")
+        if self.delay_max < 0.0:
+            raise ValueError(f"delay_max: must be >= 0, got {self.delay_max}")
+        if not (self.alpha_min <= self.alpha_max <= 1.0):
+            raise ValueError(f"need 0 < alpha_min <= alpha_max <= 1, "
+                             f"got {self.alpha_min}, {self.alpha_max}")
+        if self.delay_assignment not in DELAY_ASSIGNMENTS:
+            raise ValueError(f"delay_assignment must be one of {DELAY_ASSIGNMENTS}, "
+                             f"got {self.delay_assignment!r}")
+
+    def _frac(self) -> np.ndarray:
+        return np.zeros(self.n) if self.n == 1 else np.arange(self.n) / (self.n - 1)
+
+    @property
+    def alphas(self) -> tuple[float, ...]:
+        """Attenuation per branch, each in (0, 1]."""
+        if self.n == 1:
+            return (float(self.alpha_max),)
+        return tuple((self.alpha_min + (self.alpha_max - self.alpha_min) * self._frac()).tolist())
+
+    @property
+    def delays(self) -> tuple[float, ...]:
+        """Delay per branch, each >= 0."""
+        if self.delay_assignment == "uniform":
+            return (float(self.delay_max),) * self.n
+        frac = self._frac()
+        return tuple((self.delay_max * (frac if self.delay_assignment == "ramp"
+                                        else frac[::-1])).tolist())
+
+
+make_bank = DendriteBank
 
 
 def branch_pre_spike_value(bank: DendriteBank, i: int, w: SpikeWaveform, t) -> float:

@@ -8,6 +8,7 @@ distribution are recorded per point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
@@ -18,6 +19,11 @@ import numpy as np
 from .pairing import PairingGeometry, branch_drives, candidate_tables
 
 _GH_POINTS = 12  # Gauss-Hermite order for amplitude-noise averaging
+# Run-size bounds, checked when a WindowConfig is made; fig4d is 1.21e6 rows
+# and 1.94e7 trials, and writes a 39 MB window.csv (32 B a row)
+MAX_ROWS = 10**8  # offsets x epochs: 1.6 GB of result arrays, a 3.2 GB window.csv
+MAX_TRIALS = 10**9  # offsets x epochs x branches; the offset being sampled holds
+#                     50-100 B a trial: 0.4-0.8 GB per worker at 121 offsets
 
 
 class InitKind(str, Enum):
@@ -56,10 +62,23 @@ class WindowConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        offsets, n = self.n_offsets(), self.geometry.bank.n
+        # offsets may be inf, so it is compared before it is multiplied
+        if offsets > MAX_ROWS or offsets * self.epochs > MAX_ROWS:
+            raise ValueError(f"{offsets} offsets x {self.epochs} epochs exceeds the bound "
+                             f"of {MAX_ROWS} window rows")
+        if offsets * self.epochs * n > MAX_TRIALS:
+            raise ValueError(f"{offsets} offsets x {self.epochs} epochs x {n} branches "
+                             f"exceeds the bound of {MAX_TRIALS} trials")
+
+    def n_offsets(self) -> int | float:
+        """len(grid()), counted without building the grid; inf when the
+        offset span overflows a float."""
+        k = np.floor((self.delta_t_max - self.delta_t_min) / self.delta_t_step + 1e-9)
+        return int(k) + 1 if np.isfinite(k) else math.inf
 
     def grid(self) -> np.ndarray:
-        k = int(np.floor((self.delta_t_max - self.delta_t_min) / self.delta_t_step + 1e-9))
-        return np.round(self.delta_t_min + np.arange(k + 1) * self.delta_t_step, 10)
+        return np.round(self.delta_t_min + np.arange(self.n_offsets()) * self.delta_t_step, 10)
 
 
 @dataclass
@@ -90,13 +109,16 @@ class StdpWindow:
         """Bound on |delta_g|: n devices, each ON conductance within 6 sigma_lrs."""
         return self.n_branches * (1.0 + 6.0 * self.sigma_lrs)
 
+    @property
+    def max_abs_delta_g(self) -> float:
+        """max |delta_g|, without a full-size abs temporary."""
+        return float(max(-self.delta_g.min(), self.delta_g.max()))
+
     def validate(self):
         sums = self.states.sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= 1e-9):
             raise AssertionError(f"state distributions must sum to 1, worst {sums}")
-        bound = self.delta_g_bound
-        # max |delta_g| without a full-size abs temporary
-        worst = float(max(-self.delta_g.min(), self.delta_g.max()))
+        bound, worst = self.delta_g_bound, self.max_abs_delta_g
         if worst > bound + 1e-12:
             raise AssertionError(f"|delta_g| {worst} exceeds bound {bound}")
         return self

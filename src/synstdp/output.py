@@ -134,9 +134,7 @@ def write_svg_scatter(w: StdpWindow, level_bin: float = 1.0, title: str = "") ->
     """Standalone SVG of the window: one dot per (delta_t, binned outcome)
     with opacity proportional to outcome frequency, analytic curve overlaid."""
     x_lo, x_hi, sx, parts = _frame(w.delta_t, title)
-    # max(-min, max) is max |delta_g| without a full-size temporary
-    y_abs = max(float(max(-w.delta_g.min(), w.delta_g.max())),
-                float(np.abs(w.analytic).max()), 1.0)
+    y_abs = max(w.max_abs_delta_g, float(np.abs(w.analytic).max()), 1.0)
     y_lo, y_hi = -1.05 * y_abs, 1.05 * y_abs
 
     def sy(y):

@@ -7,16 +7,11 @@ exact peak extraction in the pairing engine.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
 
 import numpy as np
-
-DEFAULT_A_PLUS = 0.9
-DEFAULT_A_MINUS = 0.4
-DEFAULT_TAU_MINUS = 1.0
-DEFAULT_TAU_PLUS = 5.0
 
 MAX_AMPLITUDE = 10.0  # volts; sanity cap for configuration input
 EDGE_SNAP_TOL = 1e-9  # piece-edge snapping for one-sided limits
@@ -31,8 +26,11 @@ class Shape(str, Enum):
 
 
 # extras accepted per shape, with defaults
-_DEXP_EXTRA = {"tau_head": 0.3, "tau_tail": 1.5}
-_BIO_EXTRA = {"head_center": -0.2, "head_width": 0.3, "tail_center": 2.0, "tail_width": 1.5}
+_EXTRAS = {
+    Shape.DOUBLE_EXPONENTIAL: {"tau_head": 0.3, "tau_tail": 1.5},
+    Shape.BIO_PLAUSIBLE: {"head_center": -0.2, "head_width": 0.3,
+                          "tail_center": 2.0, "tail_width": 1.5},
+}
 
 
 @dataclass(frozen=True)
@@ -50,17 +48,37 @@ class SpikeWaveform:
 
     The head occupies t in [-tau_minus, 0), the tail t in [0, tau_plus)
     (the bio shape extends slightly past both, see its pieces).  Values are
-    volts, times are in normalized time units.
+    volts, times are in normalized time units.  `extra` takes a mapping or
+    (key, value) pairs of the shape's extra parameters; it is stored as
+    sorted pairs with the shape's defaults filled in.
     """
-    shape: Shape
-    a_plus: float = DEFAULT_A_PLUS
-    a_minus: float = DEFAULT_A_MINUS
-    tau_minus: float = DEFAULT_TAU_MINUS
-    tau_plus: float = DEFAULT_TAU_PLUS
-    extra: tuple = ()  # sorted (key, value) pairs; see make_waveform
+    shape: Shape = Shape.HRHT
+    a_plus: float = 0.9
+    a_minus: float = 0.4
+    tau_minus: float = 1.0
+    tau_plus: float = 5.0
+    extra: tuple = ()
 
-    def _extra_dict(self) -> dict:
-        return dict(self.extra)
+    def __post_init__(self):
+        shape = Shape(self.shape)
+        if not (0.0 < self.a_plus <= MAX_AMPLITUDE):
+            raise ValueError(f"a_plus must be in (0, {MAX_AMPLITUDE}] V, got {self.a_plus}")
+        if not (0.0 <= self.a_minus <= MAX_AMPLITUDE):
+            raise ValueError(f"a_minus must be in [0, {MAX_AMPLITUDE}] V, got {self.a_minus}")
+        if self.tau_minus <= 0.0:
+            raise ValueError(f"tau_minus must be positive, got {self.tau_minus}")
+        if self.tau_plus <= 0.0:
+            raise ValueError(f"tau_plus must be positive, got {self.tau_plus}")
+        extra = dict(_EXTRAS.get(shape, {}))
+        unknown = dict(self.extra).keys() - extra.keys()
+        if unknown:
+            raise ValueError(f"unknown extra parameters for shape {shape.value}: {sorted(unknown)}")
+        extra.update(self.extra)
+        for key, val in extra.items():
+            if (key.startswith("tau") or key.endswith("width")) and val <= 0.0:
+                raise ValueError(f"extra parameter {key} must be positive, got {val}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "extra", tuple(sorted(extra.items())))
 
     def pieces(self) -> list[Piece]:
         ap, am, tm, tp = self.a_plus, self.a_minus, self.tau_minus, self.tau_plus
@@ -80,14 +98,14 @@ class SpikeWaveform:
                 Piece(0.0, tp, lambda t: -am * (1.0 - t / tp)),
             ]
         if self.shape is Shape.DOUBLE_EXPONENTIAL:
-            ex = self._extra_dict()
+            ex = dict(self.extra)
             th, tt = ex["tau_head"], ex["tau_tail"]
             return [
                 Piece(-tm, 0.0, lambda t: ap * np.exp(t / th), curved=True),
                 Piece(0.0, tp, lambda t: -am * np.exp(-t / tt), curved=True),
             ]
         if self.shape is Shape.BIO_PLAUSIBLE:
-            ex = self._extra_dict()
+            ex = dict(self.extra)
             hc, hw = ex["head_center"], ex["head_width"]
             tc, tw = ex["tail_center"], ex["tail_width"]
 
@@ -152,42 +170,8 @@ class SpikeWaveform:
 
 
 def make_waveform(shape: Shape | str, **params) -> SpikeWaveform:
-    """Validated construction; missing parameters fall back to the defaults
-    (a_plus=0.9 V, tau_minus=1, a_minus=0.4 V, tau_plus=5)."""
-    shape = Shape(shape)
-    a_plus = float(params.pop("a_plus", DEFAULT_A_PLUS))
-    a_minus = float(params.pop("a_minus", DEFAULT_A_MINUS))
-    tau_minus = float(params.pop("tau_minus", DEFAULT_TAU_MINUS))
-    tau_plus = float(params.pop("tau_plus", DEFAULT_TAU_PLUS))
-    extra_in = dict(params.pop("extra", {}))
-    if params:
-        raise ValueError(f"unknown waveform parameters: {sorted(params)}")
-
-    if not (0.0 < a_plus <= MAX_AMPLITUDE):
-        raise ValueError(f"a_plus must be in (0, {MAX_AMPLITUDE}] V, got {a_plus}")
-    if not (0.0 <= a_minus <= MAX_AMPLITUDE):
-        raise ValueError(f"a_minus must be in [0, {MAX_AMPLITUDE}] V, got {a_minus}")
-    if tau_minus <= 0.0:
-        raise ValueError(f"tau_minus must be positive, got {tau_minus}")
-    if tau_plus <= 0.0:
-        raise ValueError(f"tau_plus must be positive, got {tau_plus}")
-
-    defaults = {Shape.DOUBLE_EXPONENTIAL: _DEXP_EXTRA, Shape.BIO_PLAUSIBLE: _BIO_EXTRA}.get(shape, {})
-    unknown = set(extra_in) - set(defaults)
+    """SpikeWaveform(shape, **params), an unknown parameter a ValueError."""
+    unknown = params.keys() - {f.name for f in fields(SpikeWaveform)}
     if unknown:
-        raise ValueError(f"unknown extra parameters for shape {shape.value}: {sorted(unknown)}")
-    extra = dict(defaults)
-    extra.update({k: float(v) for k, v in extra_in.items()})
-    for key, val in extra.items():
-        if key.startswith("tau") or key.endswith("width"):
-            if val <= 0.0:
-                raise ValueError(f"extra parameter {key} must be positive, got {val}")
-
-    return SpikeWaveform(
-        shape=shape,
-        a_plus=a_plus,
-        a_minus=a_minus,
-        tau_minus=tau_minus,
-        tau_plus=tau_plus,
-        extra=tuple(sorted(extra.items())),
-    )
+        raise ValueError(f"unknown waveform parameters: {sorted(unknown)}")
+    return SpikeWaveform(shape, **params)

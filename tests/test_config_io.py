@@ -2,16 +2,19 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synstdp import (ConfigError, StdpWindow, default_config, load_config, parse_config,
-                     run_window)
+from synstdp import (ConfigError, DendriteBank, StdpWindow, WindowConfig, default_config,
+                     load_config, parse_config, run_window)
 from synstdp.cli import main
+from synstdp.montecarlo import MAX_ROWS, MAX_TRIALS
 from synstdp.output import (read_mean_csv, write_states_csv, write_svg_scatter,
                             write_svg_states, write_window_csv)
+from tests.test_golden import CASES as GOLDEN_CASES
 from tests.test_montecarlo import small_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -302,3 +305,76 @@ def test_null_rejected_where_the_default_is_a_value(tmp_path, capsys, key, raw, 
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["statedist", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {key}: {msg}\n"
+
+
+# a bank is echoed to resolved-config.json as the five numbers it was given,
+# also where two of them give the same branches
+BANK_ECHOES = [
+    {"n": 1},
+    {"delay_assignment": "uniform"},
+    {"delay_assignment": "reversed"},
+    {"n": 1, "delay_max": 0.3},
+    {"n": 1, "delay_max": 0.3, "delay_assignment": "uniform"},
+    {"n": 1, "delay_max": 0.3, "delay_assignment": "reversed"},
+]
+ROUND_TRIPS = {
+    **{p.name: p for p in sorted(CONFIGS.glob("fig*.json"))},
+    **{f"perfbench/{p.name}": p for p in sorted((CONFIGS.parent / "perfbench" / "configs")
+                                                .glob("*.json"))},
+    **{f"golden/{name}": case for name, case in GOLDEN_CASES.items()},
+    **{f"bank/{i}": {"dendrites": bank} for i, bank in enumerate(BANK_ECHOES)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_to_dict_round_trip(name):
+    case = ROUND_TRIPS[name]
+    cfg = load_config(case) if isinstance(case, Path) else parse_config(case)
+    again = parse_config(cfg.to_dict())
+    assert again == cfg and again.to_dict() == cfg.to_dict()
+    raw = json.loads(case.read_text()) if isinstance(case, Path) else case
+    given = {**raw.get("dendrites", {}), **raw.get("simulation", {})}
+    written = {**cfg.to_dict()["dendrites"], **cfg.to_dict()["simulation"]}
+    assert {k: v for k, v in written.items() if k in given} == given
+
+
+RUN_SIZES = [
+    ("epochs", {"simulation": {"epochs": 10**9}}),
+    ("offsets", {"dendrites": {"n": 1}, "simulation": {"epochs": 1, "delta_t_step": 1e-12}}),
+    ("branches", {"dendrites": {"n": 10**9}}),
+]
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in RUN_SIZES], ids=[k for k, _ in RUN_SIZES])
+def test_run_size_bound_fails_at_parse_time_without_allocating(raw):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^simulation: .* exceeds the bound of "):
+            parse_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_run_size_bounds_are_inclusive():
+    g = default_config().window.geometry
+    one_offset = dict(delta_t_min=0.0, delta_t_max=0.5, delta_t_step=1.0)
+    g1 = dataclasses.replace(g, bank=DendriteBank(1))
+    assert WindowConfig(g1, **one_offset, epochs=MAX_ROWS).n_offsets() == 1
+    with pytest.raises(ValueError, match="1 offsets x 100000001 epochs exceeds"):
+        WindowConfig(g1, **one_offset, epochs=MAX_ROWS + 1)
+    epochs = MAX_TRIALS // g.bank.n
+    WindowConfig(g, **one_offset, epochs=epochs)
+    with pytest.raises(ValueError, match=f"x {epochs + 1} epochs x 16 branches exceeds"):
+        WindowConfig(g, **one_offset, epochs=epochs + 1)
+    far = dict(delta_t_min=-1e308, delta_t_max=1e308, delta_t_step=1.0)
+    with pytest.raises(ValueError, match="inf offsets"):
+        WindowConfig(g, **far, epochs=1)
+
+
+def test_epochs_flag_is_bounded_too(tmp_path, capsys):
+    assert main(["window", "--out", str(tmp_path / "o"), "--epochs", str(10**9)]) == 1
+    assert capsys.readouterr().err == ("error: 121 offsets x 1000000000 epochs exceeds "
+                                       "the bound of 100000000 window rows\n")
+    assert not (tmp_path / "o").exists()

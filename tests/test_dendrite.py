@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synstdp import branch_pre_spike_value, make_bank, make_waveform
+from synstdp import DendriteBank, branch_pre_spike_value, make_bank, make_waveform
 
 
 def test_sixteen_branch_ramp():
@@ -85,3 +85,22 @@ def test_monotone_orderings():
     bank = make_bank(7, 0.55, 0.95, 0.4)
     assert np.all(np.diff(bank.alphas) >= 0)
     assert np.all(np.diff(bank.delays) >= 0)
+
+
+def test_bank_holds_the_numbers_it_was_given():
+    bank = DendriteBank(1, 0.6, 0.9, 0.3, "reversed")
+    assert (bank.n, bank.alpha_min, bank.alpha_max, bank.delay_max,
+            bank.delay_assignment) == (1, 0.6, 0.9, 0.3, "reversed")
+    assert bank.alphas == (0.9,) and bank.delays == (0.0,)
+    assert make_bank is DendriteBank and DendriteBank() == make_bank(16, 0.6, 1.0)
+    huge = DendriteBank(10**9)  # nothing of size n is built until alphas or delays is read
+    assert huge.n == 10**9
+
+
+def test_single_field_checks_name_the_field():
+    with pytest.raises(ValueError, match="^n: need at least one branch, got 0$"):
+        DendriteBank(0)
+    with pytest.raises(ValueError, match="^alpha_min: must be positive, got 0.0$"):
+        DendriteBank(alpha_min=0.0)
+    with pytest.raises(ValueError, match="^delay_max: must be >= 0, got -0.1$"):
+        DendriteBank(delay_max=-0.1)

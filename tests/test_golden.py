@@ -11,7 +11,9 @@ peaks and the Gauss-Hermite analytic), random init with lone-spike
 candidates, the linear switching law from all-OFF, all-ON init, and random
 init under amplitude noise.  A last digest pins the `statedist` path: the
 `states.csv` that `analytic_window` and `write_states_csv` give for the
-noisy delayed bank, which is byte for byte the window run's.  The dexp and bio shapes are left out: their `np.exp` may
+noisy delayed bank, which is byte for byte the window run's.  The
+`resolved-config.json` that `synstdp window` writes for each shipped config
+is pinned too.  The dexp and bio shapes are left out: their `np.exp` may
 differ in the last bit across CPUs; the candidate-table oracle in
 test_pairing covers them.
 """
@@ -106,6 +108,12 @@ GOLDEN = {
     },
 }
 
+RESOLVED = {  # resolved-config.json of the shipped configs, run as given
+    "fig4b": "8b75841192b648b1ef840e60b99daffb6b6a08bbd9929d9ebe8b668db1186016",
+    "fig4d": "6177aa03ec989b56eb79bb3cb1f3a40e3be0c13835e2e49a9d3c28c792aed656",
+    "fig7_delay": "c3cbfbc7cfac39fe2155c3cc4d687d3089afddf63f8df735d5b4ca19eb416eb0",
+}
+
 
 def run_digests(case, out_dir) -> dict[str, str]:
     cfg = load_config(case) if isinstance(case, Path) else parse_config(case)
@@ -125,3 +133,9 @@ def test_statedist_digest(tmp_path):
     path = write_states_csv(grid, states, tmp_path / "states.csv")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN["fig7_delay_noise"]["states.csv"]
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED))
+def test_resolved_config_digest(name):
+    text = json.dumps(load_config(CASES[name]).to_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == RESOLVED[name]

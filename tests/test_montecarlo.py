@@ -1,5 +1,4 @@
 import itertools
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +10,7 @@ from synstdp import (DeviceModel, InitKind, InitPolicy, PairingGeometry, WindowC
                      parse_config, run_window, state_distribution)
 from synstdp.montecarlo import _point_stream
 from synstdp.validate import enumerate_pmf, mc_outliers
-
-
-def phi(z):
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+from tests.test_device import phi
 
 
 def make_geometry(alpha_min=0.6, alpha_max=1.0, delay_max=0.0, sigma_lrs=0.1,
@@ -442,3 +438,54 @@ def test_mc_matches_analytic_when_both_attempts_fire(name):
     cfg = parse_config({**patch, "simulation": sim}).window
     w = run_window(cfg).validate()
     assert mc_outliers(w) == []
+
+
+# setups where every device of an epoch starts in the same state: with
+# sigma_lrs = 0 and an infinite OFF resistance |delta_g| is then the number
+# of devices that switched, whose pmf is the `states` row
+SAME_START = {
+    "all_off": BOTH_ATTEMPTS["all_off"],
+    "all_on": BOTH_ATTEMPTS["all_on"],
+    "split_fig4d": {},
+    "delay_bank_noise": {"dendrites": {"delay_max": 0.3},
+                         "simulation": {"amp_noise_sigma": 0.05}},
+}
+
+
+def same_start_window(name: str, seed: int):
+    patch = SAME_START[name]
+    sim = {**patch.get("simulation", {}), "epochs": 2000, "delta_t_step": 0.25, "seed": seed}
+    return run_window(parse_config({**patch, "device": {"sigma_lrs": 0.0},
+                                    "simulation": sim}).window)
+
+
+def state_outliers(w, states) -> list[tuple[float, int, float]]:
+    """(delta_t, state, p) of each cell where the count of epochs with
+    |delta_g| = state is beyond an exact two-sided binomial test against
+    `states`, at a family-wise level of 1e-6 over the P (n + 1) cells."""
+    from scipy.stats import binom
+    switched = np.abs(w.delta_g)
+    assert np.array_equal(switched, np.round(switched))
+    n_cells = states.size
+    out = []
+    for k, dt in enumerate(w.delta_t):
+        counts = np.bincount(switched[k].astype(int), minlength=states.shape[1])
+        p = np.clip(states[k], 0.0, 1.0)
+        tail = 2.0 * np.minimum(binom.cdf(counts, w.epochs, p),
+                                binom.sf(counts - 1, w.epochs, p))
+        out += [(float(dt), j, float(tail[j])) for j in np.nonzero(tail < 1e-6 / n_cells)[0]]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SAME_START))
+def test_states_match_switch_counts(name, seed):
+    w = same_start_window(name, seed)
+    assert state_outliers(w, w.states) == []
+
+
+def test_switch_count_check_flags_wrong_states():
+    off, on = same_start_window("all_off", 1), same_start_window("all_on", 1)
+    delay = same_start_window("delay_bank_noise", 1)
+    assert len(state_outliers(off, on.states)) > 100
+    assert len(state_outliers(delay, same_start_window("split_fig4d", 1).states)) > 20

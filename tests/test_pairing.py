@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,10 +5,7 @@ from synstdp import (DeviceModel, PairingGeometry, all_branch_drives, branch_dri
                      make_bank, make_waveform)
 from synstdp.pairing import candidate_tables
 from synstdp.waveforms import EDGE_SNAP_TOL
-
-
-def phi(z):
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+from tests.test_device import phi
 
 
 def dense_grid_peaks(pre, post, alpha, delay, delta_t, step=0.001, pair_only=True):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synstdp import Shape, make_waveform
+from synstdp import Shape, SpikeWaveform, make_waveform
 
 ALL_SHAPES = ["hrht", "rect", "sawtooth", "dexp", "bio"]
 
@@ -118,3 +118,15 @@ def test_dexp_head_peak_within_slope_scaled_step():
 def test_extras_rejected_for_piecewise_shapes():
     with pytest.raises(ValueError):
         make_waveform("hrht", extra={"tau_head": 0.3})
+
+
+def test_direct_construction_is_checked_and_defaulted():
+    w = SpikeWaveform(Shape.DOUBLE_EXPONENTIAL)
+    assert w == make_waveform("dexp") and w.support() == (-1.0, 5.0)
+    assert dict(w.extra) == {"tau_head": 0.3, "tau_tail": 1.5}
+    assert SpikeWaveform("bio", extra={"head_width": 0.5}) == \
+        make_waveform("bio", extra=(("head_width", 0.5),))
+    with pytest.raises(ValueError, match="tau_minus must be positive"):
+        SpikeWaveform(Shape.HRHT, tau_minus=-1.0)
+    with pytest.raises(ValueError, match="extra parameter tau_tail must be positive"):
+        SpikeWaveform(Shape.DOUBLE_EXPONENTIAL, extra={"tau_tail": 0.0})
