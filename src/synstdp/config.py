@@ -127,17 +127,19 @@ def _take(section: dict, path: str, key: str, default, kind):
         return None
     # bool is a subclass of int: JSON true/false must not pass as a count or seed
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
-        if kind is float and isinstance(val, int) and not isinstance(val, bool):
-            try:
-                val = float(val)
-            except OverflowError:  # an integer literal beyond the float range
-                val = math.inf
-        else:
+        if not (kind is float and isinstance(val, int) and not isinstance(val, bool)):
             raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {val!r}")
-    # JSON admits NaN and Infinity; reject them here, before they reach a
-    # NaN curve or a traceback at run time
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{path}.{key}: must be a finite number, got {val!r}")
+    # JSON admits NaN, Infinity and integers beyond the float range; reject
+    # them here, before they reach a NaN curve or a traceback at run time
+    if kind in (int, float):
+        try:
+            number = float(val)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}.{key}: must be a finite number, got {number!r}")
+        if kind is float:
+            val = number
     return val
 
 
@@ -253,7 +255,7 @@ def load_params(path: str | Path, cls):
     label = f"{path}: {cls.__name__}"
     kw = _fields(raw, label, cls)
     _reject_unknown(raw, label)
-    return _build(cls, str(path), **kw)
+    return _build(cls, label, **kw)
 
 
 def default_config() -> RunConfig:

@@ -22,8 +22,9 @@ _GH_POINTS = 12  # Gauss-Hermite order for amplitude-noise averaging
 # Run-size bounds, checked when a WindowConfig is made; fig4d is 1.21e6 rows
 # and 1.94e7 trials, and writes a 39 MB window.csv (32 B a row)
 MAX_ROWS = 10**8  # offsets x epochs: 1.6 GB of result arrays, a 3.2 GB window.csv
-MAX_TRIALS = 10**9  # offsets x epochs x branches; the offset being sampled holds
-#                     50-100 B a trial: 0.4-0.8 GB per worker at 121 offsets
+MAX_TRIALS = 10**9  # offsets x epochs x branches
+MAX_OFFSET_TRIALS = 10**7  # epochs x branches; the offset being sampled holds
+#                            50-100 B a trial: 0.5-1 GB per worker
 
 
 class InitKind(str, Enum):
@@ -70,6 +71,9 @@ class WindowConfig:
         if offsets * self.epochs * n > MAX_TRIALS:
             raise ValueError(f"{offsets} offsets x {self.epochs} epochs x {n} branches "
                              f"exceeds the bound of {MAX_TRIALS} trials")
+        if self.epochs * n > MAX_OFFSET_TRIALS:
+            raise ValueError(f"{self.epochs} epochs x {n} branches exceeds the bound "
+                             f"of {MAX_OFFSET_TRIALS} trials in one offset")
 
     def n_offsets(self) -> int | float:
         """len(grid()), counted without building the grid; inf when the

@@ -67,7 +67,10 @@ class BranchDrive:
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """Candidate extremum locations of one (branch, delta_t) pairing.
+    """Candidate extremum locations of one (branch, delta_t) pairing: only
+    the candidates where the potential is evaluated (both spikes present
+    with pair_only, either without), so a branch whose spikes never meet
+    has an empty table.
 
     `post_v`/`pre_v` hold the one-sided values of the post spike and the
     attenuated+delayed pre spike; rescaling either spike only rescales these
@@ -78,40 +81,29 @@ class CandidateTable:
     t: np.ndarray
     post_v: np.ndarray
     pre_v: np.ndarray
-    valid: np.ndarray  # pair-only mask (or nonzero-anywhere mask)
 
     def peaks(self, s_pre=1.0, s_post=1.0):
         """(v_max, t_max, v_min, t_min) with both spikes rescaled, each shaped
         like the broadcast scales; a peak's time is 0 where the peak is 0."""
         s_pre, s_post = np.broadcast_arrays(np.asarray(s_pre, dtype=float),
                                             np.asarray(s_post, dtype=float))
-        if not self.valid.any():
+        if not self.t.size:
             return tuple(np.zeros(s_pre.shape) for _ in range(4))
-        t = self.t[self.valid]
-        v = s_post[..., None] * self.post_v[self.valid] - s_pre[..., None] * self.pre_v[self.valid]
+        v = s_post[..., None] * self.post_v - s_pre[..., None] * self.pre_v
         imax = np.argmax(v, axis=-1)[..., None]
         imin = np.argmin(v, axis=-1)[..., None]
         v_max = np.take_along_axis(v, imax, -1)[..., 0]
         v_min = np.take_along_axis(v, imin, -1)[..., 0]
-        t_max = np.where(v_max > 0.0, t[imax[..., 0]], 0.0)
-        t_min = np.where(v_min < 0.0, t[imin[..., 0]], 0.0)
+        t_max = np.where(v_max > 0.0, self.t[imax[..., 0]], 0.0)
+        t_min = np.where(v_min < 0.0, self.t[imin[..., 0]], 0.0)
         return np.maximum(v_max, 0.0), t_max, np.minimum(v_min, 0.0), t_min
-
-
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Multiples of step covering [lo, hi]."""
-    k0 = int(np.ceil(lo / step - 1e-9))
-    k1 = int(np.floor(hi / step + 1e-9))
-    if k1 < k0:
-        return np.empty(0)
-    return np.arange(k0, k1 + 1) * step
 
 
 def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]:
     """Candidate tables of all n branches at offset delta_t, built in one
     array pass: every branch's edges (both sides) and curved-piece grid are
     concatenated, each spike is evaluated once over all of them, and the
-    result is split per branch."""
+    candidates that count are split per branch."""
     n = g.bank.n
     alphas = np.asarray(g.bank.alphas, dtype=float)
     delays = np.asarray(g.bank.delays, dtype=float)
@@ -135,31 +127,30 @@ def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]
     t = np.repeat(edges[keep], 2)
     side = np.tile([-1, +1], rows.size)
     if g.pre.has_curved_pieces() or g.post.has_curved_pieces():
-        grids = [_grid(lo[b], hi[b], g.dt_step) if live[b] else np.empty(0) for b in range(n)]
-        branch = np.concatenate([branch, np.repeat(np.arange(n), [x.size for x in grids])])
-        t = np.concatenate([t, *grids])
-        side = np.concatenate([side, np.ones(t.size - side.size, dtype=side.dtype)])
+        # the grid of a live branch: the multiples k*dt_step in [lo, hi],
+        # where an end within 1e-9 steps of a multiple counts as on it
+        k0 = np.ceil(lo / g.dt_step - 1e-9).astype(np.int64)
+        k1 = np.floor(hi / g.dt_step + 1e-9).astype(np.int64)
+        size = np.where(live, np.maximum(k1 - k0 + 1, 0), 0)
+        k = np.arange(size.sum()) + np.repeat(k0 - (np.cumsum(size) - size), size)
+        branch = np.concatenate([branch, np.repeat(np.arange(n), size)])
+        t = np.concatenate([t, k * g.dt_step])
+        side = np.concatenate([side, np.ones(k.size, dtype=side.dtype)])
     # stable: equal (branch, t, side) keys keep the order they were added in
     order = np.lexsort((side, t, branch))
     branch, t, side = branch[order], t[order], side[order]
 
     post_v, post_in = g.post.limits_with_support(t - delta_t, side)
     pre_v, pre_in = g.pre.limits_with_support(t - delays[branch], side)
-    pre_v = alphas[branch] * pre_v
     # membership, not value: a spike decaying continuously to zero is still
     # present at its support edge, so the limit there stands for the supremum
-    valid = (post_in & pre_in) if g.pair_only else (post_in | pre_in)
+    evaluated = (post_in & pre_in) if g.pair_only else (post_in | pre_in)
+    branch, t, post_v, pre_v = (x[evaluated] for x in (branch, t, post_v, pre_v))
+    pre_v = alphas[branch] * pre_v
 
     ends = np.cumsum(np.bincount(branch, minlength=n)).tolist()
-    tables = []
-    for b, (start, end) in enumerate(zip([0, *ends], ends)):
-        if live[b]:
-            tables.append(CandidateTable(t=t[start:end], post_v=post_v[start:end],
-                                         pre_v=pre_v[start:end], valid=valid[start:end]))
-        else:
-            z = np.zeros(1)
-            tables.append(CandidateTable(t=z, post_v=z, pre_v=z, valid=np.zeros(1, dtype=bool)))
-    return tables
+    return [CandidateTable(t=t[start:end], post_v=post_v[start:end], pre_v=pre_v[start:end])
+            for start, end in zip([0, *ends], ends)]
 
 
 def branch_drives(g: PairingGeometry, tables: list[CandidateTable],

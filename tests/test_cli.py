@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from synstdp.cli import main
+from synstdp.closedform import MAX_N
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -185,6 +186,10 @@ BAD_PARAMS = {  # id -> (command, file contents, expected error after "error: FI
                             "ClosedFormParams.beta: must be a finite number, got inf"),
     "closedform-int-true": ("closedform", {**CLOSEDFORM, "n": True},
                             "ClosedFormParams.n: expected int, got True"),
+    "closedform-int-overflow": ("closedform", {**CLOSEDFORM, "n": 10**400},
+                                "ClosedFormParams.n: must be a finite number, got inf"),
+    "closedform-n-bound": ("closedform", {**CLOSEDFORM, "n": MAX_N + 1, "delta_v": 1e-15},
+                           f"ClosedFormParams.n: must be at most {MAX_N}, got {MAX_N + 1}"),
     "closedform-unknown-key": ("closedform", {**CLOSEDFORM, "bogus": 1},
                                "ClosedFormParams: unknown keys ['bogus']"),
     "closedform-missing-key": ("closedform", _without(CLOSEDFORM, "gamma"),
@@ -198,6 +203,8 @@ BAD_PARAMS = {  # id -> (command, file contents, expected error after "error: FI
                         "EnergyScenario.synapses: expected int, got True"),
     "energy-int-float": ("energy", {**ENERGY, "synapses": 6.1e7},
                          "EnergyScenario.synapses: expected int, got 61000000.0"),
+    "energy-int-overflow": ("energy", {**ENERGY, "synapses": 10**400},
+                            "EnergyScenario.synapses: must be a finite number, got inf"),
     "energy-unknown-key": ("energy", {**ENERGY, "bogus": 1},
                            "EnergyScenario: unknown keys ['bogus']"),
     "energy-missing-key": ("energy", _without(ENERGY, "tau_minus_s"),

@@ -7,6 +7,7 @@ from synstdp import (ClosedFormParams, avg_conductance_continuous,
                      avg_conductance_direct, branch_peak, comparison_report,
                      k_index, quadratic_coeffs_fitted,
                      quadratic_coeffs_published)
+from synstdp.closedform import MAX_N
 from synstdp.validate import WORKED_PARAMS as WORKED, bruteforce_direct
 
 
@@ -134,6 +135,16 @@ def test_params_validation():
         ClosedFormParams(n=16, a_total=1.3, delta_v=0.1, beta=0.08, v_th=1.0, gamma=2.0)
     with pytest.raises(ValueError):
         ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=-0.1, v_th=1.0, gamma=2.0)
+
+
+def test_branch_count_bound_is_inclusive():
+    ClosedFormParams(n=MAX_N, a_total=1.3, delta_v=1.0 / MAX_N, beta=0.08, v_th=1.0, gamma=2.0)
+    with pytest.raises(ValueError, match=f"^n: must be at most {MAX_N}, got {MAX_N + 1}$"):
+        ClosedFormParams(n=MAX_N + 1, a_total=1.3, delta_v=1.0 / MAX_N, beta=0.08, v_th=1.0,
+                         gamma=2.0)
+    # rejected before n * delta_v is formed, however small delta_v is
+    with pytest.raises(ValueError, match="^n: must be at most"):
+        ClosedFormParams(n=10**400, a_total=1.3, delta_v=1e-15, beta=0.08, v_th=1.0, gamma=2.0)
 
 
 def test_comparison_report():

@@ -11,7 +11,7 @@ import pytest
 from synstdp import (ConfigError, DendriteBank, StdpWindow, WindowConfig, default_config,
                      load_config, parse_config, run_window)
 from synstdp.cli import main
-from synstdp.montecarlo import MAX_ROWS, MAX_TRIALS
+from synstdp.montecarlo import MAX_OFFSET_TRIALS, MAX_ROWS, MAX_TRIALS
 from synstdp.output import (read_mean_csv, write_states_csv, write_svg_scatter,
                             write_svg_states, write_window_csv)
 from tests.test_golden import CASES as GOLDEN_CASES
@@ -240,6 +240,7 @@ NON_FINITE = [
     ("dendrites.delay_max", {"dendrites": {"delay_max": float("nan")}}),
     ("waveform.extra.tau_head", {"waveform": {"shape": "dexp", "extra": {"tau_head": float("nan")}}}),
     ("simulation.delta_t_max", {"simulation": {"delta_t_max": 10 ** 400}}),
+    ("simulation.seed", {"simulation": {"seed": 10 ** 400}}),
 ]
 
 
@@ -342,6 +343,8 @@ RUN_SIZES = [
     ("epochs", {"simulation": {"epochs": 10**9}}),
     ("offsets", {"dendrites": {"n": 1}, "simulation": {"epochs": 1, "delta_t_step": 1e-12}}),
     ("branches", {"dendrites": {"n": 10**9}}),
+    ("one-offset", {"simulation": {"delta_t_min": 0.0, "delta_t_max": 0.5, "delta_t_step": 1.0,
+                                   "epochs": 10**6}}),
 ]
 
 
@@ -361,12 +364,20 @@ def test_run_size_bounds_are_inclusive():
     g = default_config().window.geometry
     one_offset = dict(delta_t_min=0.0, delta_t_max=0.5, delta_t_step=1.0)
     g1 = dataclasses.replace(g, bank=DendriteBank(1))
-    assert WindowConfig(g1, **one_offset, epochs=MAX_ROWS).n_offsets() == 1
-    with pytest.raises(ValueError, match="1 offsets x 100000001 epochs exceeds"):
-        WindowConfig(g1, **one_offset, epochs=MAX_ROWS + 1)
-    epochs = MAX_TRIALS // g.bank.n
-    WindowConfig(g, **one_offset, epochs=epochs)
+    # 10 and 100 offsets keep each offset under MAX_OFFSET_TRIALS
+    ten = dict(delta_t_min=0.0, delta_t_max=9.0, delta_t_step=1.0)
+    hundred = dict(delta_t_min=0.0, delta_t_max=99.0, delta_t_step=1.0)
+    assert WindowConfig(g1, **ten, epochs=MAX_ROWS // 10).n_offsets() == 10
+    with pytest.raises(ValueError, match="10 offsets x 10000001 epochs exceeds"):
+        WindowConfig(g1, **ten, epochs=MAX_ROWS // 10 + 1)
+    epochs = MAX_TRIALS // (100 * g.bank.n)
+    assert WindowConfig(g, **hundred, epochs=epochs).n_offsets() == 100
     with pytest.raises(ValueError, match=f"x {epochs + 1} epochs x 16 branches exceeds"):
+        WindowConfig(g, **hundred, epochs=epochs + 1)
+    epochs = MAX_OFFSET_TRIALS // g.bank.n
+    WindowConfig(g, **one_offset, epochs=epochs)
+    with pytest.raises(ValueError, match=f"^{epochs + 1} epochs x 16 branches exceeds the bound "
+                                         f"of {MAX_OFFSET_TRIALS} trials in one offset$"):
         WindowConfig(g, **one_offset, epochs=epochs + 1)
     far = dict(delta_t_min=-1e308, delta_t_max=1e308, delta_t_step=1.0)
     with pytest.raises(ValueError, match="inf offsets"):

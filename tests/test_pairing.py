@@ -38,10 +38,10 @@ def drive(g, i, delta_t):
 
 
 def candidate_potential(g, i, delta_t):
-    """Branch i's potential at its candidate times, 0 where it is not
-    evaluated (outside the overlap with pair_only)."""
+    """Branch i's potential at its candidate times; a table holds only the
+    candidates where the potential is evaluated."""
     tbl = candidate_tables(g, delta_t)[i - 1]
-    return tbl.t, np.where(tbl.valid, tbl.post_v - tbl.pre_v, 0.0)
+    return tbl.t, tbl.post_v - tbl.pre_v
 
 
 def test_trace_peaks_pre_before_post(hrht):
@@ -54,8 +54,9 @@ def test_trace_peaks_pre_before_post(hrht):
 def test_trace_disjoint_supports(hrht):
     g = geometry()
     t, v = candidate_potential(g, 1, 20.0)
-    assert t.shape == (1,) and v.shape == (1,)
-    assert v[0] == 0.0
+    assert t.shape == (0,) and v.shape == (0,)
+    d = drive(g, 1, 20.0)
+    assert (d.v_max, d.t_max, d.v_min, d.t_min, d.p_set, d.p_reset) == (0.0,) * 6
 
 
 def test_trace_attenuated_post_before_pre(hrht):
@@ -174,13 +175,20 @@ def test_dt_step_validation(hrht):
 
 def test_branch_drives_match_per_branch_drives():
     """The (..., n) arrays of branch_drives: row k under per-epoch scales is
-    the scalar drive at those scales, and reset_later follows the peak times."""
-    w = make_waveform("sawtooth")
-    g = PairingGeometry(pre=w, post=w, bank=make_bank(16, 0.6, 1.0, 0.3), device=DeviceModel(),
-                        pair_only=False)
+    the scalar drive at those scales, and reset_later follows the peak times.
+    On the fig7_delay bank with pair_only, 6 and then all 16 branches have
+    empty tables."""
+    sawtooth, hrht = make_waveform("sawtooth"), make_waveform("hrht")
+    loose = PairingGeometry(pre=sawtooth, post=sawtooth, bank=make_bank(16, 0.6, 1.0, 0.3),
+                            device=DeviceModel(), pair_only=False)
+    fig7_delay = PairingGeometry(pre=hrht, post=hrht, bank=make_bank(16, 0.6, 1.0, 0.3, "ramp"),
+                                 device=DeviceModel())
     s_pre, s_post = np.array([1.0, 0.93, 1.08]), np.array([1.0, 1.05, 0.9])
-    for dt in (-2.0, -0.2, 0.0, 0.4, 3.0):
-        d = branch_drives(g, candidate_tables(g, dt), s_pre, s_post)
+    cases = [(loose, dt, 0) for dt in (-2.0, -0.2, 0.0, 0.4, 3.0)]
+    for g, dt, empty in cases + [(fig7_delay, -5.8, 6), (fig7_delay, -6.0, 16)]:
+        tables = candidate_tables(g, dt)
+        assert sum(tbl.t.size == 0 for tbl in tables) == empty
+        d = branch_drives(g, tables, s_pre, s_post)
         assert d.p_set.shape == d.reset_later.shape == (3, 16)
         for k in range(3):
             want = all_branch_drives(g, dt, s_pre[k], s_post[k])
@@ -272,8 +280,9 @@ def test_candidate_tables_bitwise_match_per_sample_reference(shape, pair_only):
                             device=DeviceModel(), dt_step=ORACLE_STEP, pair_only=pair_only)
         for delta_t in ORACLE_OFFSETS:
             for i, tbl in enumerate(candidate_tables(g, delta_t), start=1):
-                got = (tbl.t, tbl.post_v, tbl.pre_v, tbl.valid)
-                want = reference_table(g, i, delta_t)
+                *columns, valid = reference_table(g, i, delta_t)
+                # the kept rows are the reference's valid rows, byte for byte
+                got, want = (tbl.t, tbl.post_v, tbl.pre_v), (x[valid] for x in columns)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
                         (shape, pair_only, delay_max, assignment, delta_t, i)
