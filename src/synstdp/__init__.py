@@ -13,21 +13,21 @@ from .device import DeviceModel, ProbModel, reset_probability, set_probability
 from .energy import (AGGRESSIVE, CONSERVATIVE, MEDIUM, SCENARIOS, EnergyScenario,
                      render_table, snn_event_energy, spike_energy, table1,
                      throughput_per_watt)
-from .montecarlo import (InitKind, InitPolicy, StdpWindow, WindowConfig, analytic_window,
-                         run_window, state_distribution)
+from .montecarlo import (InitPolicy, StdpWindow, WindowConfig, analytic_window, run_window,
+                         state_distribution)
 from .pairing import BranchDrive, PairingGeometry, all_branch_drives, branch_drives
-from .waveforms import Shape, SpikeWaveform, make_waveform
+from .waveforms import SpikeWaveform
 
 __all__ = [
     "AGGRESSIVE", "ClosedFormParams", "BranchDrive", "CONSERVATIVE", "ConfigError",
-    "DendriteBank", "DeviceModel", "EnergyScenario", "FitResult", "InitKind",
-    "InitPolicy", "KIndex", "MEDIUM", "OutputOptions", "PairingGeometry",
-    "ProbModel", "RunConfig", "SCENARIOS", "Shape", "SpikeWaveform",
-    "StdpWindow", "WindowConfig", "all_branch_drives", "analytic_window",
-    "avg_conductance_continuous", "avg_conductance_direct", "branch_drives",
-    "branch_peak", "branch_pre_spike_value", "comparison_report", "default_config",
+    "DendriteBank", "DeviceModel", "EnergyScenario", "FitResult", "InitPolicy",
+    "KIndex", "MEDIUM", "OutputOptions", "PairingGeometry", "ProbModel",
+    "RunConfig", "SCENARIOS", "SpikeWaveform", "StdpWindow", "WindowConfig",
+    "all_branch_drives", "analytic_window", "avg_conductance_continuous",
+    "avg_conductance_direct", "branch_drives", "branch_peak",
+    "branch_pre_spike_value", "comparison_report", "default_config",
     "fit_exponential", "fit_linear", "fit_quadratic", "k_index", "load_config",
-    "make_bank", "make_waveform", "parse_config", "quadratic_coeffs_fitted",
+    "make_bank", "parse_config", "quadratic_coeffs_fitted",
     "quadratic_coeffs_published", "render_table", "reset_probability", "run_window",
     "set_probability", "snn_event_energy", "spike_energy", "state_distribution",
     "table1", "throughput_per_watt",

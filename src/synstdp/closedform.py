@@ -37,11 +37,11 @@ class ClosedFormParams:
     def __post_init__(self):
         for name in ("a_total", "delta_v", "v_th", "gamma"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.beta < 0.0:  # zero allowed: offset-independent degenerate case
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+            raise ValueError(f"beta: must be >= 0, got {self.beta}")
         if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+            raise ValueError(f"n: must be >= 1, got {self.n}")
         if self.n > MAX_N:
             raise ValueError(f"n: must be at most {MAX_N}, got {self.n}")
         if self.n * self.delta_v >= self.a_total:

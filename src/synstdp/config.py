@@ -19,16 +19,16 @@ from pathlib import Path
 
 from .dendrite import DendriteBank
 from .device import DeviceModel, ProbModel
-from .montecarlo import InitKind, InitPolicy, WindowConfig
+from .montecarlo import INIT_KINDS, InitPolicy, WindowConfig
 from .pairing import PairingGeometry
-from .waveforms import Shape, SpikeWaveform
+from .waveforms import SpikeWaveform
 
 SCHEMA_VERSION = 1
 _JSON_KEYS = {"r_on": "r_on_ohm"}  # field name -> JSON key, where they differ
 _SCALARS = (bool, int, float, str)
 # name-or-object keys: (the kinds named alone, the kind written {kind: {params}})
 _KINDS = {ProbModel: (("gaussian",), "linear"),
-          InitPolicy: (tuple(k.value for k in InitKind), "random")}
+          InitPolicy: (INIT_KINDS, "random")}
 
 
 class ConfigError(ValueError):
@@ -56,13 +56,11 @@ class RunConfig:
         return self.window
 
     def to_dict(self) -> dict:
-        def waveform(w: SpikeWaveform) -> dict:
-            return {"shape": w.shape.value, **_values(w), "extra": dict(w.extra)}
         win, g = self.window, self.window.geometry
         return {
             "schema_version": SCHEMA_VERSION,
-            "waveform": waveform(g.pre),
-            "post_waveform": waveform(g.post),
+            "waveform": {**_values(g.pre), "extra": dict(g.pre.extra)},
+            "post_waveform": {**_values(g.post), "extra": dict(g.post.extra)},
             "dendrites": _values(g.bank),
             "device": {**_values(g.device), "prob_model": _kind_value(g.device.prob_model)},
             "simulation": {**_values(g), **_values(win),
@@ -99,13 +97,13 @@ def _values(obj, skip=()) -> dict:
 
 def _build(cls, path: str, **kw):
     """cls(**kw), its ValueError a ConfigError under path.  A message that
-    starts with a field name and a colon is about that field alone and is
-    put under its key."""
+    starts with a field name (or a dotted path into one) and a colon is about
+    that field alone and is put under its key."""
     try:
         return cls(**kw)
     except ValueError as e:
         name, sep, rest = str(e).partition(": ")
-        if sep and name in kw:
+        if sep and name.partition(".")[0] in kw:
             raise ConfigError(f"{path}.{_JSON_KEYS.get(name, name)}: {rest}") from None
         raise ConfigError(f"{path}: {e}") from None
 
@@ -166,36 +164,30 @@ def _kind_or_params(section: dict, path: str, owner, key: str):
         return default
     cls, raw, path = type(default), section.pop(key), f"{path}.{key}"
     names, tagged = _KINDS[cls]
-    kind = typing.get_type_hints(cls)["kind"]  # str, or the enum of the names
     params = None
     if not isinstance(raw, str):
         sec = dict(_expect_mapping(raw, path))
         params = _take(sec, path, tagged, None, dict)
         _reject_unknown(sec, path)
     if params is not None:
-        return _section(params, f"{path}.{tagged}", cls, kind=kind(tagged))
+        return _section(params, f"{path}.{tagged}", cls, kind=tagged)
     if raw not in names:
         raise ConfigError(f"{path}: expected one of {list(names)} or "
                           f"{{{tagged!r}: {{...}}}}, got {raw!r}")
-    return cls(kind=kind(raw))
+    return cls(kind=raw)
 
 
 def _kind_value(obj):
     """The inverse of _kind_or_params."""
     _, tagged = _KINDS[type(obj)]
-    kind = getattr(obj.kind, "value", obj.kind)
-    return {tagged: _values(obj, skip=("kind",))} if kind == tagged else kind
+    return {tagged: _values(obj, skip=("kind",))} if obj.kind == tagged else obj.kind
 
 
 def _parse_waveform(raw: dict | None, path: str) -> SpikeWaveform:
     sec = dict(_expect_mapping(raw if raw is not None else {}, path))
-    shape = _take(sec, path, "shape", SpikeWaveform.shape.value, str)
-    if shape not in {s.value for s in Shape}:
-        raise ConfigError(f"{path}.shape: unknown shape {shape!r}; "
-                          f"expected one of {[s.value for s in Shape]}")
     extra = dict(_take(sec, path, "extra", {}, dict))
     extra = {k: _take(extra, f"{path}.extra", k, dataclasses.MISSING, float) for k in list(extra)}
-    return _section(sec, path, SpikeWaveform, shape=Shape(shape), extra=extra)
+    return _section(sec, path, SpikeWaveform, extra=extra)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -216,9 +208,6 @@ def parse_config(data: dict) -> RunConfig:
     sim = dict(_expect_mapping(root.pop("simulation", {}), "simulation"))
     geometry_kw = _fields(sim, "simulation", PairingGeometry)
     window_kw = _fields(sim, "simulation", WindowConfig)
-    if window_kw["seed"] < 0:
-        raise ConfigError(f"simulation.seed: must be a non-negative integer, "
-                          f"got {window_kw['seed']}")
     init_policy = _kind_or_params(sim, "simulation", WindowConfig, "init_policy")
     _reject_unknown(sim, "simulation")
 

@@ -26,8 +26,7 @@ class DendriteBank:
 
     For n = 1 the single branch gets alpha_max and delay 0 (ramp) or
     delay_max.  The bank holds these five numbers; `alphas` and `delays`
-    are derived on each read.  A message that starts with a field name and
-    a colon is placed under that key by config.py.
+    are derived on each read.
     """
     n: int = 16
     alpha_min: float = 0.6
@@ -42,11 +41,12 @@ class DendriteBank:
             raise ValueError(f"alpha_min: must be positive, got {self.alpha_min}")
         if self.delay_max < 0.0:
             raise ValueError(f"delay_max: must be >= 0, got {self.delay_max}")
-        if not (self.alpha_min <= self.alpha_max <= 1.0):
-            raise ValueError(f"need 0 < alpha_min <= alpha_max <= 1, "
-                             f"got {self.alpha_min}, {self.alpha_max}")
+        if not self.alpha_max <= 1.0:
+            raise ValueError(f"alpha_max: must be <= 1, got {self.alpha_max}")
+        if not self.alpha_min <= self.alpha_max:
+            raise ValueError(f"need alpha_min <= alpha_max, got {self.alpha_min}, {self.alpha_max}")
         if self.delay_assignment not in DELAY_ASSIGNMENTS:
-            raise ValueError(f"delay_assignment must be one of {DELAY_ASSIGNMENTS}, "
+            raise ValueError(f"delay_assignment: must be one of {DELAY_ASSIGNMENTS}, "
                              f"got {self.delay_assignment!r}")
 
     def _frac(self) -> np.ndarray:

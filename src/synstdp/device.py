@@ -29,9 +29,9 @@ class ProbModel:
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "linear"):
-            raise ValueError(f"prob model must be 'gaussian' or 'linear', got {self.kind!r}")
+            raise ValueError(f"kind: must be 'gaussian' or 'linear', got {self.kind!r}")
         if self.kind == "linear" and self.gamma <= 0.0:
-            raise ValueError(f"linear model slope gamma must be positive, got {self.gamma}")
+            raise ValueError(f"gamma: must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,19 @@ class DeviceModel:
     prob_model: ProbModel = ProbModel()
 
     def __post_init__(self):
-        if not (self.vth_pos > 0.0 > self.vth_neg):
-            raise ValueError(f"need vth_pos > 0 > vth_neg, got {self.vth_pos}, {self.vth_neg}")
+        if not self.vth_pos > 0.0:
+            raise ValueError(f"vth_pos: must be positive, got {self.vth_pos}")
+        if not self.vth_neg < 0.0:
+            raise ValueError(f"vth_neg: must be negative, got {self.vth_neg}")
         if self.sigma_th <= 0.0:
-            raise ValueError(f"sigma_th must be positive, got {self.sigma_th}")
+            raise ValueError(f"sigma_th: must be positive, got {self.sigma_th}")
         if self.r_on <= 0.0:
-            raise ValueError(f"r_on must be positive, got {self.r_on}")
+            raise ValueError(f"r_on: must be positive, got {self.r_on}")
         if not (0.0 <= self.sigma_lrs < 0.5):
             # keeps negative conductance draws astronomically rare
-            raise ValueError(f"sigma_lrs must be in [0, 0.5), got {self.sigma_lrs}")
+            raise ValueError(f"sigma_lrs: must be in [0, 0.5), got {self.sigma_lrs}")
         if self.r_off_ratio is not None and self.r_off_ratio <= 1.0:
-            raise ValueError(f"r_off_ratio must be > 1 or None, got {self.r_off_ratio}")
+            raise ValueError(f"r_off_ratio: must be > 1 or null, got {self.r_off_ratio}")
 
     @property
     def g_off_norm(self) -> float:

@@ -11,7 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .closedform import MAX_N
+
 SPIKE_MODES = ("head", "full")
+# Count bounds, so that a scenario describes a network that could be built;
+# 10**300 synapses would give a 1e+275 TJ event and a x0 acceleration
+MAX_COUNT = 10**15  # synapses or neurons: about the synapses of a human brain
+MAX_DEVICES = MAX_N  # devices per compound synapse: the closed form's largest bank
 
 
 @dataclass(frozen=True)
@@ -31,16 +37,16 @@ class EnergyScenario:
     def __post_init__(self):
         for name in ("tau_minus_s", "tau_plus_s", "a_plus_v", "r_on_ohm", "e_neuron_j"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.a_minus_v < 0.0:
-            raise ValueError(f"a_minus_v must be >= 0, got {self.a_minus_v}")
+            raise ValueError(f"a_minus_v: must be >= 0, got {self.a_minus_v}")
         for name in ("eta_act", "eta_on"):
             if not (0.0 < getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
-        if self.synapses < 0 or self.neurons < 0:
-            raise ValueError("synapse and neuron counts must be >= 0")
-        if self.devices_per_synapse < 1:
-            raise ValueError(f"devices_per_synapse must be >= 1, got {self.devices_per_synapse}")
+                raise ValueError(f"{name}: must be in (0, 1], got {getattr(self, name)}")
+        for name, lo, hi in (("synapses", 0, MAX_COUNT), ("neurons", 0, MAX_COUNT),
+                             ("devices_per_synapse", 1, MAX_DEVICES)):
+            if not (lo <= getattr(self, name) <= hi):
+                raise ValueError(f"{name}: must be in [{lo}, {hi}], got {getattr(self, name)}")
 
 
 CONSERVATIVE = EnergyScenario(tau_minus_s=500e-9, tau_plus_s=2500e-9, r_on_ohm=1e6,

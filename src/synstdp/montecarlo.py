@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import starmap
 from multiprocessing import get_context
 
@@ -27,21 +26,20 @@ MAX_OFFSET_TRIALS = 10**7  # epochs x branches; the offset being sampled holds
 #                            50-100 B a trial: 0.5-1 GB per worker
 
 
-class InitKind(str, Enum):
-    SPLIT = "split"
-    ALL_OFF = "all_off"
-    ALL_ON = "all_on"
-    RANDOM = "random"
+INIT_KINDS = ("split", "all_off", "all_on", "random")
 
 
 @dataclass(frozen=True)
 class InitPolicy:
-    kind: InitKind = InitKind.SPLIT
+    kind: str = "split"
     q: float = 0.5  # P(device starts ON), random kind only
 
     def __post_init__(self):
+        if self.kind not in INIT_KINDS:
+            raise ValueError(f"kind: unknown init kind {self.kind!r}; "
+                             f"expected one of {list(INIT_KINDS)}")
         if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"init probability q must be in [0, 1], got {self.q}")
+            raise ValueError(f"q: must be in [0, 1], got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +54,13 @@ class WindowConfig:
 
     def __post_init__(self):
         if self.delta_t_step <= 0.0:
-            raise ValueError(f"delta_t_step must be positive, got {self.delta_t_step}")
+            raise ValueError(f"delta_t_step: must be positive, got {self.delta_t_step}")
         if self.delta_t_min >= self.delta_t_max:
             raise ValueError("need delta_t_min < delta_t_max")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ValueError(f"epochs: must be >= 1, got {self.epochs}")
         if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+            raise ValueError(f"seed: must be a non-negative integer, got {self.seed}")
         offsets, n = self.n_offsets(), self.geometry.bank.n
         # offsets may be inf, so it is compared before it is multiplied
         if offsets > MAX_ROWS or offsets * self.epochs > MAX_ROWS:
@@ -158,11 +156,11 @@ def _start_on(policy: InitPolicy, delta_t: float) -> list[float]:
     """Start-ON probabilities of a device, one per kind of epoch at offset
     delta_t.  Split init starts every device OFF at a positive offset and ON
     at a negative one; at delta_t = 0 the epochs alternate between the two."""
-    if policy.kind is InitKind.RANDOM:
+    if policy.kind == "random":
         return [policy.q]
-    if policy.kind is InitKind.SPLIT:
+    if policy.kind == "split":
         return [0.0, 1.0] if delta_t == 0.0 else [float(delta_t < 0.0)]
-    return [float(policy.kind is InitKind.ALL_ON)]
+    return [float(policy.kind == "all_on")]
 
 
 def _node_drives(g: PairingGeometry, tables):
@@ -225,7 +223,7 @@ def analytic_window(cfg: WindowConfig):
 
 def _initial_on(cfg: WindowConfig, delta_t: float, epochs: int, n: int, stream):
     starts = _start_on(cfg.init_policy, delta_t)
-    if cfg.init_policy.kind is InitKind.RANDOM:
+    if cfg.init_policy.kind == "random":
         return stream.random((epochs, n)) < starts[0]
     # q is 0 or 1 here; epoch e starts as starts[e % len(starts)]
     on = np.array(starts, dtype=bool)[np.arange(epochs) % len(starts)]

@@ -38,13 +38,13 @@ class PairingGeometry:
 
     def __post_init__(self):
         if self.dt_step <= 0.0:
-            raise ValueError(f"dt_step must be positive, got {self.dt_step}")
+            raise ValueError(f"dt_step: must be positive, got {self.dt_step}")
         cap = min(self.pre.tau_minus, self.post.tau_minus) / 10.0
         if self.dt_step > cap + 1e-15:
             raise ValueError(
                 f"dt_step {self.dt_step} too coarse; must be <= min(tau_minus)/10 = {cap}")
         if self.amp_noise_sigma < 0.0:
-            raise ValueError(f"amp_noise_sigma must be >= 0, got {self.amp_noise_sigma}")
+            raise ValueError(f"amp_noise_sigma: must be >= 0, got {self.amp_noise_sigma}")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ exact peak extraction in the pairing engine.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,19 +16,15 @@ MAX_AMPLITUDE = 10.0  # volts; sanity cap for configuration input
 EDGE_SNAP_TOL = 1e-9  # piece-edge snapping for one-sided limits
 
 
-class Shape(str, Enum):
-    HRHT = "hrht"
-    RECTANGULAR = "rect"
-    DOUBLE_SAWTOOTH = "sawtooth"
-    DOUBLE_EXPONENTIAL = "dexp"
-    BIO_PLAUSIBLE = "bio"
-
+# half-rectangular/half-triangular, rectangular, double sawtooth, double
+# exponential, bio-plausible
+SHAPES = ("hrht", "rect", "sawtooth", "dexp", "bio")
 
 # extras accepted per shape, with defaults
 _EXTRAS = {
-    Shape.DOUBLE_EXPONENTIAL: {"tau_head": 0.3, "tau_tail": 1.5},
-    Shape.BIO_PLAUSIBLE: {"head_center": -0.2, "head_width": 0.3,
-                          "tail_center": 2.0, "tail_width": 1.5},
+    "dexp": {"tau_head": 0.3, "tau_tail": 1.5},
+    "bio": {"head_center": -0.2, "head_width": 0.3,
+            "tail_center": 2.0, "tail_width": 1.5},
 }
 
 
@@ -52,7 +47,7 @@ class SpikeWaveform:
     (key, value) pairs of the shape's extra parameters; it is stored as
     sorted pairs with the shape's defaults filled in.
     """
-    shape: Shape = Shape.HRHT
+    shape: str = "hrht"
     a_plus: float = 0.9
     a_minus: float = 0.4
     tau_minus: float = 1.0
@@ -60,51 +55,51 @@ class SpikeWaveform:
     extra: tuple = ()
 
     def __post_init__(self):
-        shape = Shape(self.shape)
+        if self.shape not in SHAPES:
+            raise ValueError(f"shape: unknown shape {self.shape!r}; expected one of {list(SHAPES)}")
         if not (0.0 < self.a_plus <= MAX_AMPLITUDE):
-            raise ValueError(f"a_plus must be in (0, {MAX_AMPLITUDE}] V, got {self.a_plus}")
+            raise ValueError(f"a_plus: must be in (0, {MAX_AMPLITUDE}] V, got {self.a_plus}")
         if not (0.0 <= self.a_minus <= MAX_AMPLITUDE):
-            raise ValueError(f"a_minus must be in [0, {MAX_AMPLITUDE}] V, got {self.a_minus}")
+            raise ValueError(f"a_minus: must be in [0, {MAX_AMPLITUDE}] V, got {self.a_minus}")
         if self.tau_minus <= 0.0:
-            raise ValueError(f"tau_minus must be positive, got {self.tau_minus}")
+            raise ValueError(f"tau_minus: must be positive, got {self.tau_minus}")
         if self.tau_plus <= 0.0:
-            raise ValueError(f"tau_plus must be positive, got {self.tau_plus}")
-        extra = dict(_EXTRAS.get(shape, {}))
+            raise ValueError(f"tau_plus: must be positive, got {self.tau_plus}")
+        extra = dict(_EXTRAS.get(self.shape, {}))
         unknown = dict(self.extra).keys() - extra.keys()
         if unknown:
-            raise ValueError(f"unknown extra parameters for shape {shape.value}: {sorted(unknown)}")
+            raise ValueError(f"unknown extra parameters for shape {self.shape}: {sorted(unknown)}")
         extra.update(self.extra)
         for key, val in extra.items():
             if (key.startswith("tau") or key.endswith("width")) and val <= 0.0:
-                raise ValueError(f"extra parameter {key} must be positive, got {val}")
-        object.__setattr__(self, "shape", shape)
+                raise ValueError(f"extra.{key}: must be positive, got {val}")
         object.__setattr__(self, "extra", tuple(sorted(extra.items())))
 
     def pieces(self) -> list[Piece]:
         ap, am, tm, tp = self.a_plus, self.a_minus, self.tau_minus, self.tau_plus
-        if self.shape is Shape.HRHT:
+        if self.shape == "hrht":
             return [
                 Piece(-tm, 0.0, lambda t: np.full_like(t, ap, dtype=float)),
                 Piece(0.0, tp, lambda t: -am * (1.0 - t / tp)),
             ]
-        if self.shape is Shape.RECTANGULAR:
+        if self.shape == "rect":
             return [
                 Piece(-tm, 0.0, lambda t: np.full_like(t, ap, dtype=float)),
                 Piece(0.0, tp, lambda t: np.full_like(t, -am, dtype=float)),
             ]
-        if self.shape is Shape.DOUBLE_SAWTOOTH:
+        if self.shape == "sawtooth":
             return [
                 Piece(-tm, 0.0, lambda t: ap * (1.0 + t / tm)),
                 Piece(0.0, tp, lambda t: -am * (1.0 - t / tp)),
             ]
-        if self.shape is Shape.DOUBLE_EXPONENTIAL:
+        if self.shape == "dexp":
             ex = dict(self.extra)
             th, tt = ex["tau_head"], ex["tau_tail"]
             return [
                 Piece(-tm, 0.0, lambda t: ap * np.exp(t / th), curved=True),
                 Piece(0.0, tp, lambda t: -am * np.exp(-t / tt), curved=True),
             ]
-        if self.shape is Shape.BIO_PLAUSIBLE:
+        if self.shape == "bio":
             ex = dict(self.extra)
             hc, hw = ex["head_center"], ex["head_width"]
             tc, tw = ex["tail_center"], ex["tail_width"]
@@ -167,11 +162,3 @@ class SpikeWaveform:
                 values[mine] = p.func(t[mine])
                 inside |= mine
         return values, inside
-
-
-def make_waveform(shape: Shape | str, **params) -> SpikeWaveform:
-    """SpikeWaveform(shape, **params), an unknown parameter a ValueError."""
-    unknown = params.keys() - {f.name for f in fields(SpikeWaveform)}
-    if unknown:
-        raise ValueError(f"unknown waveform parameters: {sorted(unknown)}")
-    return SpikeWaveform(shape, **params)

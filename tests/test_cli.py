@@ -8,6 +8,7 @@ import pytest
 
 from synstdp.cli import main
 from synstdp.closedform import MAX_N
+from synstdp.energy import MAX_COUNT
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -114,6 +115,17 @@ def test_energy_subcommand(tmp_path, capsys):
     assert data["mode"] == "full"
     assert main(["energy", "--scenario", "custom", "--params",
                  str(CONFIGS / "energy_custom.json")]) == 0
+
+
+def test_energy_count_beyond_bound_exits_1_without_a_table(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    params = json.loads((CONFIGS / "energy_custom.json").read_text())
+    path.write_text(json.dumps({**params, "synapses": 10**300}), encoding="utf-8")
+    assert main(["energy", "--scenario", "custom", "--params", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: EnergyScenario.synapses: must be in [0, {MAX_COUNT}], "
+                   f"got {10**300}\n")
 
 
 def test_energy_custom_requires_params(capsys):

@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synstdp import (ConfigError, DendriteBank, StdpWindow, WindowConfig, default_config,
-                     load_config, parse_config, run_window)
+from synstdp import (ClosedFormParams, ConfigError, DendriteBank, EnergyScenario, StdpWindow,
+                     WindowConfig, default_config, load_config, parse_config, run_window)
 from synstdp.cli import main
+from synstdp.closedform import MAX_N
+from synstdp.config import load_params
+from synstdp.energy import MAX_COUNT, MAX_DEVICES
 from synstdp.montecarlo import MAX_OFFSET_TRIALS, MAX_ROWS, MAX_TRIALS
 from synstdp.output import (read_mean_csv, write_states_csv, write_svg_scatter,
                             write_svg_states, write_window_csv)
@@ -26,13 +29,13 @@ def test_empty_config_is_attenuation_reference_setup():
     assert g.bank.n == 16
     assert g.bank.alphas[0] == 0.6 and g.bank.alphas[-1] == 1.0
     assert all(d == 0.0 for d in g.bank.delays)
-    assert g.pre.shape.value == "hrht"
+    assert g.pre.shape == "hrht"
     assert g.post == g.pre
     assert g.device.sigma_th == 0.1 and g.device.sigma_lrs == 0.1
     assert g.device.r_off_ratio is None
     assert (win.delta_t_min, win.delta_t_max, win.delta_t_step) == (-6.0, 6.0, 0.1)
     assert win.epochs == 10_000 and win.seed == 42
-    assert win.init_policy.kind.value == "split"
+    assert win.init_policy.kind == "split"
     assert g.pair_only and g.amp_noise_sigma == 0.0
     assert default_config() == cfg
 
@@ -228,8 +231,8 @@ def test_post_waveform_section():
     cfg = parse_config({"waveform": {"shape": "rect"},
                         "post_waveform": {"shape": "hrht", "a_plus": 0.8}})
     g = cfg.window.geometry
-    assert g.pre.shape.value == "rect"
-    assert g.post.shape.value == "hrht" and g.post.a_plus == 0.8
+    assert g.pre.shape == "rect"
+    assert g.post.shape == "hrht" and g.post.a_plus == 0.8
     assert parse_config(cfg.to_dict()) == cfg
 
 
@@ -287,7 +290,7 @@ def test_bool_and_negative_integers_rejected_with_path(tmp_path, capsys, key, ra
 
 def test_negative_seed_flag_exits_1_naming_the_seed(tmp_path, capsys):
     assert main(["window", "--out", str(tmp_path / "o"), "--seed", "-1", "--epochs", "1"]) == 1
-    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "error: seed: must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -306,6 +309,54 @@ def test_null_rejected_where_the_default_is_a_value(tmp_path, capsys, key, raw, 
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["statedist", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {key}: {msg}\n"
+
+
+# one out-of-range value for each rule about one field, keyed by its path; a
+# --params file's keys are under the class name
+ONE_FIELD_RANGES = [
+    ("waveform.shape", "sine"), ("waveform.a_plus", 0.0), ("waveform.a_minus", -0.1),
+    ("waveform.tau_minus", 0.0), ("waveform.tau_plus", -1.0), ("waveform.extra.tau_tail", 0.0),
+    ("post_waveform.a_plus", 11.0),
+    ("dendrites.n", 0), ("dendrites.alpha_min", 0.0), ("dendrites.alpha_max", 1.5),
+    ("dendrites.delay_max", -0.1), ("dendrites.delay_assignment", "spiral"),
+    ("device.vth_pos", 0.0), ("device.vth_neg", 0.5), ("device.sigma_th", 0.0),
+    ("device.r_on_ohm", -1), ("device.sigma_lrs", 0.5), ("device.r_off_ratio", 1.0),
+    ("device.prob_model.linear.gamma", 0.0),
+    ("simulation.dt_step", 0.0), ("simulation.amp_noise_sigma", -0.1),
+    ("simulation.delta_t_step", 0.0), ("simulation.epochs", 0), ("simulation.seed", -1),
+    ("simulation.init_policy.random.q", 1.5),
+    ("output.level_bin", 0.0),
+    *[(f"ClosedFormParams.{k}", -1.0) for k in ("a_total", "delta_v", "beta", "v_th", "gamma")],
+    ("ClosedFormParams.n", 0), ("ClosedFormParams.n", MAX_N + 1),
+    *[(f"EnergyScenario.{k}", 0.0) for k in ("tau_minus_s", "tau_plus_s", "a_plus_v",
+                                             "r_on_ohm", "e_neuron_j", "eta_act", "eta_on")],
+    ("EnergyScenario.a_minus_v", -1.0), ("EnergyScenario.synapses", MAX_COUNT + 1),
+    ("EnergyScenario.neurons", -1), ("EnergyScenario.devices_per_synapse", MAX_DEVICES + 1),
+]
+PARAMS_FILES = {"ClosedFormParams": (ClosedFormParams, CONFIGS / "closedform.json"),
+                "EnergyScenario": (EnergyScenario, CONFIGS / "energy_custom.json")}
+
+
+@pytest.mark.parametrize("key,value", ONE_FIELD_RANGES,
+                         ids=[f"{k}={v}" for k, v in ONE_FIELD_RANGES])
+def test_one_field_range_error_starts_with_its_key(tmp_path, key, value):
+    head, _, field = key.partition(".")
+    if head in PARAMS_FILES:
+        cls, base = PARAMS_FILES[head]
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**json.loads(base.read_text()), field: value}))
+        with pytest.raises(ConfigError) as e:
+            load_params(path, cls)
+        key = f"{path}: {key}"
+    else:
+        raw = value
+        for part in reversed(key.split(".")):
+            raw = {part: raw}
+        if key.startswith("waveform.extra."):
+            raw["waveform"]["shape"] = "dexp"
+        with pytest.raises(ConfigError) as e:
+            parse_config(raw)
+    assert str(e.value).startswith(f"{key}: ")
 
 
 # a bank is echoed to resolved-config.json as the five numbers it was given,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synstdp import DendriteBank, branch_pre_spike_value, make_bank, make_waveform
+from synstdp import DendriteBank, SpikeWaveform, branch_pre_spike_value, make_bank
 
 
 def test_sixteen_branch_ramp():
@@ -52,7 +52,7 @@ def test_validation():
 
 
 def test_branch_value_examples():
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     bank = make_bank(2, 0.6, 1.0, 0.0)
     assert abs(branch_pre_spike_value(bank, 1, w, -0.5) - 0.54) < 1e-15
     delayed = make_bank(2, 1.0, 1.0, 0.3, "uniform")
@@ -65,7 +65,7 @@ def test_branch_value_examples():
 
 
 def test_branch_value_bounded_by_alpha():
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     bank = make_bank(8, 0.6, 1.0, 0.2)
     t = np.linspace(-3, 8, 800)
     for i in range(1, 9):
@@ -74,7 +74,7 @@ def test_branch_value_bounded_by_alpha():
 
 
 def test_identity_bank():
-    w = make_waveform("sawtooth")
+    w = SpikeWaveform("sawtooth")
     bank = make_bank(5, 1.0, 1.0, 0.0)
     t = np.linspace(-2, 6, 500)
     for i in range(1, 6):

@@ -5,7 +5,7 @@ import pytest
 from synstdp import (AGGRESSIVE, CONSERVATIVE, MEDIUM, EnergyScenario,
                      render_table, snn_event_energy, spike_energy, table1,
                      throughput_per_watt)
-from synstdp.energy import format_si
+from synstdp.energy import MAX_COUNT, MAX_DEVICES, format_si
 
 
 def rel(a, b):
@@ -82,6 +82,17 @@ def test_scenario_validation():
         spike_energy(CONSERVATIVE, "both")
     with pytest.raises(ValueError):
         table1(baseline_img_s_w=0.0)
+
+
+@pytest.mark.parametrize("name,lo,hi", [("synapses", 0, MAX_COUNT), ("neurons", 0, MAX_COUNT),
+                                         ("devices_per_synapse", 1, MAX_DEVICES)])
+def test_counts_are_bounded_inclusively(name, lo, hi):
+    times = dict(tau_minus_s=1e-9, tau_plus_s=1e-9)
+    for count in (lo, hi):
+        assert getattr(EnergyScenario(**times, **{name: count}), name) == count
+    for count in (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match=rf"^{name}: must be in \[{lo}, {hi}\], got {count}$"):
+            EnergyScenario(**times, **{name: count})
 
 
 def test_render_table_contains_reference_numbers():

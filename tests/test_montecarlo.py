@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -5,17 +6,17 @@ import numpy as np
 import pytest
 
 import synstdp.montecarlo as montecarlo
-from synstdp import (DeviceModel, InitKind, InitPolicy, PairingGeometry, WindowConfig,
-                     all_branch_drives, analytic_window, make_bank, make_waveform,
-                     parse_config, run_window, state_distribution)
-from synstdp.montecarlo import _point_stream
+from synstdp import (DeviceModel, InitPolicy, PairingGeometry, SpikeWaveform, WindowConfig,
+                     all_branch_drives, analytic_window, make_bank, parse_config, run_window,
+                     state_distribution)
+from synstdp.montecarlo import INIT_KINDS, _point_stream
 from synstdp.validate import enumerate_pmf, mc_outliers
 from tests.test_device import phi
 
 
 def make_geometry(alpha_min=0.6, alpha_max=1.0, delay_max=0.0, sigma_lrs=0.1,
                   amp_noise=0.0, n=16):
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     return PairingGeometry(
         pre=w, post=w,
         bank=make_bank(n, alpha_min, alpha_max, delay_max),
@@ -77,15 +78,15 @@ def analytic_mean(g, delta_t, init):
 
 def test_expected_delta_g_uniform_plateau():
     g = make_geometry(alpha_min=1.0, alpha_max=1.0)
-    v = analytic_mean(g, 0.5, InitKind.ALL_OFF)
+    v = analytic_mean(g, 0.5, "all_off")
     assert abs(v - 16 * phi(3.0)) < 1e-12
     assert abs(v - 15.978) < 1e-3
 
 
 def test_expected_delta_g_beyond_support():
     g = make_geometry()
-    assert analytic_mean(g, 30.0, InitKind.ALL_OFF) == 0.0
-    assert analytic_mean(g, -30.0, InitKind.ALL_ON) == 0.0
+    assert analytic_mean(g, 30.0, "all_off") == 0.0
+    assert analytic_mean(g, -30.0, "all_on") == 0.0
 
 
 def test_expected_delta_g_ramp_endpoints():
@@ -93,7 +94,7 @@ def test_expected_delta_g_ramp_endpoints():
     # per-branch peaks 0.9 + 0.32*alpha at dt = 2 -> z = 3.2*alpha - 1
     alphas = np.linspace(0.6, 1.0, 16)
     expect = sum(phi(3.2 * a - 1.0) for a in alphas)
-    v = analytic_mean(g, 2.0, InitKind.ALL_OFF)
+    v = analytic_mean(g, 2.0, "all_off")
     assert abs(v - expect) < 1e-9
     assert abs(phi(3.2 * 0.6 - 1.0) - 0.8212) < 1e-4
     assert abs(phi(3.2 * 1.0 - 1.0) - 0.9861) < 1e-4
@@ -102,17 +103,17 @@ def test_expected_delta_g_ramp_endpoints():
 def test_expected_delta_g_attenuation_reduces_potentiation():
     ramp = make_geometry()
     uniform = make_geometry(alpha_min=1.0, alpha_max=1.0)
-    assert analytic_mean(ramp, 4.0, InitKind.ALL_OFF) < \
-        analytic_mean(uniform, 4.0, InitKind.ALL_OFF)
+    assert analytic_mean(ramp, 4.0, "all_off") < \
+        analytic_mean(uniform, 4.0, "all_off")
 
 
 def test_expected_delta_g_sign_conventions():
     g = make_geometry()
-    assert analytic_mean(g, 2.0, InitKind.ALL_OFF) > 0
-    assert analytic_mean(g, -2.0, InitKind.ALL_ON) < 0
+    assert analytic_mean(g, 2.0, "all_off") > 0
+    assert analytic_mean(g, -2.0, "all_on") < 0
     # split init starts every device OFF for a positive offset, ON for a negative
-    assert analytic_mean(g, 2.0, InitKind.SPLIT) == analytic_mean(g, 2.0, InitKind.ALL_OFF)
-    assert analytic_mean(g, -2.0, InitKind.SPLIT) == analytic_mean(g, -2.0, InitKind.ALL_ON)
+    assert analytic_mean(g, 2.0, "split") == analytic_mean(g, 2.0, "all_off")
+    assert analytic_mean(g, -2.0, "split") == analytic_mean(g, -2.0, "all_on")
 
 
 # ---------------------------------------------------------------- rng streams
@@ -181,7 +182,7 @@ def test_grid_construction():
 
 
 def test_all_on_policy_only_depresses():
-    cfg = small_config(epochs=300, sigma_lrs=0.0, init_policy=InitPolicy(kind=InitKind.ALL_ON))
+    cfg = small_config(epochs=300, sigma_lrs=0.0, init_policy=InitPolicy(kind="all_on"))
     w = run_window(cfg)
     assert np.all(w.delta_g <= 0)
     assert np.all(w.analytic <= 0)
@@ -189,12 +190,12 @@ def test_all_on_policy_only_depresses():
 
 def test_random_policy_extremes_match_fixed_policies():
     base = dict(epochs=150, sigma_lrs=0.0, seed=21)
-    w_off = run_window(small_config(init_policy=InitPolicy(kind=InitKind.RANDOM, q=0.0), **base))
-    w_all_off = run_window(small_config(init_policy=InitPolicy(kind=InitKind.ALL_OFF), **base))
+    w_off = run_window(small_config(init_policy=InitPolicy(kind="random", q=0.0), **base))
+    w_all_off = run_window(small_config(init_policy=InitPolicy(kind="all_off"), **base))
     assert np.array_equal(w_off.analytic, w_all_off.analytic)
     assert np.array_equal(w_off.states, w_all_off.states)
-    w_on = run_window(small_config(init_policy=InitPolicy(kind=InitKind.RANDOM, q=1.0), **base))
-    w_all_on = run_window(small_config(init_policy=InitPolicy(kind=InitKind.ALL_ON), **base))
+    w_on = run_window(small_config(init_policy=InitPolicy(kind="random", q=1.0), **base))
+    w_all_on = run_window(small_config(init_policy=InitPolicy(kind="all_on"), **base))
     assert np.all(w_on.delta_g <= 0)
     assert np.array_equal(w_on.analytic, w_all_on.analytic)
     assert np.array_equal(w_on.states, w_all_on.states)
@@ -259,8 +260,8 @@ def test_amplitude_noise_mc_agrees_with_quadrature():
 
 def test_analytic_window_matches_run_window():
     cases = {"split": {},  # on a grid through 0
-             "all_on": {"init_policy": InitPolicy(kind=InitKind.ALL_ON)},
-             "random_q025": {"init_policy": InitPolicy(kind=InitKind.RANDOM, q=0.25)},
+             "all_on": {"init_policy": InitPolicy(kind="all_on")},
+             "random_q025": {"init_policy": InitPolicy(kind="random", q=0.25)},
              "noise": {"amp_noise": 0.05}}
     for name, kw in cases.items():
         cfg = small_config(epochs=2, **kw)
@@ -280,12 +281,32 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WindowConfig(geometry=make_geometry(), delta_t_step=0.0)
     with pytest.raises(ValueError):
-        InitPolicy(kind=InitKind.RANDOM, q=1.5)
+        InitPolicy(kind="random", q=1.5)
+
+
+@pytest.mark.parametrize("kind", INIT_KINDS)
+def test_init_kind_named_in_code_runs_as_in_a_config(kind):
+    """InitPolicy(kind=name) gives the bytes of a config naming the same kind,
+    and only all_off gives the all-OFF window."""
+    sim = {"delta_t_min": -2.0, "delta_t_max": 2.0, "delta_t_step": 0.5, "init_policy": kind}
+    cfg = parse_config({"simulation": sim}).window
+
+    def window_bytes(name):
+        window = analytic_window(dataclasses.replace(cfg, init_policy=InitPolicy(kind=name)))
+        return [a.tobytes() for a in window]
+
+    assert window_bytes(kind) == [a.tobytes() for a in analytic_window(cfg)]
+    assert (window_bytes(kind) == window_bytes("all_off")) == (kind == "all_off")
+
+
+def test_unknown_init_kind_rejected():
+    with pytest.raises(ValueError, match="^kind: unknown init kind 'bogus'; expected one of "):
+        InitPolicy(kind="bogus")
 
 
 def test_windows_for_every_shape():
     for shape in ("hrht", "rect", "sawtooth", "dexp", "bio"):
-        w = make_waveform(shape)
+        w = SpikeWaveform(shape)
         g = PairingGeometry(pre=w, post=w, bank=make_bank(4, 0.6, 1.0, 0.0),
                             device=DeviceModel(sigma_lrs=0.0))
         cfg = WindowConfig(geometry=g, delta_t_min=-4.0, delta_t_max=4.0,
@@ -297,7 +318,7 @@ def test_windows_for_every_shape():
 
 
 def test_distinct_post_waveform():
-    g = PairingGeometry(pre=make_waveform("rect"), post=make_waveform("hrht"),
+    g = PairingGeometry(pre=SpikeWaveform("rect"), post=SpikeWaveform("hrht"),
                         bank=make_bank(2, 1.0, 1.0, 0.0), device=DeviceModel())
     cfg = WindowConfig(geometry=g, delta_t_min=1.0, delta_t_max=3.0,
                        delta_t_step=1.0, epochs=10, seed=2)
@@ -315,10 +336,10 @@ def replay_offset(cfg, k, delta_t):
     g, (E, n) = cfg.geometry, (cfg.epochs, cfg.geometry.bank.n)
     stream, sigma = _point_stream(cfg.seed, k), g.amp_noise_sigma
     scales = 1.0 + stream.normal(0.0, sigma, (E, 2)) if sigma > 0.0 else np.ones((E, 2))
-    if cfg.init_policy.kind is InitKind.RANDOM:
+    if cfg.init_policy.kind == "random":
         on0 = stream.random((E, n)) < cfg.init_policy.q
     else:
-        on0 = np.full((E, n), cfg.init_policy.kind is InitKind.ALL_ON)
+        on0 = np.full((E, n), cfg.init_policy.kind == "all_on")
     u_set, u_reset = stream.random((E, n)), stream.random((E, n))
     lrs = 1.0 + stream.normal(0.0, g.device.sigma_lrs, (E, n))
     assert lrs.min() > 0.0  # no redraw taken

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from synstdp import (DeviceModel, PairingGeometry, all_branch_drives, branch_drives,
-                     make_bank, make_waveform)
+from synstdp import (DeviceModel, PairingGeometry, SpikeWaveform, all_branch_drives,
+                     branch_drives, make_bank)
 from synstdp.pairing import candidate_tables
 from synstdp.waveforms import EDGE_SNAP_TOL
 from tests.test_device import phi
@@ -23,11 +23,11 @@ def dense_grid_peaks(pre, post, alpha, delay, delta_t, step=0.001, pair_only=Tru
 
 @pytest.fixture
 def hrht():
-    return make_waveform("hrht")
+    return SpikeWaveform("hrht")
 
 
 def geometry(alpha=1.0, n=1, delay=0.0, pair_only=True, **dev_kw):
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     return PairingGeometry(pre=w, post=w, bank=make_bank(n, alpha, alpha, delay, "uniform"),
                            device=DeviceModel(**dev_kw), pair_only=pair_only)
 
@@ -124,7 +124,7 @@ def test_peak_monotone_beyond_plateau(hrht):
 
 
 def test_attenuation_monotonicity():
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     bank = make_bank(16, 0.6, 1.0, 0.0)
     g = PairingGeometry(pre=w, post=w, bank=bank, device=DeviceModel())
     for dt in (0.5, 2.0, 4.0):
@@ -138,7 +138,7 @@ def test_attenuation_monotonicity():
 def test_voltage_spread_asymmetry():
     """Attenuation acts on the pre tail for potentiation (narrow spread) and
     on the pre head for depression (wide spread)."""
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     bank = make_bank(16, 0.6, 1.0, 0.0)
     g = PairingGeometry(pre=w, post=w, bank=bank, device=DeviceModel())
     vmax = [d.v_max for d in all_branch_drives(g, 1.0)]
@@ -148,7 +148,7 @@ def test_voltage_spread_asymmetry():
 
 
 def test_uniform_bank_identical_drives():
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     g = PairingGeometry(pre=w, post=w, bank=make_bank(16, 1.0, 1.0, 0.0), device=DeviceModel())
     for dt in (-3.0, -0.5, 0.5, 2.5):
         drives = all_branch_drives(g, dt)
@@ -178,7 +178,7 @@ def test_branch_drives_match_per_branch_drives():
     the scalar drive at those scales, and reset_later follows the peak times.
     On the fig7_delay bank with pair_only, 6 and then all 16 branches have
     empty tables."""
-    sawtooth, hrht = make_waveform("sawtooth"), make_waveform("hrht")
+    sawtooth, hrht = SpikeWaveform("sawtooth"), SpikeWaveform("hrht")
     loose = PairingGeometry(pre=sawtooth, post=sawtooth, bank=make_bank(16, 0.6, 1.0, 0.3),
                             device=DeviceModel(), pair_only=False)
     fig7_delay = PairingGeometry(pre=hrht, post=hrht, bank=make_bank(16, 0.6, 1.0, 0.3, "ramp"),
@@ -199,7 +199,7 @@ def test_branch_drives_match_per_branch_drives():
 def test_drive_peaks_curved_shapes_match_dense_grid():
     dev = DeviceModel()
     for shape in ("dexp", "bio"):
-        w = make_waveform(shape)
+        w = SpikeWaveform(shape)
         g = PairingGeometry(pre=w, post=w, bank=make_bank(1, 0.8, 0.8, 0.0),
                             device=dev)
         for delta_t in (-3.0, -1.2, 0.4, 1.5, 3.7):
@@ -213,8 +213,8 @@ def test_drive_peaks_curved_shapes_match_dense_grid():
 def test_rectangular_pre_spike_makes_flat_window():
     """A rectangular tail keeps the peak potential independent of the offset,
     so the switching probability is constant across the whole overlap."""
-    pre = make_waveform("rect")
-    post = make_waveform("hrht")
+    pre = SpikeWaveform("rect")
+    post = SpikeWaveform("hrht")
     g = PairingGeometry(pre=pre, post=post, bank=make_bank(1, 1.0, 1.0, 0.0),
                         device=DeviceModel())
     ps = [drive(g, 1, dt).p_set for dt in np.arange(0.5, 5.9, 0.3)]
@@ -223,8 +223,8 @@ def test_rectangular_pre_spike_makes_flat_window():
 
 
 def test_mixed_pre_post_waveforms():
-    pre = make_waveform("hrht")
-    post = make_waveform("sawtooth")
+    pre = SpikeWaveform("hrht")
+    post = SpikeWaveform("sawtooth")
     g = PairingGeometry(pre=pre, post=post, bank=make_bank(2, 0.6, 1.0, 0.0),
                         device=DeviceModel())
     d = drive(g, 2, 2.0)
@@ -274,7 +274,7 @@ def test_candidate_tables_bitwise_match_per_sample_reference(shape, pair_only):
     """Byte equality, so that -0.0 against 0.0 (or a last-bit change) fails;
     hrht with pair_only off at 3.2 is a case where evaluating at the snapped
     time would give -0.0 instead of -8.9e-17."""
-    w = make_waveform(shape)
+    w = SpikeWaveform(shape)
     for delay_max, assignment in ORACLE_BANKS:
         g = PairingGeometry(pre=w, post=w, bank=make_bank(16, 0.6, 1.0, delay_max, assignment),
                             device=DeviceModel(), dt_step=ORACLE_STEP, pair_only=pair_only)

@@ -1,42 +1,42 @@
 import numpy as np
 import pytest
 
-from synstdp import Shape, SpikeWaveform, make_waveform
+from synstdp import SpikeWaveform
 
 ALL_SHAPES = ["hrht", "rect", "sawtooth", "dexp", "bio"]
 
 
 def test_defaults():
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     assert (w.a_plus, w.tau_minus, w.a_minus, w.tau_plus) == (0.9, 1.0, 0.4, 5.0)
 
 
 def test_zero_duration_head_rejected():
     with pytest.raises(ValueError):
-        make_waveform("hrht", tau_minus=0.0)
+        SpikeWaveform("hrht", tau_minus=0.0)
 
 
 def test_amplitude_bounds():
     with pytest.raises(ValueError):
-        make_waveform("hrht", a_plus=0.0)
+        SpikeWaveform("hrht", a_plus=0.0)
     with pytest.raises(ValueError):
-        make_waveform("hrht", a_plus=11.0)
+        SpikeWaveform("hrht", a_plus=11.0)
     with pytest.raises(ValueError):
-        make_waveform("hrht", a_minus=-0.1)
+        SpikeWaveform("hrht", a_minus=-0.1)
     # zero tail amplitude is a valid (tail-less) waveform
-    w = make_waveform("hrht", a_minus=0.0)
+    w = SpikeWaveform("hrht", a_minus=0.0)
     assert w.evaluate(2.5) == 0.0
 
 
 def test_unknown_parameter_rejected():
+    with pytest.raises(TypeError):
+        SpikeWaveform("hrht", bogus=1.0)
     with pytest.raises(ValueError):
-        make_waveform("hrht", bogus=1.0)
-    with pytest.raises(ValueError):
-        make_waveform("dexp", extra={"tau_nope": 1.0})
+        SpikeWaveform("dexp", extra={"tau_nope": 1.0})
 
 
 def test_dexp_extras_accepted_and_bounded():
-    w = make_waveform("dexp", extra={"tau_head": 0.3, "tau_tail": 1.5})
+    w = SpikeWaveform("dexp", extra={"tau_head": 0.3, "tau_tail": 1.5})
     t = np.linspace(-2.0, 7.0, 4001)
     v = w.evaluate(t)
     assert np.all(v <= w.a_plus + 1e-12)
@@ -44,21 +44,21 @@ def test_dexp_extras_accepted_and_bounded():
 
 
 def test_hrht_evaluate_examples():
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     assert w.evaluate(-0.5) == 0.9
     assert abs(w.evaluate(2.5) - (-0.2)) < 1e-15  # -0.4*(1 - 2.5/5)
     assert w.evaluate(10.0) == 0.0
 
 
 def test_support():
-    assert make_waveform("hrht").support() == (-1.0, 5.0)
-    assert make_waveform("rect").support() == (-1.0, 5.0)
-    assert make_waveform("bio").support() == (-1.5, 6.0)
+    assert SpikeWaveform("hrht").support() == (-1.0, 5.0)
+    assert SpikeWaveform("rect").support() == (-1.0, 5.0)
+    assert SpikeWaveform("bio").support() == (-1.5, 6.0)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_zero_outside_support(shape):
-    w = make_waveform(shape)
+    w = SpikeWaveform(shape)
     lo, hi = w.support()
     t = np.concatenate([np.linspace(lo - 5, lo - 1e-9, 100),
                         np.linspace(hi, hi + 5, 100)])
@@ -67,7 +67,7 @@ def test_zero_outside_support(shape):
 
 @pytest.mark.parametrize("shape", ["hrht", "rect", "sawtooth"])
 def test_extrema_piecewise(shape):
-    w = make_waveform(shape)
+    w = SpikeWaveform(shape)
     lo, hi = w.support()
     step = 0.01
     t = np.arange(lo, hi, step)
@@ -80,14 +80,14 @@ def test_extrema_piecewise(shape):
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_evaluate_bounded(shape):
-    w = make_waveform(shape)
+    w = SpikeWaveform(shape)
     lo, hi = w.support()
     v = w.evaluate(np.linspace(lo - 1, hi + 1, 5000))
     assert np.all(v <= w.a_plus + 1e-12) and np.all(v >= -w.a_minus - 1e-12)
 
 
 def test_one_sided_limits():
-    w = make_waveform("hrht")
+    w = SpikeWaveform("hrht")
     v, inside = w.limits_with_support([0.0, 0.0, -1.0, -1.0], [-1, +1, -1, +1])
     assert v.tolist() == [0.9, -0.4, 0.0, 0.9]
     assert inside.tolist() == [True, True, False, True]
@@ -97,18 +97,23 @@ def test_one_sided_limits():
 
 
 def test_sawtooth_head_ramp():
-    w = make_waveform("sawtooth")
+    w = SpikeWaveform("sawtooth")
     assert abs(w.evaluate(-1.0)) < 1e-15      # ramps from 0
     assert w.limits_with_support([0.0], [-1])[0][0] == 0.9   # peak at the head end
 
 
 def test_shape_enum_round_trip():
     for name in ALL_SHAPES:
-        assert make_waveform(Shape(name)).shape.value == name
+        assert SpikeWaveform(name).shape == name
+
+
+def test_unknown_shape_rejected():
+    with pytest.raises(ValueError, match=r"^shape: unknown shape 'bogus'; expected one of \["):
+        SpikeWaveform("bogus")
 
 
 def test_dexp_head_peak_within_slope_scaled_step():
-    w = make_waveform("dexp")
+    w = SpikeWaveform("dexp")
     step = 0.01
     t = np.arange(*w.support(), step)
     tau_head = dict(w.extra)["tau_head"]
@@ -117,16 +122,16 @@ def test_dexp_head_peak_within_slope_scaled_step():
 
 def test_extras_rejected_for_piecewise_shapes():
     with pytest.raises(ValueError):
-        make_waveform("hrht", extra={"tau_head": 0.3})
+        SpikeWaveform("hrht", extra={"tau_head": 0.3})
 
 
 def test_direct_construction_is_checked_and_defaulted():
-    w = SpikeWaveform(Shape.DOUBLE_EXPONENTIAL)
-    assert w == make_waveform("dexp") and w.support() == (-1.0, 5.0)
+    w = SpikeWaveform("dexp")
+    assert w == SpikeWaveform("dexp") and w.support() == (-1.0, 5.0)
     assert dict(w.extra) == {"tau_head": 0.3, "tau_tail": 1.5}
     assert SpikeWaveform("bio", extra={"head_width": 0.5}) == \
-        make_waveform("bio", extra=(("head_width", 0.5),))
-    with pytest.raises(ValueError, match="tau_minus must be positive"):
-        SpikeWaveform(Shape.HRHT, tau_minus=-1.0)
-    with pytest.raises(ValueError, match="extra parameter tau_tail must be positive"):
-        SpikeWaveform(Shape.DOUBLE_EXPONENTIAL, extra={"tau_tail": 0.0})
+        SpikeWaveform("bio", extra=(("head_width", 0.5),))
+    with pytest.raises(ValueError, match=r"^tau_minus: must be positive, got -1\.0$"):
+        SpikeWaveform("hrht", tau_minus=-1.0)
+    with pytest.raises(ValueError, match=r"^extra\.tau_tail: must be positive, got 0\.0$"):
+        SpikeWaveform("dexp", extra={"tau_tail": 0.0})
