@@ -15,6 +15,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from .device import switch_draws
 from .pairing import PairingGeometry, branch_drives, candidate_tables
 
 _GH_POINTS = 12  # Gauss-Hermite order for amplitude-noise averaging
@@ -263,8 +264,8 @@ def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
     drive = nodes[0]
     if g.amp_noise_sigma > 0.0:
         drive = branch_drives(g, tables, scales[:, 0], scales[:, 1])  # (epochs, n)
-    s = (u_set < drive.p_set).view(np.uint8)
-    r = (u_reset < drive.p_reset).view(np.uint8)
+    s = switch_draws(g.device, u_set, drive.v_max, 1).view(np.uint8)
+    r = switch_draws(g.device, u_reset, drive.v_min, -1).view(np.uint8)
     both, set_then_reset, up, down = _transitions(s, r, drive.reset_later)
     n_set = np.where(on_init, both - set_then_reset, s).sum(axis=1)
     n_reset = np.where(on_init, r, set_then_reset).sum(axis=1)

@@ -18,6 +18,7 @@ curved pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,13 +52,22 @@ class PairingGeometry:
 class BranchDrive:
     """Polarity peaks of a branch's potential and the resulting switch odds:
     floats for one branch, or arrays of shape (..., n) over the branches of
-    a bank (see `branch_drives`)."""
+    a bank (see `branch_drives`).  The odds are evaluated on first use, so a
+    per-epoch drive that only feeds `switch_draws` never evaluates the law at
+    every entry."""
     v_max: float
     t_max: float
     v_min: float
     t_min: float
-    p_set: float
-    p_reset: float
+    device: DeviceModel
+
+    @cached_property
+    def p_set(self):
+        return set_probability(self.device, self.v_max)
+
+    @cached_property
+    def p_reset(self):
+        return reset_probability(self.device, self.v_min)
 
     @property
     def reset_later(self):
@@ -160,14 +170,12 @@ def branch_drives(g: PairingGeometry, tables: list[CandidateTable],
     shape (one entry per epoch or quadrature node under amplitude noise)."""
     v_max, t_max, v_min, t_min = (np.stack(x, axis=-1) for x in
                                   zip(*(tbl.peaks(s_pre, s_post) for tbl in tables)))
-    return BranchDrive(v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min,
-                       p_set=set_probability(g.device, v_max),
-                       p_reset=reset_probability(g.device, v_min))
+    return BranchDrive(v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min, device=g.device)
 
 
 def all_branch_drives(g: PairingGeometry, delta_t: float,
                       s_pre: float = 1.0, s_post: float = 1.0) -> list[BranchDrive]:
     """Per-branch drives at offset delta_t, one scalar BranchDrive per branch."""
     d = branch_drives(g, candidate_tables(g, delta_t), s_pre, s_post)
-    return [BranchDrive(*map(float, row)) for row in
-            zip(d.v_max, d.t_max, d.v_min, d.t_min, d.p_set, d.p_reset)]
+    return [BranchDrive(*map(float, row), device=g.device) for row in
+            zip(d.v_max, d.t_max, d.v_min, d.t_min)]

@@ -68,7 +68,7 @@ class SpikeWaveform:
         extra = dict(_EXTRAS.get(self.shape, {}))
         unknown = dict(self.extra).keys() - extra.keys()
         if unknown:
-            raise ValueError(f"unknown extra parameters for shape {self.shape}: {sorted(unknown)}")
+            raise ValueError(f"extra: unknown keys {sorted(unknown)}")
         extra.update(self.extra)
         for key, val in extra.items():
             if (key.startswith("tau") or key.endswith("width")) and val <= 0.0:

@@ -359,6 +359,12 @@ def test_one_field_range_error_starts_with_its_key(tmp_path, key, value):
     assert str(e.value).startswith(f"{key}: ")
 
 
+def test_unknown_waveform_extra_is_filed_under_extra():
+    with pytest.raises(ConfigError) as e:
+        parse_config({"post_waveform": {"shape": "dexp", "extra": {"tau_nope": 1.0}}})
+    assert str(e.value) == "post_waveform.extra: unknown keys ['tau_nope']"
+
+
 # a bank is echoed to resolved-config.json as the five numbers it was given,
 # also where two of them give the same branches
 BANK_ECHOES = [

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from synstdp import DeviceModel, ProbModel, reset_probability, set_probability
+from synstdp.device import _SCREEN_CELLS, _erf, switch_draws
 from synstdp.montecarlo import _lrs_draws, _point_stream
 
 # standard-normal table values
@@ -107,3 +111,126 @@ def test_validation():
 def test_off_conductance_default_zero(dev):
     assert dev.g_off_norm == 0.0
     assert DeviceModel(r_off_ratio=100.0).g_off_norm == 0.01
+
+
+# erf: a numpy port of Cephes ndtr.c, checked against scipy's, which is the
+# same algorithm with the C library's exp
+
+def neighbours(x, count=8):
+    """x and its `count` nearest floats on each side."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(count):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+ERF_EDGES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan,
+    *[s * y for s in (1.0, -1.0) for x in (1.0, 8.0) for y in neighbours(x)],
+    *np.linspace(26.5, 27.3, 801), *np.linspace(-27.3, -26.5, 801),
+])
+
+
+def ulps(a, b):
+    """Distance in units in the last place between same-signed floats."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@pytest.mark.parametrize("x", [np.linspace(-30.0, 30.0, 3_000_001), ERF_EDGES],
+                         ids=["dense-grid", "edges"])
+def test_erf_within_one_ulp_of_scipy(x):
+    special = pytest.importorskip("scipy.special")
+    got, want = _erf(x), special.erf(x)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    live = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert ulps(got[live], want[live]).max() <= 1
+
+
+def test_erf_exact_values():
+    assert _erf(0.0) == 0.0 and np.signbit(_erf(-0.0))
+    assert _erf(np.inf) == 1.0 and _erf(-np.inf) == -1.0 and np.isnan(_erf(np.nan))
+    assert _erf(6.0) == 1.0 and _erf(-30.0) == -1.0
+    x = np.linspace(0.0, 30.0, 10_001)
+    assert np.array_equal(_erf(-x), -_erf(x))
+
+
+def test_erf_monotone():
+    assert np.all(np.diff(_erf(np.linspace(-30.0, 30.0, 3_000_001))) >= 0.0)
+    # float by float it may step back by an ulp (so may scipy's), never more
+    for x in (0.3, 1.0, 2.5, 8.0):
+        y = _erf(np.array(sorted(neighbours(x, 200))))
+        assert (np.maximum.accumulate(y) - y).max() <= np.spacing(1.0)
+
+
+@pytest.mark.parametrize("x,shape", [(0.5, ()), (np.float64(-2.0), ()), (np.array(9.0), ()),
+                                     (np.zeros(0), (0,)), (np.zeros((2, 0)), (2, 0)),
+                                     ([[0.5, 1.5, 9.0]], (1, 3))])
+def test_erf_keeps_shape(x, shape):
+    assert np.shape(_erf(x)) == shape
+
+
+def test_cli_imports_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, synstdp.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# switch_draws: the screened draws are exactly u < p(v)
+
+LAWS = {"gaussian": DeviceModel(),
+        "linear": DeviceModel(prob_model=ProbModel(kind="linear", gamma=2.0)),
+        # p moves by more than the screen's slack between neighbouring floats
+        # near the threshold, so a drive filed one cell off shows
+        "steep": DeviceModel(sigma_th=0.002)}
+POLARITIES = {1: set_probability, -1: reset_probability}
+
+
+def drive_cases(polarity):
+    """Drives, more than _SCREEN_CELLS of them so that the screen's table is
+    used where some drive is above zero: random ones of both signs, table
+    nodes and their neighbours, cell midpoints, drives of the other sign,
+    all-zero and empty arrays."""
+    rng = np.random.default_rng(3)
+    top = 1.7
+    nodes = np.linspace(0.0, top, _SCREEN_CELLS + 1)
+    on_grid = np.concatenate([nodes, np.nextafter(nodes, -1.0), np.nextafter(nodes, 2.0),
+                              (nodes[1:] + nodes[:-1]) / 2, np.arange(_SCREEN_CELLS) * top
+                              / _SCREEN_CELLS])
+    return {
+        "random": rng.normal(0.8, 0.5, (600, 16)),
+        "nodes": polarity * np.minimum(np.abs(on_grid), top),
+        "small": polarity * rng.uniform(0.0, 0.95, 5000),
+        "wrong-sign": -polarity * rng.uniform(0.0, 2.0, 5000),
+        "zero": np.zeros((400, 16)),
+        "empty": np.zeros((0, 16)),
+    }
+
+
+@pytest.mark.parametrize("polarity", sorted(POLARITIES))
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_switch_draws_equal_u_below_p(law, polarity):
+    m, p_of = LAWS[law], POLARITIES[polarity]
+    rng = np.random.default_rng(11)
+    for name, v in drive_cases(polarity).items():
+        p = p_of(m, v)
+        for u in (rng.random(v.shape), p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)):
+            got = switch_draws(m, u, v, polarity)
+            assert got.shape == v.shape and got.dtype == bool
+            assert np.array_equal(got, u < p), (law, polarity, name)
+
+
+def test_switch_draws_small_and_broadcast_drives():
+    # with fewer drives than table nodes the law is evaluated on each drive,
+    # and the drives broadcast against the draws
+    m, rng = DeviceModel(), np.random.default_rng(5)
+    v, u = rng.uniform(0.0, 1.5, 16), rng.random((1000, 16))
+    assert np.array_equal(switch_draws(m, u, v, 1), u < set_probability(m, v))
+    assert np.array_equal(switch_draws(m, u, -v, -1), u < reset_probability(m, -v))
