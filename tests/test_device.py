@@ -205,7 +205,7 @@ def drive_cases(polarity):
                               (nodes[1:] + nodes[:-1]) / 2, np.arange(_SCREEN_CELLS) * top
                               / _SCREEN_CELLS])
     return {
-        "random": rng.normal(0.8, 0.5, (600, 16)),
+        "random": polarity * rng.normal(0.8, 0.5, (600, 16)),
         "nodes": polarity * np.minimum(np.abs(on_grid), top),
         "small": polarity * rng.uniform(0.0, 0.95, 5000),
         "wrong-sign": -polarity * rng.uniform(0.0, 2.0, 5000),
