@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: window, statedist, fit, closedform, energy, validate.  Every
-subcommand exits nonzero on any error.  Window sweeps run in one process
-unless --workers asks for a pool.
+subcommand exits nonzero on any error.  A window sweep, and the formatting
+of its window.csv rows, run in one process unless --workers asks for a pool.
 """
 from __future__ import annotations
 
@@ -84,14 +84,17 @@ def _load_run_config(path: Path | None):
 
 
 def _cmd_window(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
+    for flag, value, least in (("--workers", args.workers, 1), ("--epochs", args.epochs, 1),
+                               ("--seed", args.seed, 0)):
+        if value is not None and value < least:
+            kind = "positive" if least else "non-negative"
+            raise ConfigError(f"{flag} must be a {kind} integer, got {value}")
     cfg = _load_run_config(args.config)
     overrides = {"seed": args.seed, "epochs": args.epochs}
     cfg = dataclasses.replace(cfg, window=dataclasses.replace(
         cfg.window, **{k: v for k, v in overrides.items() if v is not None}))
     window = run_window(cfg.window, workers=args.workers)
-    paths = write_window_csv(window, args.out)
+    paths = write_window_csv(window, args.out, workers=args.workers)
     (args.out / "resolved-config.json").write_text(
         json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     if cfg.output.svg:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,16 +175,31 @@ def reset_probability(m: DeviceModel, v_peak):
     return _switch_probability(m, v, abs(m.vth_neg), v >= 0.0)
 
 
-# Cells of the screen's table over [0, max drive].  A draw is left to the
-# exact law only when u falls within about three cells' rise of p, a share
-# that shrinks as 1/cells (0.10 % of the draws of the fig7_delay bank under
-# 0.05 amplitude noise at 4,096), while the table costs 4,097 law values
-# per call; switch_draws skips the table when there are fewer drives than
-# that.
+# Cells of the screen's table over [0, span], span the power of two at or
+# above the largest drive.  A draw is left to the exact law only when u
+# falls within about three cells' rise of p, a share that shrinks as 1/cells
+# (0.10 % of the draws of the fig7_delay bank under 0.05 amplitude noise at
+# 4,096), while a table costs 4,097 law values; switch_draws skips the
+# table when there are fewer drives than that.
 _SCREEN_CELLS = 4096
 # The computed law is monotone in the drive only up to its rounding (erf
 # steps back by an ulp in places); the screen's bounds are widened by this
 _SCREEN_SLACK = 1e-15
+
+
+@lru_cache(maxsize=64)
+def _screen(m: DeviceModel, polarity: int, span: float):
+    """(below, above) of switch_draws' screen over [0, span], read-only:
+    cell k's lower bound, the law at node max(k-1, 0) less _SCREEN_SLACK,
+    and its upper bound, the law at node min(k+2, cells) plus the slack.
+    Cached, so one process builds each table once, however many offsets
+    have their top drive in the same octave."""
+    law = {1: set_probability, -1: reset_probability}[polarity]
+    p = law(m, polarity * np.linspace(0.0, span, _SCREEN_CELLS + 1))
+    below = np.concatenate([p[:1], p[:-1]]) - _SCREEN_SLACK
+    above = np.concatenate([p[2:], p[-1:], p[-1:]]) + _SCREEN_SLACK
+    below.flags.writeable = above.flags.writeable = False
+    return below, above
 
 
 def switch_draws(m: DeviceModel, u, v_peak, polarity: int) -> np.ndarray:
@@ -191,11 +207,13 @@ def switch_draws(m: DeviceModel, u, v_peak, polarity: int) -> np.ndarray:
     or the RESET law (polarity -1), without evaluating p at every entry.
 
     p is a nondecreasing function of the drive a = max(polarity v, 0) with
-    p(0) = 0.  It is evaluated on a table of nodes over [0, max a].  An entry
-    in cell k is settled true when u is below the node k-1 value and false
-    when u is at or above the node k+2 value, each widened by _SCREEN_SLACK;
-    the cell of slack on each side covers the rounding of k.  Only the
-    entries left between are evaluated exactly."""
+    p(0) = 0.  It is evaluated on a table of nodes over [0, span], span the
+    power of two at or above max a.  An entry in cell k is settled true when
+    u is below the node k-1 value and false when u is at or above the node
+    k+2 value, each widened by _SCREEN_SLACK.  span and the cell count are
+    powers of two, so the nodes and each drive's cell are exact; the cell of
+    slack on each side is a margin.  Only the entries left between are
+    evaluated exactly."""
     law = {1: set_probability, -1: reset_probability}[polarity]
     v = np.asarray(v_peak, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -203,13 +221,12 @@ def switch_draws(m: DeviceModel, u, v_peak, polarity: int) -> np.ndarray:
         return u < law(m, v)
     u, v = np.broadcast_arrays(u, v)
     top = float(v.max() if polarity == 1 else -v.min())
-    scale = _SCREEN_CELLS / top if 0.0 < top < math.inf else math.inf
-    if scale == math.inf:  # no drive above 0, or a non-finite or subnormal one
+    if not 2.0**-1000 <= top <= 2.0**1000:  # no drive above 0, or a non-finite or extreme one
         return u < law(m, v)
-    p = law(m, polarity * np.linspace(0.0, top, _SCREEN_CELLS + 1))
-    below = np.concatenate([p[:1], p[:-1]]) - _SCREEN_SLACK  # node max(k-1, 0)
-    above = np.concatenate([p[2:], p[-1:], p[-1:]]) + _SCREEN_SLACK  # node min(k+2, cells)
-    k = v * (polarity * scale)
+    mant, exp = math.frexp(top)
+    span = math.ldexp(1.0, exp - (mant == 0.5))
+    below, above = _screen(m, polarity, span)
+    k = v * (polarity * _SCREEN_CELLS / span)
     k = np.maximum(k, 0.0, out=k).astype(np.intp)  # a drive of the other sign is in cell 0
     out = u < above.take(k)  # below[k] <= above[k], so out is a superset of the settled trues
     left = np.flatnonzero(out ^ (u < below.take(k)))

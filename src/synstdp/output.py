@@ -6,6 +6,9 @@ ascending, then epoch / state index), making output byte-stable.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
+from functools import lru_cache
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -18,31 +21,55 @@ def _floats(a) -> list[float]:
     return np.asarray(a, dtype=float).tolist()
 
 
+@lru_cache(maxsize=2)  # window.csv's epochs and states.csv's states
 def _indices(n: int) -> list[str]:
     """The ",i," middles of rows numbered 0..n-1 within one offset."""
     return [f",{i}," for i in range(n)]
 
 
-def write_window_csv(w: StdpWindow, out_dir: str | Path) -> dict[str, Path]:
+def _offset_rows(job) -> str:
+    """The window.csv rows of one offset as one string, job = (delta_t,
+    delta_g, n_set, n_reset) with one entry per epoch.  A row is four slots:
+    the offset, the ",epoch," middle, the repr of delta_g, and the
+    ",n_set,n_reset" tail, formatted once per distinct pair of counts (each
+    count fits in 32 bits, so a pair is one int64 key)."""
+    dt, delta_g, n_set, n_reset = job
+    epochs = len(delta_g)
+    key = n_set.astype(np.int64) * 2**32 + n_reset
+    _, first, pair = np.unique(key, return_index=True, return_inverse=True)
+    tails = np.array([f",{s},{r}\n" for s, r in zip(n_set[first].tolist(),
+                                                     n_reset[first].tolist())], dtype=object)
+    parts = [""] * (4 * epochs)
+    parts[0::4] = [repr(dt)] * epochs
+    parts[1::4] = _indices(epochs)
+    parts[2::4] = map(repr, _floats(delta_g))
+    parts[3::4] = tails[pair].tolist()
+    return "".join(parts)
+
+
+def write_window_csv(w: StdpWindow, out_dir: str | Path, workers: int = 1) -> dict[str, Path]:
     """Write window.csv (per-epoch outcomes), mean.csv (per-point stats) and
     states.csv (switching-count probabilities) into out_dir.
 
-    Each offset's rows are joined into one string and written at once; the
-    whole file is never held in memory."""
+    Each offset's window.csv rows are built as one string and written at
+    once, so the whole file is never held in memory.  With workers > 1 a
+    fork pool of at most one process per offset builds them, and they are
+    written in grid order as they arrive: the bytes do not depend on the
+    worker count."""
     out = Path(out_dir)
+    jobs = ((dt, w.delta_g[k], w.n_set[k], w.n_reset[k])
+            for k, dt in enumerate(_floats(w.delta_t)))
+    workers = min(workers, w.delta_t.size)
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = {}
 
         p = out / "window.csv"
-        with p.open("w", encoding="utf-8", newline="\n") as f:
+        with p.open("w", encoding="utf-8", newline="\n") as f, \
+                (get_context("fork").Pool(workers) if workers > 1 else nullcontext()) as pool:
             f.write("delta_t,epoch,delta_g_norm,n_set,n_reset\n")
-            epochs = _indices(w.epochs)
-            for k, dt in enumerate(_floats(w.delta_t)):
-                dts = repr(dt)
-                f.write("".join([f"{dts}{e}{g!r},{s},{r}\n" for e, g, s, r in
-                                 zip(epochs, _floats(w.delta_g[k]), w.n_set[k].tolist(),
-                                     w.n_reset[k].tolist())]))
+            for rows in (pool.imap(_offset_rows, jobs) if pool else map(_offset_rows, jobs)):
+                f.write(rows)
         paths["window"] = p
 
         p = out / "mean.csv"

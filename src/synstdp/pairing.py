@@ -85,28 +85,12 @@ class CandidateTable:
     `post_v`/`pre_v` hold the one-sided values of the post spike and the
     attenuated+delayed pre spike; rescaling either spike only rescales these
     columns, so noisy peaks are re-derived from the same table.
-    Candidates are sorted by time (ties: left limit first), hence argmax /
-    argmin pick the earliest extremum.
+    Candidates are sorted by time (ties: left limit first), hence the
+    first-index tie rule of `branch_drives` picks the earliest extremum.
     """
     t: np.ndarray
     post_v: np.ndarray
     pre_v: np.ndarray
-
-    def peaks(self, s_pre=1.0, s_post=1.0):
-        """(v_max, t_max, v_min, t_min) with both spikes rescaled, each shaped
-        like the broadcast scales; a peak's time is 0 where the peak is 0."""
-        s_pre, s_post = np.broadcast_arrays(np.asarray(s_pre, dtype=float),
-                                            np.asarray(s_post, dtype=float))
-        if not self.t.size:
-            return tuple(np.zeros(s_pre.shape) for _ in range(4))
-        v = s_post[..., None] * self.post_v - s_pre[..., None] * self.pre_v
-        imax = np.argmax(v, axis=-1)[..., None]
-        imin = np.argmin(v, axis=-1)[..., None]
-        v_max = np.take_along_axis(v, imax, -1)[..., 0]
-        v_min = np.take_along_axis(v, imin, -1)[..., 0]
-        t_max = np.where(v_max > 0.0, self.t[imax[..., 0]], 0.0)
-        t_min = np.where(v_min < 0.0, self.t[imin[..., 0]], 0.0)
-        return np.maximum(v_max, 0.0), t_max, np.minimum(v_min, 0.0), t_min
 
 
 def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]:
@@ -163,19 +147,95 @@ def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]
             for start, end in zip([0, *ends], ends)]
 
 
+# Floats in one block of candidate potentials, (B, n, leading), in the scan
+# of branch_drives: 512 kB, about what a core's L2 cache holds.  A per-epoch
+# drive under amplitude noise (4,000 epochs x 16 branches = 64,000 floats a
+# candidate) then steps one candidate at a time with no block reduction.  A
+# scalar call takes one block up to 4,096 candidates a branch of 16 (bio
+# tables hold at most 754), so no per-candidate Python loop runs; the 144
+# quadrature nodes take 28 candidates a block (one block for the
+# piecewise-linear shapes, at most 8 candidates a branch).
+_SCAN_ELEMENTS = 2**16
+
+
+def _padded(tables: list[CandidateTable]):
+    """(t, post_v, pre_v) of a bank's tables as (C, n) arrays, C the longest
+    table's length (at least 1).  A short column is padded with copies of
+    its first candidate, which changes neither its extrema nor their first
+    index; an empty table is all zeros, a peak of 0 at t = 0."""
+    counts = np.array([tbl.t.size for tbl in tables])
+    rows = np.arange(max(counts.max(), 1))[:, None]
+    first = np.cumsum(counts) - counts
+    at = np.where(counts > 0, first + np.where(rows < counts, rows, 0), counts.sum())
+    return tuple(np.append(np.concatenate([getattr(tbl, f) for tbl in tables]), 0.0)[at]
+                 for f in ("t", "post_v", "pre_v"))
+
+
 def branch_drives(g: PairingGeometry, tables: list[CandidateTable],
                   s_pre=1.0, s_post=1.0) -> BranchDrive:
     """Drives of all branches of one offset from their candidate tables, as
     one BranchDrive of (..., n) arrays; the scales broadcast to the leading
-    shape (one entry per epoch or quadrature node under amplitude noise)."""
-    v_max, t_max, v_min, t_min = (np.stack(x, axis=-1) for x in
-                                  zip(*(tbl.peaks(s_pre, s_post) for tbl in tables)))
+    shape (one entry per epoch or quadrature node under amplitude noise).
+
+    Each candidate's potential is s_post post_v - s_pre pre_v.  The padded
+    tables are scanned in blocks of candidates, branch-major so that the
+    innermost axis is the long leading one.  A block's extrema and their
+    first indices replace the running ones only where they are strictly
+    beyond them, so a tie keeps the earliest candidate.  A peak's time is 0
+    where the peak is 0.  The running extrema are kept with np.maximum /
+    np.minimum, which may settle a tie of 0.0 and -0.0 either way; the
+    final clamp against 0.0 gives the same zero for both."""
+    s_pre, s_post = np.broadcast_arrays(np.asarray(s_pre, dtype=float),
+                                        np.asarray(s_post, dtype=float))
+    lead = s_pre.shape
+    t, post_v, pre_v = _padded(tables)
+    count, n = t.shape
+    s_pre, s_post = s_pre.reshape(1, 1, -1), s_post.reshape(1, 1, -1)
+    step = max(1, _SCAN_ELEMENTS // max(s_pre.size * n, 1))
+    v = np.empty((min(step, count), n, s_pre.size))
+    scaled_pre = np.empty_like(v)
+    index = np.min_scalar_type(-count - 1)  # the smallest signed type holding each index + 1
+    found = []  # [running extremum, its first index], (n, leading), for the max and the min
+    for c0 in range(0, count, step):
+        vb, pb = v[:count - c0], scaled_pre[:count - c0]
+        np.multiply(s_post, post_v[c0:c0 + step, :, None], out=vb)
+        np.subtract(vb, np.multiply(s_pre, pre_v[c0:c0 + step, :, None], out=pb), out=vb)
+        for k, (ufunc, beyond) in enumerate(((np.maximum, np.greater), (np.minimum, np.less))):
+            if len(vb) == 1:
+                ext, i = vb[0], 0
+            else:
+                ext = ufunc.reduce(vb, axis=0)
+                i = np.argmax(vb == ext, axis=0)
+            if c0 == 0:  # copies: the buffer is refilled by the next block
+                found.append([ext.copy(), np.full(ext.shape, i, dtype=index)])
+                continue
+            best, at = found[k]
+            won = beyond(ext, best)
+            ufunc(best, ext, out=best)
+            # each index of this block is above every index recorded before it
+            np.maximum(at, np.multiply(won, c0 + i, dtype=index), out=at)
+    # back to (leading..., n); a time is looked up one row down in a table
+    # whose row 0 is the time 0 of a peak of 0
+    times = np.concatenate([np.zeros((1, n)), t])
+    branch = np.arange(n)
+    (v_max, at_max), (v_min, at_min) = ((best.T, at.T) for best, at in found)
+    t_max = times[np.multiply(at_max + 1, v_max > 0.0, dtype=np.intp), branch].reshape(lead + (n,))
+    t_min = times[np.multiply(at_min + 1, v_min < 0.0, dtype=np.intp), branch].reshape(lead + (n,))
+    v_max = np.maximum(v_max, 0.0, order="C").reshape(lead + (n,))
+    v_min = np.minimum(v_min, 0.0, order="C").reshape(lead + (n,))
     return BranchDrive(v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min, device=g.device)
 
 
 def all_branch_drives(g: PairingGeometry, delta_t: float,
                       s_pre: float = 1.0, s_post: float = 1.0) -> list[BranchDrive]:
-    """Per-branch drives at offset delta_t, one scalar BranchDrive per branch."""
+    """Per-branch drives at offset delta_t, one scalar BranchDrive per branch.
+    The bank's odds come from one law call per polarity; each drive gets its
+    floats as the values of its cached p_set / p_reset."""
     d = branch_drives(g, candidate_tables(g, delta_t), s_pre, s_post)
-    return [BranchDrive(*map(float, row), device=g.device) for row in
-            zip(d.v_max, d.t_max, d.v_min, d.t_min)]
+    drives = []
+    for *peaks, p_set, p_reset in zip(*(getattr(d, f).tolist() for f in
+                                        ("v_max", "t_max", "v_min", "t_min", "p_set", "p_reset"))):
+        drive = BranchDrive(*peaks, device=g.device)
+        drive.__dict__.update(p_set=p_set, p_reset=p_reset)  # where cached_property keeps them
+        drives.append(drive)
+    return drives

@@ -149,6 +149,32 @@ def test_window_rejects_nonpositive_workers(tmp_path, quick_config, capsys, work
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "0", "--epochs must be a positive integer, got 0"),
+    ("--epochs", "-4", "--epochs must be a positive integer, got -4"),
+    ("--seed", "-1", "--seed must be a non-negative integer, got -1"),
+], ids=["epochs-0", "epochs-negative", "seed-negative"])
+def test_window_rejects_bad_override_naming_the_flag(tmp_path, quick_config, capsys, flag,
+                                                      value, message):
+    out = tmp_path / "o"
+    assert main(["window", "--config", str(quick_config), "--out", str(out), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_window_bytes_do_not_depend_on_workers(tmp_path):
+    """A short noisy run on the delayed bank: the sweep and the window.csv
+    rows are computed by a pool at --workers 2 and in one process at 1."""
+    config = CONFIGS.parent / "perfbench" / "configs" / "window_noise_w2.json"
+    runs = {w: tmp_path / f"w{w}" for w in ("1", "2")}
+    for workers, out in runs.items():
+        assert main(["window", "--config", str(config), "--out", str(out), "--epochs", "40",
+                     "--seed", "3", "--workers", workers]) == 0
+    for name in ("window.csv", "mean.csv", "states.csv", "window.svg", "resolved-config.json"):
+        assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name
+
+
 def test_rerun_from_resolved_config_gives_same_bytes(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["window", "--config", str(CONFIGS / "fig7_delay.json"), "--out", str(first),

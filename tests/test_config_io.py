@@ -205,6 +205,16 @@ def test_csv_writers_match_per_row_reference(tmp_path, name):
     assert path.read_bytes() == expected["states.csv"].encode()
 
 
+@pytest.mark.parametrize("name", sorted(EDGE_WINDOWS))
+def test_window_csv_from_a_pool_matches_per_row_reference(tmp_path, name):
+    """The rows of a two-process pool, written in grid order, are the
+    per-row reference's bytes (and so the one-process writer's)."""
+    w = _edge_window(*EDGE_WINDOWS[name])
+    write_window_csv(w, tmp_path, workers=2)
+    for file, text in _reference_csvs(w).items():
+        assert (tmp_path / file).read_bytes() == text.encode(), file
+
+
 def test_svg_deterministic_and_valid():
     w = run_window(small_config(epochs=20))
     a = write_svg_scatter(w)
@@ -290,7 +300,7 @@ def test_bool_and_negative_integers_rejected_with_path(tmp_path, capsys, key, ra
 
 def test_negative_seed_flag_exits_1_naming_the_seed(tmp_path, capsys):
     assert main(["window", "--out", str(tmp_path / "o"), "--seed", "-1", "--epochs", "1"]) == 1
-    assert "error: seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "error: --seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

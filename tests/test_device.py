@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synstdp import DeviceModel, ProbModel, reset_probability, set_probability
-from synstdp.device import _SCREEN_CELLS, _erf, switch_draws
+from synstdp.device import _SCREEN_CELLS, _erf, _screen, switch_draws
 from synstdp.montecarlo import _lrs_draws, _point_stream
 
 # standard-normal table values
@@ -196,17 +196,17 @@ POLARITIES = {1: set_probability, -1: reset_probability}
 def drive_cases(polarity):
     """Drives, more than _SCREEN_CELLS of them so that the screen's table is
     used where some drive is above zero: random ones of both signs, table
-    nodes and their neighbours, cell midpoints, drives of the other sign,
-    all-zero and empty arrays."""
+    nodes and their neighbours, cell midpoints (the table spans [0, 2] for a
+    top drive in (1, 2], which "nodes" reaches and "nodes-below-top" does
+    not), drives of the other sign, all-zero and empty arrays."""
     rng = np.random.default_rng(3)
-    top = 1.7
-    nodes = np.linspace(0.0, top, _SCREEN_CELLS + 1)
-    on_grid = np.concatenate([nodes, np.nextafter(nodes, -1.0), np.nextafter(nodes, 2.0),
-                              (nodes[1:] + nodes[:-1]) / 2, np.arange(_SCREEN_CELLS) * top
-                              / _SCREEN_CELLS])
+    nodes = np.linspace(0.0, 2.0, _SCREEN_CELLS + 1)
+    on_grid = np.concatenate([nodes, np.nextafter(nodes, -1.0), np.nextafter(nodes, 3.0),
+                              (nodes[1:] + nodes[:-1]) / 2])
     return {
         "random": polarity * rng.normal(0.8, 0.5, (600, 16)),
-        "nodes": polarity * np.minimum(np.abs(on_grid), top),
+        "nodes": polarity * np.minimum(np.abs(on_grid), 2.0),
+        "nodes-below-top": polarity * np.minimum(np.abs(on_grid), 1.7),
         "small": polarity * rng.uniform(0.0, 0.95, 5000),
         "wrong-sign": -polarity * rng.uniform(0.0, 2.0, 5000),
         "zero": np.zeros((400, 16)),
@@ -234,3 +234,14 @@ def test_switch_draws_small_and_broadcast_drives():
     v, u = rng.uniform(0.0, 1.5, 16), rng.random((1000, 16))
     assert np.array_equal(switch_draws(m, u, v, 1), u < set_probability(m, v))
     assert np.array_equal(switch_draws(m, u, -v, -1), u < reset_probability(m, -v))
+
+
+def test_switch_screen_table_built_once_per_octave():
+    """Drives whose top falls in one octave, (1, 2] here, share one table."""
+    m, rng = DeviceModel(sigma_th=0.07), np.random.default_rng(8)
+    _screen.cache_clear()
+    for top in (1.2, 1.5, 1.99, 2.0, 2.01):
+        v = np.append(rng.uniform(-top, top, 5000), top)
+        u = rng.random(v.shape)
+        assert np.array_equal(switch_draws(m, u, v, 1), u < set_probability(m, v))
+    assert _screen.cache_info().misses == 2  # the tables over [0, 2] and [0, 4]

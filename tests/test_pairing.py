@@ -3,7 +3,7 @@ import pytest
 
 from synstdp import (DeviceModel, PairingGeometry, SpikeWaveform, all_branch_drives,
                      branch_drives, make_bank)
-from synstdp.pairing import candidate_tables
+from synstdp.pairing import _SCAN_ELEMENTS, CandidateTable, candidate_tables
 from synstdp.waveforms import EDGE_SNAP_TOL
 from tests.test_device import phi
 
@@ -286,3 +286,95 @@ def test_candidate_tables_bitwise_match_per_sample_reference(shape, pair_only):
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
                         (shape, pair_only, delay_max, assignment, delta_t, i)
+
+
+def peaks(tbl, s_pre=1.0, s_post=1.0):
+    """Oracle of branch_drives, one table at a time: (v_max, t_max, v_min,
+    t_min) with both spikes rescaled, each shaped like the broadcast scales,
+    from argmax / argmin over the whole table; a peak's time is 0 where the
+    peak is 0."""
+    s_pre, s_post = np.broadcast_arrays(np.asarray(s_pre, dtype=float),
+                                        np.asarray(s_post, dtype=float))
+    if not tbl.t.size:
+        return tuple(np.zeros(s_pre.shape) for _ in range(4))
+    v = s_post[..., None] * tbl.post_v - s_pre[..., None] * tbl.pre_v
+    imax = np.argmax(v, axis=-1)[..., None]
+    imin = np.argmin(v, axis=-1)[..., None]
+    v_max = np.take_along_axis(v, imax, -1)[..., 0]
+    v_min = np.take_along_axis(v, imin, -1)[..., 0]
+    t_max = np.where(v_max > 0.0, tbl.t[imax[..., 0]], 0.0)
+    t_min = np.where(v_min < 0.0, tbl.t[imin[..., 0]], 0.0)
+    return np.maximum(v_max, 0.0), t_max, np.minimum(v_min, 0.0), t_min
+
+
+def _bank(shape, delay_max=0.3, pair_only=True, pre=None):
+    w = SpikeWaveform(shape)
+    return PairingGeometry(pre=SpikeWaveform(pre) if pre else w, post=w,
+                           bank=make_bank(16, 0.6, 1.0, delay_max, "ramp"),
+                           device=DeviceModel(), pair_only=pair_only)
+
+
+def _tie_tables():
+    """An empty table, a one-candidate table, and 400 candidates repeating a
+    4-candidate pattern at distinct times, so that every extremum is tied
+    across the blocks of the scan."""
+    pattern = np.tile([[1.0, 0.5], [0.25, 0.0], [-1.0, 0.5], [1.0, 0.5]], (100, 1))
+    empty = np.zeros(0)
+    return [CandidateTable(empty, empty, empty),
+            CandidateTable(np.array([0.7]), np.array([0.9]), np.array([0.4])),
+            CandidateTable(np.arange(400) * 0.01, pattern[:, 0].copy(), pattern[:, 1].copy())]
+
+
+def _scales():
+    """Scalar, quadrature-node and per-epoch scales, each with scales of 0
+    and below 0 among them."""
+    rng = np.random.default_rng(7)
+    nodes = 1.0 + 0.8 * np.polynomial.hermite_e.hermegauss(12)[0]
+    epochs = 1.0 + 0.6 * rng.standard_normal((3000, 2))
+    epochs[::7] = 0.0
+    epochs[1::11, 0] = 0.0
+    epochs[2::13, 1] = -0.0
+    return {"scalar-1": (1.0, 1.0), "scalar-0": (0.0, 0.0), "scalar-post-0": (0.7, 0.0),
+            "scalar-negative": (-0.5, 0.7),
+            "nodes": (np.repeat(nodes, 12), np.tile(nodes, 12)),
+            "epochs": (epochs[:, 0], epochs[:, 1])}
+
+
+SCAN_TABLES = {  # id -> (tables, expected number of empty tables)
+    "fig7-delay-all-empty": (lambda: candidate_tables(_bank("hrht"), -6.0), 16),
+    "fig7-delay-some-empty": (lambda: candidate_tables(_bank("hrht"), -5.8), 6),
+    "fig7-delay-overlap": (lambda: candidate_tables(_bank("hrht"), -0.3), 0),
+    "fig7-delay-zero": (lambda: candidate_tables(_bank("hrht"), 0.0), 0),
+    "sawtooth-loose": (lambda: candidate_tables(_bank("sawtooth", pair_only=False), 0.4), 0),
+    "rect-plateau": (lambda: candidate_tables(_bank("hrht", 0.0, pre="rect"), 1.0), 0),
+    "bio": (lambda: candidate_tables(_bank("bio"), 0.4), 0),
+    "dexp": (lambda: candidate_tables(_bank("dexp"), -1.2), 0),
+    "ties-empty-one": (_tie_tables, 1),
+}
+
+
+@pytest.mark.parametrize("scales", sorted(_scales()))
+@pytest.mark.parametrize("case", sorted(SCAN_TABLES))
+def test_branch_drives_bitwise_match_per_table_peaks(case, scales):
+    """branch_drives against the per-table oracle, byte for byte (so -0.0
+    against 0.0 fails): exact ties (the duplicate limits at continuous edges,
+    plateaus, a repeated pattern), empty and one-candidate tables, scales of
+    0 and below, and bio and dexp tables that the node scales cut into
+    several blocks; the per-epoch scales step one candidate at a time."""
+    make, empty = SCAN_TABLES[case]
+    tables = make()
+    assert sum(tbl.t.size == 0 for tbl in tables) == empty
+    s_pre, s_post = _scales()[scales]
+    lead = np.broadcast(np.asarray(s_pre), np.asarray(s_post)).shape
+    longest = max(tbl.t.size for tbl in tables)
+    per_candidate = int(np.prod(lead)) * len(tables)
+    if case in ("bio", "dexp") and scales == "nodes":
+        assert longest > 2 * (_SCAN_ELEMENTS // per_candidate) > 0  # several blocks
+    if scales == "epochs" and len(tables) == 16:
+        assert 2 * per_candidate > _SCAN_ELEMENTS  # one candidate a step
+    d = branch_drives(_bank("hrht"), tables, s_pre, s_post)
+    want = [np.stack(x, axis=-1) for x in zip(*(peaks(tbl, s_pre, s_post) for tbl in tables))]
+    for f, w in zip(("v_max", "t_max", "v_min", "t_min"), want):
+        got = getattr(d, f)
+        assert got.shape == lead + (len(tables),) and got.dtype == w.dtype, f
+        assert got.tobytes() == w.tobytes(), f
