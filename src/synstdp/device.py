@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -137,6 +137,19 @@ class DeviceModel:
             raise ValueError(f"sigma_lrs: must be in [0, 0.5), got {self.sigma_lrs}")
         if self.r_off_ratio is not None and self.r_off_ratio <= 1.0:
             raise ValueError(f"r_off_ratio: must be > 1 or null, got {self.r_off_ratio}")
+
+    @cached_property  # read once per offset by the analytic layer
+    def g_on_mean(self) -> float:
+        """Mean ON conductance normalized by 1/r_on.  The sampler redraws a
+        nonpositive draw, so an ON conductance is N(1, sigma_lrs^2) truncated
+        to (0, inf), with mean 1 + sigma phi(1/sigma) / Phi(1/sigma); exactly
+        1 at sigma_lrs = 0, and at sigma_lrs = 0.1 the correction (7.7e-24)
+        is below half an ulp of 1."""
+        if self.sigma_lrs == 0.0:
+            return 1.0
+        z = 1.0 / self.sigma_lrs
+        density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return 1.0 + self.sigma_lrs * density / float(_phi(z))
 
     @property
     def g_off_norm(self) -> float:

@@ -1,16 +1,17 @@
 """Monte Carlo sweep of the pairing offset producing full STDP windows.
 
-Each grid point gets its own counter-based random substream, so results are
-byte-identical for a given (config, seed) regardless of execution order or
-worker count.  Per-epoch outcomes, the analytic expectation from the branch
+Each grid point gets its own random substream (PCG64 seeded by the point's
+index), so results are byte-identical for a given (config, seed) regardless
+of execution order or worker count.  Per-epoch outcomes, the analytic expectation from the branch
 switch probabilities, and the exact Poisson-binomial switching-count
 distribution are recorded per point.
 """
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import starmap
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -128,10 +129,11 @@ class StdpWindow:
 
 
 def _point_stream(seed: int, point_index: int) -> np.random.Generator:
-    """Reproducible, statistically independent stream of grid point k; a pure
-    function of its arguments (counter-based Philox keying)."""
+    """Reproducible, statistically independent stream of grid point k: PCG64
+    seeded by SeedSequence(seed, spawn_key=(k,)), a pure function of its
+    arguments."""
     ss = np.random.SeedSequence(seed, spawn_key=(point_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def state_distribution(p) -> np.ndarray:
@@ -186,7 +188,7 @@ def _transitions(s, r, reset_later):
     in each attempt, so on independent probabilities they are the exact
     probabilities of the same events."""
     both = s * r
-    set_then_reset = np.where(reset_later, both, 0)
+    set_then_reset = both * reset_later
     return both, set_then_reset, s - set_then_reset, r - (both - set_then_reset)
 
 
@@ -202,7 +204,7 @@ def _analytic_and_states(cfg: WindowConfig, delta_t: float, drive, weights):
     _, _, up, down = _transitions(drive.p_set, drive.p_reset, drive.reset_later)
     switch_on = (1.0 - q) * np.atleast_2d(up)  # starts OFF, ends ON
     switch_off = q * np.atleast_2d(down)  # starts ON, ends OFF
-    off_step = 1.0 - cfg.geometry.device.g_off_norm
+    off_step = cfg.geometry.device.g_on_mean - cfg.geometry.device.g_off_norm
     change = (switch_on - switch_off).sum(axis=-1).sum(axis=0)
     pmf = state_distribution(switch_on + switch_off).sum(axis=0)
     analytic = 0.0 + np.cumsum(weights * off_step / len(starts) * change)[-1]
@@ -223,80 +225,98 @@ def analytic_window(cfg: WindowConfig):
 
 
 def _initial_on(cfg: WindowConfig, delta_t: float, epochs: int, n: int, stream):
+    """Start states of the offset's devices, branch-major (n, epochs)."""
     starts = _start_on(cfg.init_policy, delta_t)
     if cfg.init_policy.kind == "random":
-        return stream.random((epochs, n)) < starts[0]
+        return stream.random((n, epochs)) < starts[0]
     # q is 0 or 1 here; epoch e starts as starts[e % len(starts)]
     on = np.array(starts, dtype=bool)[np.arange(epochs) % len(starts)]
-    return np.broadcast_to(on[:, None], (epochs, n))
+    return np.broadcast_to(on, (n, epochs))
 
 
 def _lrs_draws(stream, sigma_lrs: float, shape) -> np.ndarray:
-    """ON conductances normalized by 1/r_on: 1 + eps, eps ~ N(0, sigma_lrs),
-    with nonpositive draws redrawn; all ones (and no draws) when sigma_lrs = 0."""
+    """ON conductances normalized by 1/r_on, N(1, sigma_lrs^2) draws with
+    nonpositive draws redrawn; all ones (and no draws) when sigma_lrs = 0."""
     if sigma_lrs == 0.0:
         return np.ones(shape)
-    lrs = 1.0 + stream.normal(0.0, sigma_lrs, shape)
+    lrs = stream.normal(1.0, sigma_lrs, shape)
     while True:
         bad = lrs <= 0.0
         if not bad.any():
             return lrs
-        lrs[bad] = 1.0 + stream.normal(0.0, sigma_lrs, int(bad.sum()))
+        lrs[bad] = stream.normal(1.0, sigma_lrs, int(bad.sum()))
 
 
-def _compute_point(cfg: WindowConfig, k: int, delta_t: float):
+def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
+    """(delta_g, n_set, n_reset, analytic, states) of grid point k at offset
+    delta_t, point = (k, delta_t)."""
+    k, delta_t = point
     g = cfg.geometry
     n, epochs = g.bank.n, cfg.epochs
     stream = _point_stream(cfg.seed, k)
 
-    # fixed draw order: amplitude noise, random init, SET, RESET, LRS
+    # fixed draw order, branch-major (n, epochs): amplitude noise (the pre
+    # scales, then the post scales), random init, SET, RESET; the LRS draws
+    # come last, one per switched device
     if g.amp_noise_sigma > 0.0:
-        scales = 1.0 + stream.normal(0.0, g.amp_noise_sigma, (epochs, 2))
-    on_init = _initial_on(cfg, delta_t, epochs, n, stream)
-    u_set = stream.random((epochs, n))
-    u_reset = stream.random((epochs, n))
-    lrs = _lrs_draws(stream, g.device.sigma_lrs, (epochs, n))
+        scales = stream.normal(1.0, g.amp_noise_sigma, (2, epochs))
+    on = _initial_on(cfg, delta_t, epochs, n, stream)
+    u_set = stream.random((n, epochs))
+    u_reset = stream.random((n, epochs))
 
     # the offset's tables feed both the sampler and the analytic expectation;
     # without noise the single node's (n,) drive is the sampler's drive
     tables = candidate_tables(g, delta_t)
     nodes = _node_drives(g, tables)
-    drive = nodes[0]
     if g.amp_noise_sigma > 0.0:
-        drive = branch_drives(g, tables, scales[:, 0], scales[:, 1])  # (epochs, n)
-    s = switch_draws(g.device, u_set, drive.v_max, 1).view(np.uint8)
-    r = switch_draws(g.device, u_reset, drive.v_min, -1).view(np.uint8)
-    both, set_then_reset, up, down = _transitions(s, r, drive.reset_later)
-    n_set = np.where(on_init, both - set_then_reset, s).sum(axis=1)
-    n_reset = np.where(on_init, r, set_then_reset).sum(axis=1)
-    step = lrs - g.device.g_off_norm
-    gained = up & ~on_init
-    lost = down & on_init
-    delta_g = (step * gained).sum(axis=1) - (step * lost).sum(axis=1)
+        drive = branch_drives(g, tables, *scales)  # (epochs, n) views; .T is contiguous
+        v_max, v_min, later = drive.v_max.T, drive.v_min.T, drive.reset_later.T
+    else:
+        drive = nodes[0]
+        v_max, v_min = drive.v_max[:, None], drive.v_min[:, None]
+        later = drive.reset_later[:, None]
+    s = switch_draws(g.device, u_set, v_max, 1).view(np.uint8)
+    r = switch_draws(g.device, u_reset, v_min, -1).view(np.uint8)
+    both, set_then_reset, up, down = _transitions(s, r, later)
+    # the start state weighs the outcomes as 0/1 integers: a select (np.where)
+    # or a bool-to-float cast costs a branch per entry on random data
+    on = on.view(np.uint8)
+    off = 1 - on
+    n_set = (off * s + on * (both - set_then_reset)).sum(axis=0, dtype=np.int32)
+    n_reset = (off * set_then_reset + on * r).sum(axis=0, dtype=np.int32)
+
+    # each switched device draws its ON conductance, in flat (branch-major)
+    # order, and steps by it up from OFF or down from ON; an epoch's delta_g
+    # sums its steps from 0.0 in branch order
+    switched = np.flatnonzero((off * up + on * down).view(bool))
+    step = _lrs_draws(stream, g.device.sigma_lrs, switched.size) - g.device.g_off_norm
+    step *= 1 - 2 * on.ravel()[switched].view(np.int8)
+    delta_g = np.bincount(switched % epochs, weights=step, minlength=epochs)
 
     analytic, states = _analytic_and_states(cfg, delta_t, *nodes)
-    return delta_g, n_set.astype(np.int32), n_reset.astype(np.int32), analytic, states
+    return delta_g, n_set, n_reset, analytic, states
 
 
 def run_window(cfg: WindowConfig, workers: int = 1) -> StdpWindow:
     """Sweep the delta_t grid; grid points are independent and may be
-    computed by a pool of at most one worker per point, with output order
-    fixed by the grid."""
+    computed by a pool of at most one worker per point.  Each point's
+    results are written into the window's preallocated rows as they arrive,
+    in grid order."""
     grid = cfg.grid()
-    jobs = [(cfg, k, dt) for k, dt in enumerate(grid.tolist())]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with get_context("fork").Pool(processes=workers) as pool:
-            results = pool.starmap(_compute_point, jobs, chunksize=4)
-    else:
-        results = list(starmap(_compute_point, jobs))
-    delta_g, n_set, n_reset, analytic, states = (np.stack(col) for col in zip(*results))
-    return StdpWindow(
+    points, n = grid.size, cfg.geometry.bank.n
+    w = StdpWindow(
         delta_t=grid,
-        delta_g=delta_g,
-        n_set=n_set,
-        n_reset=n_reset,
-        analytic=analytic,
-        states=states,
+        delta_g=np.empty((points, cfg.epochs)),
+        n_set=np.empty((points, cfg.epochs), dtype=np.int32),
+        n_reset=np.empty((points, cfg.epochs), dtype=np.int32),
+        analytic=np.empty(points),
+        states=np.empty((points, n + 1)),
         sigma_lrs=cfg.geometry.device.sigma_lrs,
-    ).validate()
+    )
+    jobs, point = enumerate(grid.tolist()), partial(_compute_point, cfg)
+    workers = min(workers, points)
+    with (get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext()) as pool:
+        results = pool.imap(point, jobs, chunksize=4) if pool else map(point, jobs)
+        for k, row in enumerate(results):
+            w.delta_g[k], w.n_set[k], w.n_reset[k], w.analytic[k], w.states[k] = row
+    return w.validate()

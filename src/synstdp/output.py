@@ -31,19 +31,21 @@ def _offset_rows(job) -> str:
     """The window.csv rows of one offset as one string, job = (delta_t,
     delta_g, n_set, n_reset) with one entry per epoch.  A row is four slots:
     the offset, the ",epoch," middle, the repr of delta_g, and the
-    ",n_set,n_reset" tail, formatted once per distinct pair of counts (each
-    count fits in 32 bits, so a pair is one int64 key)."""
+    ",n_set,n_reset" tail, looked up in a table of every pair of counts up to
+    the largest ones, or formatted per row where that table would hold more
+    entries than there are rows."""
     dt, delta_g, n_set, n_reset = job
     epochs = len(delta_g)
-    key = n_set.astype(np.int64) * 2**32 + n_reset
-    _, first, pair = np.unique(key, return_index=True, return_inverse=True)
-    tails = np.array([f",{s},{r}\n" for s, r in zip(n_set[first].tolist(),
-                                                     n_reset[first].tolist())], dtype=object)
+    sets, resets = int(n_set.max()) + 1, int(n_reset.max()) + 1
     parts = [""] * (4 * epochs)
     parts[0::4] = [repr(dt)] * epochs
     parts[1::4] = _indices(epochs)
     parts[2::4] = map(repr, _floats(delta_g))
-    parts[3::4] = tails[pair].tolist()
+    if sets * resets <= epochs:
+        tails = np.array([f",{s},{r}\n" for s in range(sets) for r in range(resets)], dtype=object)
+        parts[3::4] = tails[n_set * resets + n_reset].tolist()
+    else:
+        parts[3::4] = map(",{},{}\n".format, n_set.tolist(), n_reset.tolist())
     return "".join(parts)
 
 
@@ -170,10 +172,16 @@ def write_svg_scatter(w: StdpWindow, level_bin: float = 1.0, title: str = "") ->
     # dots, grouped per (point, binned level)
     parts.append('<g fill="#d62728">')
     for k, dt in enumerate(w.delta_t):
-        levels = np.round(w.delta_g[k] / level_bin) * level_bin
-        uniq, counts = np.unique(levels, return_counts=True)
+        bins = np.round(w.delta_g[k] / level_bin)
+        lo = bins.min()
+        if bins.max() - lo < bins.size:  # no more bins in the span than epochs
+            counts = np.bincount((bins - lo).astype(np.intp))
+            at = np.flatnonzero(counts)
+            levels, counts = (at + lo) * level_bin, counts[at]
+        else:
+            levels, counts = np.unique(bins * level_bin, return_counts=True)
         cmax = counts.max()
-        for lvl, cnt in zip(uniq, counts):
+        for lvl, cnt in zip(levels, counts):
             op = cnt / cmax
             parts.append(f'<circle cx="{sx(dt):.2f}" cy="{sy(lvl):.2f}" r="2.5" '
                          f'fill-opacity="{op:.4f}"/>')

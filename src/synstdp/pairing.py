@@ -176,6 +176,8 @@ def branch_drives(g: PairingGeometry, tables: list[CandidateTable],
     """Drives of all branches of one offset from their candidate tables, as
     one BranchDrive of (..., n) arrays; the scales broadcast to the leading
     shape (one entry per epoch or quadrature node under amplitude noise).
+    The arrays are transposed views of branch-major memory, so a drive's
+    .T is a contiguous (n, ...) array.
 
     Each candidate's potential is s_post post_v - s_pre pre_v.  The padded
     tables are scanned in blocks of candidates, branch-major so that the
@@ -214,15 +216,16 @@ def branch_drives(g: PairingGeometry, tables: list[CandidateTable],
             ufunc(best, ext, out=best)
             # each index of this block is above every index recorded before it
             np.maximum(at, np.multiply(won, c0 + i, dtype=index), out=at)
-    # back to (leading..., n); a time is looked up one row down in a table
-    # whose row 0 is the time 0 of a peak of 0
+    # a time is looked up one row down in a table whose row 0 is the time 0
+    # of a peak of 0; the (n, leading) results are handed out transposed, as
+    # (leading..., n) views of branch-major memory
     times = np.concatenate([np.zeros((1, n)), t])
-    branch = np.arange(n)
-    (v_max, at_max), (v_min, at_min) = ((best.T, at.T) for best, at in found)
-    t_max = times[np.multiply(at_max + 1, v_max > 0.0, dtype=np.intp), branch].reshape(lead + (n,))
-    t_min = times[np.multiply(at_min + 1, v_min < 0.0, dtype=np.intp), branch].reshape(lead + (n,))
-    v_max = np.maximum(v_max, 0.0, order="C").reshape(lead + (n,))
-    v_min = np.minimum(v_min, 0.0, order="C").reshape(lead + (n,))
+    branch = np.arange(n)[:, None]
+    (v_max, at_max), (v_min, at_min) = found
+    t_max = times[np.multiply(at_max + 1, v_max > 0.0, dtype=np.intp), branch]
+    t_min = times[np.multiply(at_min + 1, v_min < 0.0, dtype=np.intp), branch]
+    v_max, v_min = np.maximum(v_max, 0.0), np.minimum(v_min, 0.0)
+    v_max, t_max, v_min, t_min = (a.T.reshape(lead + (n,)) for a in (v_max, t_max, v_min, t_min))
     return BranchDrive(v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min, device=g.device)
 
 

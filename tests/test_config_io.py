@@ -191,6 +191,8 @@ EDGE_WINDOWS = {
     "one-offset-one-epoch": ([-0.0], 1),
     "offsets-one-epoch": ([-0.0, -6.0, 0.1 + 0.2, 1e-05, 5e-324, 123456789.125], 1),
     "offsets-epochs": ([-1.5, -0.0, 0.1 + 0.2, 6.0], 7),
+    # more epochs than pairs of counts up to (16, 16): the tails come from a table
+    "offsets-many-epochs": ([-1.5, 0.1 + 0.2], 300),
 }
 
 
@@ -222,6 +224,16 @@ def test_svg_deterministic_and_valid():
     assert a == b
     assert a.startswith("<svg") and a.rstrip().endswith("</svg>")
     assert "<circle" in a and "<polyline" in a and "text" in a
+
+
+@pytest.mark.parametrize("level_bin", [1.0, 0.25, 1e-9])
+def test_svg_has_one_dot_per_binned_level(level_bin):
+    # at 1e-9 the bins span more levels than there are epochs
+    w = run_window(small_config(epochs=50))
+    svg = write_svg_scatter(w, level_bin=level_bin)
+    levels = [np.unique(np.round(row / level_bin)) for row in w.delta_g]
+    assert svg.count("<circle") == sum(len(x) for x in levels)
+    assert svg.count('fill-opacity="1.0000"') >= len(w.delta_t)
 
 
 def test_svg_single_point_window():

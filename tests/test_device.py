@@ -93,6 +93,19 @@ def test_sample_on_conductance_redraw_rule():
     assert np.array_equal(draws[raw > 0.0], raw[raw > 0.0])  # only those are redrawn
 
 
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 0.45, 0.49])
+def test_on_conductance_mean_is_the_truncated_normal_mean(sigma):
+    stats = pytest.importorskip("scipy.stats")
+    mean = stats.truncnorm(-1.0 / sigma, np.inf, loc=1.0, scale=sigma).mean()
+    assert abs(DeviceModel(sigma_lrs=sigma).g_on_mean - mean) <= 1e-15
+
+
+def test_on_conductance_mean_is_one_at_small_spread():
+    # the golden cases use sigma_lrs 0 or 0.1: their analytic step keeps its float
+    assert DeviceModel(sigma_lrs=0.0).g_on_mean == 1.0
+    assert DeviceModel(sigma_lrs=0.1).g_on_mean == 1.0
+
+
 def test_validation():
     with pytest.raises(ValueError):
         DeviceModel(vth_pos=-1.0)

@@ -54,58 +54,58 @@ CASES = {
 
 GOLDEN = {
     "fig4b": {
-        "window.csv": "f5f101f0a5788d0f49b08e69983e381e7b1bce8a157b8c188309017050b0dab4",
-        "mean.csv": "3f7349701e26105d014cc1908fe8feceea14c3e743905e3b6c097bff2825b8be",
+        "window.csv": "a860156932ce9cd7d67bd2742cd88d77cc952e25d5a6ae82ae26bc4cbf29dc88",
+        "mean.csv": "ef20e650d9c99d1f5d9a13a1d9f434859546a448f78e52b8610c758281096622",
         "states.csv": "09c6709db35e70ca327c4db49a66f6a531fc06f21604e284ece39240093ba1e3",
     },
     "fig4d": {
-        "window.csv": "1419633bc462f3064e43afd9b1514839fc3d56e73046ca9d7e20e264e8fe4dc2",
-        "mean.csv": "3028cda4ca2ee59c5cad9196dfea50c8ed7f9e5ed0030402f7935a5211df0160",
+        "window.csv": "a6fdb7e745ae53e3c8ef1f3745c398fdd2df4cc913937132b4bc83f485df8772",
+        "mean.csv": "2e6350e1998d01d11a94ea019620a4c83729a37bcbe2d51b1c5d31ef91b77a14",
         "states.csv": "464b8ba78c74efd0b2300fd46c910eaef10d68ff85b62ca2998edc57e3f16d47",
     },
     "fig7_delay": {
-        "window.csv": "2e9b11c4f490307919028b9922b635b647b4f2709f0e4ca650463bdcbd7b7554",
-        "mean.csv": "4f8a57ddd10b3e9c87abff69f49f5d2c206a6cfba682d4b845f53962cd0d4765",
+        "window.csv": "49a0633e645d75de210ecf10c887a8d964e93c712b84386804f34ad4d102d93f",
+        "mean.csv": "1a3b225125035747b179f45b0060df55bdf4f321dabe6cb0edf0b862a0f2b697",
         "states.csv": "45d2e597b8263e53e70f04410c957a984c962082f7a8d36d8a6760cb37217134",
     },
     "hrht": {
-        "window.csv": "d65c462d0d6755cbc5fb46b1359786e261809b74ba710b0d8de3d3bee58d4c0d",
-        "mean.csv": "79a8f8b6db53f2eef6a6e7d97ff84195f71dc26534c1b3c39a949732e87b65da",
+        "window.csv": "4b816c8f499a4ceaa93ce2f0a12ba4af4d69248e724fe3cd8fe2ac95d6a4a529",
+        "mean.csv": "b921822d142f1cb686a47516d79a7fee1e5440ae170b70fcc14109507a94776c",
         "states.csv": "412b91df60f5ffd7046fe3d261c573da4929280802a67d7e371190f14688a8bf",
     },
     "rect": {
-        "window.csv": "bf61aaeecbb4b994ab06b40647fbbe073f1597dc24c48b7d4b5d1f613cf973be",
-        "mean.csv": "63c77c81b5b82f562ad04ac02dc107278a4e5f0ff49230ac099f87378e545a2a",
+        "window.csv": "81e865139f69d62722768179b13f72d83606aed5f57e3e96d3c7013fc7b8ba0d",
+        "mean.csv": "7e2dec866b74f61f9106a50087e58c54cc9ec226b60a84159ba2a351caf4c57f",
         "states.csv": "91e8e9a67ec16c48b4b2e61f4b257322129ab1d37d7eee11c17bdd7084e03a40",
     },
     "sawtooth": {
-        "window.csv": "7dd5d0b2be9c1212e8da4cea4f6549e88aa7477841b212428afb405023ad4845",
-        "mean.csv": "789583fc51dad7de5b9efe6332d0c282dd391012b1a4f58dea2be01b20e9c47f",
+        "window.csv": "14eba3117926b320e136bbc97f2b2641b640dcac90cb14f7664825dcce67a3ee",
+        "mean.csv": "c9aabef1260600020a5f7bc6504ccaaf699b9c597ef77fd3b553d5aeae25793b",
         "states.csv": "f97926534ed744cca25f36570bbffd397e0b5b5d4906ce38a9ba6ee5b7c7856b",
     },
     "fig7_delay_noise": {
-        "window.csv": "030b8b209703d7e0c26d406656b101088e9de2e5d7ded434f3ee41a19619de5a",
-        "mean.csv": "e8aec8ee72a391cbff3072cafd20dc75d6b3609f76cf586a2e1344f53789a350",
+        "window.csv": "6791b8512e40befdade183b31a723554099a93aca1c896ddd9a4b76bc41a85f7",
+        "mean.csv": "63aeda372d854f0830bd6cb8c2a5476d0f7da5ccfe8919b833847dd195b2837a",
         "states.csv": "4856e0cfbbaa4dd3c55b4b0663fc35f2506a96795be1427b4a555f71fb8731fc",
     },
     "random_q05": {
-        "window.csv": "f174feeea312bfd08b0b8ebe0fc6aad0ec35100e2bd139d6157456a51d8476a2",
-        "mean.csv": "8e6304dcc7806c787fb6a632904d4780a90cc62489628a0899834db108a665bc",
+        "window.csv": "a3e923883f59c22a529f4393f5eb6fe21065801fc6d500e568a24a16fef90083",
+        "mean.csv": "7811bfc98959168f9f1131693bbf3dc90cb2d32e9fcd42373dd2fd3e56513f40",
         "states.csv": "d92f901b5bbc87fad9e4cc92fb405c1845d79a54ac6512896ef4f4f791067c8c",
     },
     "linear_all_off": {
-        "window.csv": "273b517b9c692150725011125097a1f8512456849da24f2cdc7f58740925f260",
-        "mean.csv": "2745e3cd213d7b5f509bff8d4cfb2f738b13ef282f10a4452756487961217f47",
+        "window.csv": "695eea80885eb885db5b1d98a563dc78c3b31d8963312f10b0878462e3038c00",
+        "mean.csv": "96ae0c8e49dee3c5d69ec91df68f0481ac35a639d5b3753df49e1a43fa7074d0",
         "states.csv": "92d464d4c476a8e34d399633e821d50b798f9c583a1c8b2540dfb1dd8514f14b",
     },
     "all_on": {
-        "window.csv": "fc0ad426ce5d708ff799915541962c2489765994a32030d5ad86ba8b5ae9d460",
-        "mean.csv": "e9a83c876ac7e5ed8863fbd611d00b50e7ba1e982cb746150c9792e0a7ebeb93",
+        "window.csv": "a761c14c946187e6b4af9716e9d8c798043b6b0aa7099ac1b41bff0a09fd686c",
+        "mean.csv": "4f8f1ee04288830db77de959a97e38e94573867db3268d79ad1368df53e57588",
         "states.csv": "16ece59c49d0fc0c1a37d8b0de3d9bc14b5a95442a7fb70d91e38dbb579ac895",
     },
     "random_q025_noise": {
-        "window.csv": "2ed92d41dde79c81cc432f222370312bd4a406a62baed7b9dcac7428ecbdb7d1",
-        "mean.csv": "83f2b4fe6fe724f19b77a010b70190afc93d332fdaf9d66585c799079ff5f8ec",
+        "window.csv": "0762ed908dd3a70f53f40222029935f2482919ecc712ce6674c60057621ce960",
+        "mean.csv": "78687d6ed316d6efee2cbcd52693c85ef0e7b3ce70b7c1e2df474a7bab60908a",
         "states.csv": "73d37af4bc5a742fbbbdbb98bce1a67d2db9146d3b3974f567f1723aedb5331a",
     },
 }
