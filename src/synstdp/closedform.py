@@ -131,6 +131,8 @@ def quadratic_coeffs_fitted(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> 
     piece [dt_lo, dt_hi] only if the piece holds no clamping breakpoint (a
     branch probability crossing 0 or 1), keeps the cutoff inside [0, n] and
     saturates no branch; each is checked."""
+    if not (np.isfinite(dt_lo) and np.isfinite(dt_hi)):
+        raise ValueError(f"interval [{dt_lo}, {dt_hi}]: ends must be finite")
     if dt_lo > dt_hi:
         raise ValueError("need dt_lo <= dt_hi")
     for b in _clamp_breakpoints(p):
@@ -151,9 +153,9 @@ def quadratic_coeffs_fitted(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> 
 
 def comparison_report(p: ClosedFormParams, dt_lo: float, dt_hi: float, n_probe: int = 20) -> dict:
     """Both coefficient paths against the direct sum over probe offsets."""
+    fitted = quadratic_coeffs_fitted(p, dt_lo, dt_hi)  # checks the interval first
     probes = np.linspace(dt_lo, dt_hi, n_probe)
     ki = k_index(p, 0.0)
-    fitted = quadratic_coeffs_fitted(p, dt_lo, dt_hi)
     published = quadratic_coeffs_published(p)
 
     def quad(coeffs, x):

@@ -112,8 +112,8 @@ def table1(scenarios: dict[str, EnergyScenario] | None = None,
     GPU baseline; zero-energy scenarios are flagged as overflow."""
     if scenarios is None:
         scenarios = SCENARIOS
-    if baseline_img_s_w <= 0.0:
-        raise ValueError(f"baseline must be positive, got {baseline_img_s_w}")
+    if not 0.0 < baseline_img_s_w < math.inf:
+        raise ValueError(f"baseline must be positive and finite, got {baseline_img_s_w}")
     rows = {}
     for name, sc in scenarios.items():
         e_spk = spike_energy(sc, mode)

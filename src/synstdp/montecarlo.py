@@ -166,17 +166,17 @@ def _start_on(policy: InitPolicy, delta_t: float) -> list[float]:
     return [float(policy.kind == "all_on")]
 
 
-def _node_drives(g: PairingGeometry, tables):
+def _node_drives(g: PairingGeometry, table):
     """Drives of all branches at the amplitude-noise quadrature nodes, shape
     (nodes, n), with the node weights: Gauss-Hermite in both spike scales,
     or the single unscaled node when noise is off."""
     if g.amp_noise_sigma == 0.0:
-        return branch_drives(g, tables), np.ones(1)
+        return branch_drives(g, table), np.ones(1)
     x, w = np.polynomial.hermite_e.hermegauss(_GH_POINTS)
     scales, w = 1.0 + g.amp_noise_sigma * x, w / w.sum()
     # node 12 i + j scales the pre spike by scales[i] and the post spike by scales[j]
     s_pre, s_post = np.repeat(scales, _GH_POINTS), np.tile(scales, _GH_POINTS)
-    return branch_drives(g, tables, s_pre, s_post), np.outer(w, w).ravel()
+    return branch_drives(g, table, s_pre, s_post), np.outer(w, w).ravel()
 
 
 def _transitions(s, r, reset_later):
@@ -264,12 +264,12 @@ def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
     u_set = stream.random((n, epochs))
     u_reset = stream.random((n, epochs))
 
-    # the offset's tables feed both the sampler and the analytic expectation;
+    # the offset's table feeds both the sampler and the analytic expectation;
     # without noise the single node's (n,) drive is the sampler's drive
-    tables = candidate_tables(g, delta_t)
-    nodes = _node_drives(g, tables)
+    table = candidate_tables(g, delta_t)
+    nodes = _node_drives(g, table)
     if g.amp_noise_sigma > 0.0:
-        drive = branch_drives(g, tables, *scales)  # (epochs, n) views; .T is contiguous
+        drive = branch_drives(g, table, *scales)  # (epochs, n) views; .T is contiguous
         v_max, v_min, later = drive.v_max.T, drive.v_min.T, drive.reset_later.T
     else:
         drive = nodes[0]

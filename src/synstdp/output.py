@@ -172,14 +172,8 @@ def write_svg_scatter(w: StdpWindow, level_bin: float = 1.0, title: str = "") ->
     # dots, grouped per (point, binned level)
     parts.append('<g fill="#d62728">')
     for k, dt in enumerate(w.delta_t):
-        bins = np.round(w.delta_g[k] / level_bin)
-        lo = bins.min()
-        if bins.max() - lo < bins.size:  # no more bins in the span than epochs
-            counts = np.bincount((bins - lo).astype(np.intp))
-            at = np.flatnonzero(counts)
-            levels, counts = (at + lo) * level_bin, counts[at]
-        else:
-            levels, counts = np.unique(bins * level_bin, return_counts=True)
+        levels, counts = np.unique(np.round(w.delta_g[k] / level_bin) * level_bin,
+                                   return_counts=True)
         cmax = counts.max()
         for lvl, cnt in zip(levels, counts):
             op = cnt / cmax

@@ -50,15 +50,15 @@ class PairingGeometry:
 
 @dataclass(frozen=True)
 class BranchDrive:
-    """Polarity peaks of a branch's potential and the resulting switch odds:
-    floats for one branch, or arrays of shape (..., n) over the branches of
-    a bank (see `branch_drives`).  The odds are evaluated on first use, so a
-    per-epoch drive that only feeds `switch_draws` never evaluates the law at
-    every entry."""
+    """Polarity peaks of a branch's potential, whether the RESET peak comes
+    at or after the SET peak (so RESET acts last, winning a tie), and the
+    resulting switch odds: floats for one branch, or arrays of shape (..., n)
+    over the branches of a bank (see `branch_drives`).  The odds are
+    evaluated on first use, so a per-epoch drive that only feeds
+    `switch_draws` never evaluates the law at every entry."""
     v_max: float
-    t_max: float
     v_min: float
-    t_min: float
+    reset_later: bool
     device: DeviceModel
 
     @cached_property
@@ -69,35 +69,34 @@ class BranchDrive:
     def p_reset(self):
         return reset_probability(self.device, self.v_min)
 
-    @property
-    def reset_later(self):
-        """True where the RESET peak occurs at or after the SET peak."""
-        return self.t_min >= self.t_max
-
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """Candidate extremum locations of one (branch, delta_t) pairing: only
-    the candidates where the potential is evaluated (both spikes present
-    with pair_only, either without), so a branch whose spikes never meet
-    has an empty table.
+    """Candidate extremum locations of a bank's branches at one offset, as
+    (C, n) arrays: column i holds branch i's counts[i] candidates where the
+    potential is evaluated (both spikes present with pair_only, either
+    without), then copies of its first candidate up to C rows, the longest
+    column's length (at least 1).  A branch whose spikes never meet has an
+    all-zero column, a potential of 0 throughout.
 
     `post_v`/`pre_v` hold the one-sided values of the post spike and the
     attenuated+delayed pre spike; rescaling either spike only rescales these
     columns, so noisy peaks are re-derived from the same table.
-    Candidates are sorted by time (ties: left limit first), hence the
-    first-index tie rule of `branch_drives` picks the earliest extremum.
+    A column's candidates are sorted by time (ties: left limit first), hence
+    the first-index tie rule of `branch_drives` picks the earliest extremum,
+    and the padding, equal to the first candidate, never replaces it.
     """
     t: np.ndarray
     post_v: np.ndarray
     pre_v: np.ndarray
+    counts: np.ndarray
 
 
-def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]:
-    """Candidate tables of all n branches at offset delta_t, built in one
+def candidate_tables(g: PairingGeometry, delta_t: float) -> CandidateTable:
+    """Candidate table of all n branches at offset delta_t, built in one
     array pass: every branch's edges (both sides) and curved-piece grid are
     concatenated, each spike is evaluated once over all of them, and the
-    candidates that count are split per branch."""
+    candidates that count are laid out one column per branch."""
     n = g.bank.n
     alphas = np.asarray(g.bank.alphas, dtype=float)
     delays = np.asarray(g.bank.delays, dtype=float)
@@ -142,9 +141,14 @@ def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]
     branch, t, post_v, pre_v = (x[evaluated] for x in (branch, t, post_v, pre_v))
     pre_v = alphas[branch] * pre_v
 
-    ends = np.cumsum(np.bincount(branch, minlength=n)).tolist()
-    return [CandidateTable(t=t[start:end], post_v=post_v[start:end], pre_v=pre_v[start:end])
-            for start, end in zip([0, *ends], ends)]
+    # row r of column i is branch i's candidate r, or its first candidate past
+    # the last one; an empty column reads the 0.0 appended after all of them
+    counts = np.bincount(branch, minlength=n)
+    first = np.cumsum(counts) - counts
+    row = np.arange(max(counts.max(), 1))[:, None]
+    at = np.where(counts > 0, first + np.where(row < counts, row, 0), branch.size)
+    t, post_v, pre_v = (np.append(x, 0.0)[at] for x in (t, post_v, pre_v))
+    return CandidateTable(t=t, post_v=post_v, pre_v=pre_v, counts=counts)
 
 
 # Floats in one block of candidate potentials, (B, n, leading), in the scan
@@ -152,81 +156,68 @@ def candidate_tables(g: PairingGeometry, delta_t: float) -> list[CandidateTable]
 # drive under amplitude noise (4,000 epochs x 16 branches = 64,000 floats a
 # candidate) then steps one candidate at a time with no block reduction.  A
 # scalar call takes one block up to 4,096 candidates a branch of 16 (bio
-# tables hold at most 754), so no per-candidate Python loop runs; the 144
+# columns hold at most 754), so no per-candidate Python loop runs; the 144
 # quadrature nodes take 28 candidates a block (one block for the
 # piecewise-linear shapes, at most 8 candidates a branch).
 _SCAN_ELEMENTS = 2**16
 
 
-def _padded(tables: list[CandidateTable]):
-    """(t, post_v, pre_v) of a bank's tables as (C, n) arrays, C the longest
-    table's length (at least 1).  A short column is padded with copies of
-    its first candidate, which changes neither its extrema nor their first
-    index; an empty table is all zeros, a peak of 0 at t = 0."""
-    counts = np.array([tbl.t.size for tbl in tables])
-    rows = np.arange(max(counts.max(), 1))[:, None]
-    first = np.cumsum(counts) - counts
-    at = np.where(counts > 0, first + np.where(rows < counts, rows, 0), counts.sum())
-    return tuple(np.append(np.concatenate([getattr(tbl, f) for tbl in tables]), 0.0)[at]
-                 for f in ("t", "post_v", "pre_v"))
-
-
-def branch_drives(g: PairingGeometry, tables: list[CandidateTable],
+def branch_drives(g: PairingGeometry, table: CandidateTable,
                   s_pre=1.0, s_post=1.0) -> BranchDrive:
-    """Drives of all branches of one offset from their candidate tables, as
+    """Drives of all branches of one offset from its candidate table, as
     one BranchDrive of (..., n) arrays; the scales broadcast to the leading
     shape (one entry per epoch or quadrature node under amplitude noise).
     The arrays are transposed views of branch-major memory, so a drive's
     .T is a contiguous (n, ...) array.
 
-    Each candidate's potential is s_post post_v - s_pre pre_v.  The padded
-    tables are scanned in blocks of candidates, branch-major so that the
-    innermost axis is the long leading one.  A block's extrema and their
-    first indices replace the running ones only where they are strictly
-    beyond them, so a tie keeps the earliest candidate.  A peak's time is 0
-    where the peak is 0.  The running extrema are kept with np.maximum /
-    np.minimum, which may settle a tie of 0.0 and -0.0 either way; the
-    final clamp against 0.0 gives the same zero for both."""
+    Each candidate's potential is s_post post_v - s_pre pre_v.  The table
+    is scanned in blocks of candidates, branch-major so that the innermost
+    axis is the long leading one.  For each extremum the scan keeps the
+    time rank of its first candidate, the number of distinct earlier times
+    in its column: a block's extrema replace the running ones only where
+    they are strictly beyond them, so a tie keeps the earliest candidate.
+    RESET acts last where its rank is at or above SET's.  The running
+    extrema are kept with np.maximum / np.minimum, which may settle a tie of
+    0.0 and -0.0 either way; the final clamp against 0.0 gives the same
+    zero for both."""
     s_pre, s_post = np.broadcast_arrays(np.asarray(s_pre, dtype=float),
                                         np.asarray(s_post, dtype=float))
     lead = s_pre.shape
-    t, post_v, pre_v = _padded(tables)
-    count, n = t.shape
+    count, n = table.t.shape
+    # equal times share a rank; the padding drops back to the first time, so
+    # it keeps the column's last rank (and never wins the scan)
+    rank = np.zeros((count, n), dtype=np.min_scalar_type(count))
+    np.cumsum(np.diff(table.t, axis=0) > 0.0, axis=0, dtype=rank.dtype, out=rank[1:])
+    branch = np.arange(n)[:, None]
     s_pre, s_post = s_pre.reshape(1, 1, -1), s_post.reshape(1, 1, -1)
     step = max(1, _SCAN_ELEMENTS // max(s_pre.size * n, 1))
     v = np.empty((min(step, count), n, s_pre.size))
     scaled_pre = np.empty_like(v)
-    index = np.min_scalar_type(-count - 1)  # the smallest signed type holding each index + 1
-    found = []  # [running extremum, its first index], (n, leading), for the max and the min
+    found = []  # [running extremum, its rank], (n, leading), for the max and the min
     for c0 in range(0, count, step):
         vb, pb = v[:count - c0], scaled_pre[:count - c0]
-        np.multiply(s_post, post_v[c0:c0 + step, :, None], out=vb)
-        np.subtract(vb, np.multiply(s_pre, pre_v[c0:c0 + step, :, None], out=pb), out=vb)
+        np.multiply(s_post, table.post_v[c0:c0 + step, :, None], out=vb)
+        np.subtract(vb, np.multiply(s_pre, table.pre_v[c0:c0 + step, :, None], out=pb), out=vb)
         for k, (ufunc, beyond) in enumerate(((np.maximum, np.greater), (np.minimum, np.less))):
             if len(vb) == 1:
-                ext, i = vb[0], 0
+                ext, r = vb[0], rank[c0, :, None]
             else:
                 ext = ufunc.reduce(vb, axis=0)
-                i = np.argmax(vb == ext, axis=0)
+                r = rank[c0 + np.argmax(vb == ext, axis=0), branch]
             if c0 == 0:  # copies: the buffer is refilled by the next block
-                found.append([ext.copy(), np.full(ext.shape, i, dtype=index)])
+                found.append([ext.copy(), np.full(ext.shape, r, dtype=rank.dtype)])
                 continue
             best, at = found[k]
             won = beyond(ext, best)
             ufunc(best, ext, out=best)
-            # each index of this block is above every index recorded before it
-            np.maximum(at, np.multiply(won, c0 + i, dtype=index), out=at)
-    # a time is looked up one row down in a table whose row 0 is the time 0
-    # of a peak of 0; the (n, leading) results are handed out transposed, as
-    # (leading..., n) views of branch-major memory
-    times = np.concatenate([np.zeros((1, n)), t])
-    branch = np.arange(n)[:, None]
-    (v_max, at_max), (v_min, at_min) = found
-    t_max = times[np.multiply(at_max + 1, v_max > 0.0, dtype=np.intp), branch]
-    t_min = times[np.multiply(at_min + 1, v_min < 0.0, dtype=np.intp), branch]
-    v_max, v_min = np.maximum(v_max, 0.0), np.minimum(v_min, 0.0)
-    v_max, t_max, v_min, t_min = (a.T.reshape(lead + (n,)) for a in (v_max, t_max, v_min, t_min))
-    return BranchDrive(v_max=v_max, t_max=t_max, v_min=v_min, t_min=t_min, device=g.device)
+            # each rank of this block is at or above every rank recorded before it
+            np.maximum(at, np.multiply(won, r, dtype=rank.dtype), out=at)
+    # the (n, leading) results are handed out transposed, as (leading..., n)
+    # views of branch-major memory
+    (v_max, rank_max), (v_min, rank_min) = found
+    v_max, v_min, reset_later = (a.T.reshape(lead + (n,)) for a in (
+        np.maximum(v_max, 0.0), np.minimum(v_min, 0.0), rank_min >= rank_max))
+    return BranchDrive(v_max=v_max, v_min=v_min, reset_later=reset_later, device=g.device)
 
 
 def all_branch_drives(g: PairingGeometry, delta_t: float,
@@ -236,9 +227,9 @@ def all_branch_drives(g: PairingGeometry, delta_t: float,
     floats as the values of its cached p_set / p_reset."""
     d = branch_drives(g, candidate_tables(g, delta_t), s_pre, s_post)
     drives = []
-    for *peaks, p_set, p_reset in zip(*(getattr(d, f).tolist() for f in
-                                        ("v_max", "t_max", "v_min", "t_min", "p_set", "p_reset"))):
-        drive = BranchDrive(*peaks, device=g.device)
+    for *fields, p_set, p_reset in zip(*(getattr(d, f).tolist() for f in
+                                         ("v_max", "v_min", "reset_later", "p_set", "p_reset"))):
+        drive = BranchDrive(*fields, device=g.device)
         drive.__dict__.update(p_set=p_set, p_reset=p_reset)  # where cached_property keeps them
         drives.append(drive)
     return drives

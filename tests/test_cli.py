@@ -128,6 +128,27 @@ def test_energy_count_beyond_bound_exits_1_without_a_table(tmp_path, capsys):
                    f"got {10**300}\n")
 
 
+NONFINITE_ARGS = {  # argv -> the one line on stderr
+    "closedform-interval-nan": (["closedform", "--interval", "nan", "0.4"],
+                                "error: interval [nan, 0.4]: ends must be finite"),
+    "closedform-interval-inf": (["closedform", "--interval", "0.3", "inf"],
+                                "error: interval [0.3, inf]: ends must be finite"),
+    "energy-baseline-nan": (["energy", "--baseline", "nan"],
+                            "error: baseline must be positive and finite, got nan"),
+    "energy-baseline-inf": (["energy", "--baseline", "inf"],
+                            "error: baseline must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_ARGS))
+def test_nonfinite_argument_exits_1_with_one_error_line(case):
+    """Run as a process, so that a numpy warning on stderr would show."""
+    argv, line = NONFINITE_ARGS[case]
+    proc = subprocess.run([sys.executable, "-m", "synstdp.cli", *argv], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line + "\n")
+
+
 def test_energy_custom_requires_params(capsys):
     assert main(["energy", "--scenario", "custom"]) == 1
     assert "error" in capsys.readouterr().err

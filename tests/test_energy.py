@@ -80,8 +80,9 @@ def test_scenario_validation():
         EnergyScenario(tau_minus_s=1e-9, tau_plus_s=1e-9, devices_per_synapse=0)
     with pytest.raises(ValueError):
         spike_energy(CONSERVATIVE, "both")
-    with pytest.raises(ValueError):
-        table1(baseline_img_s_w=0.0)
+    for baseline in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^baseline must be positive and finite"):
+            table1(baseline_img_s_w=baseline)
 
 
 @pytest.mark.parametrize("name,lo,hi", [("synapses", 0, MAX_COUNT), ("neurons", 0, MAX_COUNT),

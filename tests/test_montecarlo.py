@@ -343,7 +343,7 @@ def replay_offset(cfg, k, delta_t):
     """Sequential oracle of grid point k: its stream's draws in contract order
     (noise (2, E): pre scales, then post scales; random init, u_set and
     u_reset, each branch-major (n, E)); each device's SET and RESET attempt
-    applied in time order, RESET winning a time tie; then one N(1, sigma_lrs)
+    applied in the drive's order; then one N(1, sigma_lrs)
     ON conductance per switched device, in branch-major order, with each
     nonpositive one redrawn in turn until none is left.  An epoch's delta_g
     is the running sum, from 0.0 in branch order, of +(g_on - g_off) for a
@@ -366,7 +366,7 @@ def replay_offset(cfg, k, delta_t):
         for e in range(E):
             d = per_epoch[e][i]
             on, sets, resets = replay_device(bool(on0[i, e]), u_set[i, e] < d.p_set,
-                                             u_reset[i, e] < d.p_reset, d.t_max, d.t_min)
+                                             u_reset[i, e] < d.p_reset, d.reset_later)
             n_set[e] += sets
             n_reset[e] += resets
             if on != on0[i, e]:
@@ -383,11 +383,12 @@ def replay_offset(cfg, k, delta_t):
     return np.array(dg), n_set, n_reset, stream, g_on, redraws
 
 
-def replay_device(on, set_ok, reset_ok, t_set, t_reset):
-    """One device's SET and RESET attempts applied in the time order of their
-    peaks, RESET winning a time tie: (ends ON, SET count, RESET count)."""
+def replay_device(on, set_ok, reset_ok, reset_later):
+    """One device's SET and RESET attempts applied one after the other, RESET
+    last where reset_later: (ends ON, SET count, RESET count)."""
     n_set = n_reset = 0
-    for _, is_reset, ok in sorted([(t_set, False, set_ok), (t_reset, True, reset_ok)]):
+    attempts = [(False, set_ok), (True, reset_ok)]
+    for is_reset, ok in attempts if reset_later else attempts[::-1]:
         if ok and on == is_reset:  # SET acts on an OFF device, RESET on an ON one
             on = not on
             n_set += not is_reset
@@ -454,16 +455,17 @@ def test_sequential_oracle_matches_run_window(name, monkeypatch):
 
 # ---------------------------------------------------------------- pairing rule
 
-ORDERS = {"reset_later": (0.0, 1.0), "tie": (0.0, 0.0), "reset_earlier": (1.0, 0.0)}
+# reset_later of each order of the peaks: RESET wins a tie of their times
+ORDERS = {"reset_later": True, "tie": True, "reset_earlier": False}
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
 @pytest.mark.parametrize("start_on,s,r", list(itertools.product((0, 1), repeat=3)))
 def test_transitions_corners_match_sequential_rule(start_on, s, r, order):
-    t_set, t_reset = ORDERS[order]
+    reset_later = ORDERS[order]
     both, set_then_reset, up, down = montecarlo._transitions(
-        np.uint8(s), np.uint8(r), np.bool_(t_reset >= t_set))
-    on, n_set, n_reset = replay_device(bool(start_on), bool(s), bool(r), t_set, t_reset)
+        np.uint8(s), np.uint8(r), np.bool_(reset_later))
+    on, n_set, n_reset = replay_device(bool(start_on), bool(s), bool(r), reset_later)
     if start_on:  # the sampler's tally of a device that starts ON
         assert (1 - down, both - set_then_reset, r) == (on, n_set, n_reset)
     else:

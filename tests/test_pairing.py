@@ -40,8 +40,9 @@ def drive(g, i, delta_t):
 def candidate_potential(g, i, delta_t):
     """Branch i's potential at its candidate times; a table holds only the
     candidates where the potential is evaluated."""
-    tbl = candidate_tables(g, delta_t)[i - 1]
-    return tbl.t, tbl.post_v - tbl.pre_v
+    tbl = candidate_tables(g, delta_t)
+    count = tbl.counts[i - 1]
+    return tbl.t[:count, i - 1], (tbl.post_v - tbl.pre_v)[:count, i - 1]
 
 
 def test_trace_peaks_pre_before_post(hrht):
@@ -56,7 +57,7 @@ def test_trace_disjoint_supports(hrht):
     t, v = candidate_potential(g, 1, 20.0)
     assert t.shape == (0,) and v.shape == (0,)
     d = drive(g, 1, 20.0)
-    assert (d.v_max, d.t_max, d.v_min, d.t_min, d.p_set, d.p_reset) == (0.0,) * 6
+    assert (d.v_max, d.v_min, d.reset_later, d.p_set, d.p_reset) == (0.0, 0.0, True, 0.0, 0.0)
 
 
 def test_trace_attenuated_post_before_pre(hrht):
@@ -175,9 +176,9 @@ def test_dt_step_validation(hrht):
 
 def test_branch_drives_match_per_branch_drives():
     """The (..., n) arrays of branch_drives: row k under per-epoch scales is
-    the scalar drive at those scales, and reset_later follows the peak times.
+    the scalar drive at those scales, reset_later included.
     On the fig7_delay bank with pair_only, 6 and then all 16 branches have
-    empty tables."""
+    empty columns."""
     sawtooth, hrht = SpikeWaveform("sawtooth"), SpikeWaveform("hrht")
     loose = PairingGeometry(pre=sawtooth, post=sawtooth, bank=make_bank(16, 0.6, 1.0, 0.3),
                             device=DeviceModel(), pair_only=False)
@@ -186,13 +187,13 @@ def test_branch_drives_match_per_branch_drives():
     s_pre, s_post = np.array([1.0, 0.93, 1.08]), np.array([1.0, 1.05, 0.9])
     cases = [(loose, dt, 0) for dt in (-2.0, -0.2, 0.0, 0.4, 3.0)]
     for g, dt, empty in cases + [(fig7_delay, -5.8, 6), (fig7_delay, -6.0, 16)]:
-        tables = candidate_tables(g, dt)
-        assert sum(tbl.t.size == 0 for tbl in tables) == empty
-        d = branch_drives(g, tables, s_pre, s_post)
+        table = candidate_tables(g, dt)
+        assert np.count_nonzero(table.counts == 0) == empty
+        d = branch_drives(g, table, s_pre, s_post)
         assert d.p_set.shape == d.reset_later.shape == (3, 16)
         for k in range(3):
             want = all_branch_drives(g, dt, s_pre[k], s_post[k])
-            for f in ("v_max", "t_max", "v_min", "t_min", "p_set", "p_reset", "reset_later"):
+            for f in ("v_max", "v_min", "reset_later", "p_set", "p_reset"):
                 assert getattr(d, f)[k].tolist() == [getattr(x, f) for x in want], (dt, k, f)
 
 
@@ -273,38 +274,46 @@ ORACLE_STEP = 0.05  # grid of the curved shapes; coarser than the default keeps 
 def test_candidate_tables_bitwise_match_per_sample_reference(shape, pair_only):
     """Byte equality, so that -0.0 against 0.0 (or a last-bit change) fails;
     hrht with pair_only off at 3.2 is a case where evaluating at the snapped
-    time would give -0.0 instead of -8.9e-17."""
+    time would give -0.0 instead of -8.9e-17.  Past its candidates a column
+    repeats its first one, and an empty column is all zeros."""
     w = SpikeWaveform(shape)
     for delay_max, assignment in ORACLE_BANKS:
         g = PairingGeometry(pre=w, post=w, bank=make_bank(16, 0.6, 1.0, delay_max, assignment),
                             device=DeviceModel(), dt_step=ORACLE_STEP, pair_only=pair_only)
         for delta_t in ORACLE_OFFSETS:
-            for i, tbl in enumerate(candidate_tables(g, delta_t), start=1):
+            table = candidate_tables(g, delta_t)
+            fields = (table.t, table.post_v, table.pre_v)
+            row = np.arange(len(table.t))[:, None]
+            for x in fields:
+                padded = np.where(row < table.counts, x, x[0])
+                empty = x[:, table.counts == 0]
+                assert padded.tobytes() == x.tobytes()
+                assert not (empty.any() or np.signbit(empty).any())
+            for i, count in enumerate(table.counts.tolist(), start=1):
                 *columns, valid = reference_table(g, i, delta_t)
                 # the kept rows are the reference's valid rows, byte for byte
-                got, want = (tbl.t, tbl.post_v, tbl.pre_v), (x[valid] for x in columns)
+                got, want = (x[:count, i - 1] for x in fields), (x[valid] for x in columns)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
                         (shape, pair_only, delay_max, assignment, delta_t, i)
 
 
-def peaks(tbl, s_pre=1.0, s_post=1.0):
-    """Oracle of branch_drives, one table at a time: (v_max, t_max, v_min,
-    t_min) with both spikes rescaled, each shaped like the broadcast scales,
-    from argmax / argmin over the whole table; a peak's time is 0 where the
-    peak is 0."""
+def peaks(table, i, s_pre=1.0, s_post=1.0):
+    """Oracle of branch_drives, one column at a time: (v_max, v_min,
+    reset_later) of column i's candidates with both spikes rescaled, each
+    shaped like the broadcast scales, from argmax / argmin over the column;
+    reset_later is t[argmin] >= t[argmax], True for an empty column."""
     s_pre, s_post = np.broadcast_arrays(np.asarray(s_pre, dtype=float),
                                         np.asarray(s_post, dtype=float))
-    if not tbl.t.size:
-        return tuple(np.zeros(s_pre.shape) for _ in range(4))
-    v = s_post[..., None] * tbl.post_v - s_pre[..., None] * tbl.pre_v
-    imax = np.argmax(v, axis=-1)[..., None]
-    imin = np.argmin(v, axis=-1)[..., None]
-    v_max = np.take_along_axis(v, imax, -1)[..., 0]
-    v_min = np.take_along_axis(v, imin, -1)[..., 0]
-    t_max = np.where(v_max > 0.0, tbl.t[imax[..., 0]], 0.0)
-    t_min = np.where(v_min < 0.0, tbl.t[imin[..., 0]], 0.0)
-    return np.maximum(v_max, 0.0), t_max, np.minimum(v_min, 0.0), t_min
+    count = table.counts[i]
+    if not count:
+        return np.zeros(s_pre.shape), np.zeros(s_pre.shape), np.ones(s_pre.shape, dtype=bool)
+    t, post_v, pre_v = (x[:count, i] for x in (table.t, table.post_v, table.pre_v))
+    v = s_post[..., None] * post_v - s_pre[..., None] * pre_v
+    imax, imin = np.argmax(v, axis=-1), np.argmin(v, axis=-1)
+    v_max = np.take_along_axis(v, imax[..., None], -1)[..., 0]
+    v_min = np.take_along_axis(v, imin[..., None], -1)[..., 0]
+    return np.maximum(v_max, 0.0), np.minimum(v_min, 0.0), t[imin] >= t[imax]
 
 
 def _bank(shape, delay_max=0.3, pair_only=True, pre=None):
@@ -314,15 +323,16 @@ def _bank(shape, delay_max=0.3, pair_only=True, pre=None):
                            device=DeviceModel(), pair_only=pair_only)
 
 
-def _tie_tables():
-    """An empty table, a one-candidate table, and 400 candidates repeating a
-    4-candidate pattern at distinct times, so that every extremum is tied
-    across the blocks of the scan."""
-    pattern = np.tile([[1.0, 0.5], [0.25, 0.0], [-1.0, 0.5], [1.0, 0.5]], (100, 1))
-    empty = np.zeros(0)
-    return [CandidateTable(empty, empty, empty),
-            CandidateTable(np.array([0.7]), np.array([0.9]), np.array([0.4])),
-            CandidateTable(np.arange(400) * 0.01, pattern[:, 0].copy(), pattern[:, 1].copy())]
+def _tie_table():
+    """A (400, 3) table: an empty column, a one-candidate column, and 400
+    candidates repeating a 4-candidate pattern at distinct times, so that
+    every extremum is tied across the blocks of the scan."""
+    t, post_v, pre_v = np.zeros((3, 400, 3))
+    t[:, 1], post_v[:, 1], pre_v[:, 1] = 0.7, 0.9, 0.4  # its candidate, then copies of it
+    t[:, 2] = np.arange(400) * 0.01
+    post_v[:, 2], pre_v[:, 2] = np.tile([[1.0, 0.5], [0.25, 0.0], [-1.0, 0.5], [1.0, 0.5]],
+                                        (100, 1)).T
+    return CandidateTable(t, post_v, pre_v, counts=np.array([0, 1, 400]))
 
 
 def _scales():
@@ -340,7 +350,7 @@ def _scales():
             "epochs": (epochs[:, 0], epochs[:, 1])}
 
 
-SCAN_TABLES = {  # id -> (tables, expected number of empty tables)
+SCAN_TABLES = {  # id -> (table, expected number of empty columns)
     "fig7-delay-all-empty": (lambda: candidate_tables(_bank("hrht"), -6.0), 16),
     "fig7-delay-some-empty": (lambda: candidate_tables(_bank("hrht"), -5.8), 6),
     "fig7-delay-overlap": (lambda: candidate_tables(_bank("hrht"), -0.3), 0),
@@ -349,7 +359,7 @@ SCAN_TABLES = {  # id -> (tables, expected number of empty tables)
     "rect-plateau": (lambda: candidate_tables(_bank("hrht", 0.0, pre="rect"), 1.0), 0),
     "bio": (lambda: candidate_tables(_bank("bio"), 0.4), 0),
     "dexp": (lambda: candidate_tables(_bank("dexp"), -1.2), 0),
-    "ties-empty-one": (_tie_tables, 1),
+    "ties-empty-one": (_tie_table, 1),
 }
 
 
@@ -358,23 +368,23 @@ SCAN_TABLES = {  # id -> (tables, expected number of empty tables)
 def test_branch_drives_bitwise_match_per_table_peaks(case, scales):
     """branch_drives against the per-table oracle, byte for byte (so -0.0
     against 0.0 fails): exact ties (the duplicate limits at continuous edges,
-    plateaus, a repeated pattern), empty and one-candidate tables, scales of
+    plateaus, a repeated pattern), empty and one-candidate columns, scales of
     0 and below, and bio and dexp tables that the node scales cut into
     several blocks; the per-epoch scales step one candidate at a time."""
     make, empty = SCAN_TABLES[case]
-    tables = make()
-    assert sum(tbl.t.size == 0 for tbl in tables) == empty
+    table = make()
+    n = table.counts.size
+    assert np.count_nonzero(table.counts == 0) == empty
     s_pre, s_post = _scales()[scales]
     lead = np.broadcast(np.asarray(s_pre), np.asarray(s_post)).shape
-    longest = max(tbl.t.size for tbl in tables)
-    per_candidate = int(np.prod(lead)) * len(tables)
+    per_candidate = int(np.prod(lead)) * n
     if case in ("bio", "dexp") and scales == "nodes":
-        assert longest > 2 * (_SCAN_ELEMENTS // per_candidate) > 0  # several blocks
-    if scales == "epochs" and len(tables) == 16:
+        assert table.counts.max() > 2 * (_SCAN_ELEMENTS // per_candidate) > 0  # several blocks
+    if scales == "epochs" and n == 16:
         assert 2 * per_candidate > _SCAN_ELEMENTS  # one candidate a step
-    d = branch_drives(_bank("hrht"), tables, s_pre, s_post)
-    want = [np.stack(x, axis=-1) for x in zip(*(peaks(tbl, s_pre, s_post) for tbl in tables))]
-    for f, w in zip(("v_max", "t_max", "v_min", "t_min"), want):
+    d = branch_drives(_bank("hrht"), table, s_pre, s_post)
+    want = [np.stack(x, axis=-1) for x in zip(*(peaks(table, i, s_pre, s_post) for i in range(n)))]
+    for f, w in zip(("v_max", "v_min", "reset_later"), want):
         got = getattr(d, f)
-        assert got.shape == lead + (len(tables),) and got.dtype == w.dtype, f
+        assert got.shape == lead + (n,) and got.dtype == w.dtype, f
         assert got.tobytes() == w.tobytes(), f
