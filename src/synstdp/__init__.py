@@ -8,7 +8,7 @@ from .closedform import (ClosedFormParams, KIndex, avg_conductance_continuous,
                          avg_conductance_direct, branch_peak, comparison_report,
                          k_index, quadratic_coeffs_fitted, quadratic_coeffs_published)
 from .config import ConfigError, OutputOptions, RunConfig, default_config, load_config, parse_config
-from .dendrite import DendriteBank, branch_pre_spike_value, make_bank
+from .dendrite import DendriteBank
 from .device import DeviceModel, ProbModel, reset_probability, set_probability
 from .energy import (AGGRESSIVE, CONSERVATIVE, MEDIUM, SCENARIOS, EnergyScenario,
                      render_table, snn_event_energy, spike_energy, table1,
@@ -25,9 +25,9 @@ __all__ = [
     "RunConfig", "SCENARIOS", "SpikeWaveform", "StdpWindow", "WindowConfig",
     "all_branch_drives", "analytic_window", "avg_conductance_continuous",
     "avg_conductance_direct", "branch_drives", "branch_peak",
-    "branch_pre_spike_value", "comparison_report", "default_config",
+    "comparison_report", "default_config",
     "fit_exponential", "fit_linear", "fit_quadratic", "k_index", "load_config",
-    "make_bank", "parse_config", "quadratic_coeffs_fitted",
+    "parse_config", "quadratic_coeffs_fitted",
     "quadratic_coeffs_published", "render_table", "reset_probability", "run_window",
     "set_probability", "snn_event_energy", "spike_energy", "state_distribution",
     "table1", "throughput_per_watt",

@@ -125,6 +125,10 @@ def _default_fit_domain(results: Path) -> tuple[float, float]:
 
 
 def _cmd_fit(args) -> int:
+    if args.domain is not None:
+        lo, hi = args.domain
+        if not (np.isfinite(hi) and 0.0 <= lo <= hi):
+            raise ConfigError(f"--domain must be finite with 0 <= LO <= HI, got {lo} {hi}")
     mean_csv = args.results / "mean.csv"
     if not mean_csv.exists():
         raise ConfigError(f"{mean_csv} not found; run `synstdp window` first")

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveforms import SpikeWaveform
-
 DELAY_ASSIGNMENTS = ("ramp", "uniform", "reversed")
 
 
@@ -67,13 +65,3 @@ class DendriteBank:
         frac = self._frac()
         return tuple((self.delay_max * (frac if self.delay_assignment == "ramp"
                                         else frac[::-1])).tolist())
-
-
-make_bank = DendriteBank
-
-
-def branch_pre_spike_value(bank: DendriteBank, i: int, w: SpikeWaveform, t) -> float:
-    """Post-dendritic pre-spike of branch i (1-based): alpha_i * w(t - delay_i)."""
-    if not (1 <= i <= bank.n):
-        raise IndexError(f"branch index {i} out of range 1..{bank.n}")
-    return bank.alphas[i - 1] * w.evaluate(np.asarray(t, dtype=float) - bank.delays[i - 1])

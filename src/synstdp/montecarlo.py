@@ -268,13 +268,10 @@ def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
     # without noise the single node's (n,) drive is the sampler's drive
     table = candidate_tables(g, delta_t)
     nodes = _node_drives(g, table)
-    if g.amp_noise_sigma > 0.0:
-        drive = branch_drives(g, table, *scales)  # (epochs, n) views; .T is contiguous
-        v_max, v_min, later = drive.v_max.T, drive.v_min.T, drive.reset_later.T
-    else:
-        drive = nodes[0]
-        v_max, v_min = drive.v_max[:, None], drive.v_min[:, None]
-        later = drive.reset_later[:, None]
+    drive = branch_drives(g, table, *scales) if g.amp_noise_sigma > 0.0 else nodes[0]
+    # contiguous (n, epochs) rows with noise, (n, 1) without
+    v_max, v_min, later = (np.atleast_2d(x).T for x in
+                           (drive.v_max, drive.v_min, drive.reset_later))
     s = switch_draws(g.device, u_set, v_max, 1).view(np.uint8)
     r = switch_draws(g.device, u_reset, v_min, -1).view(np.uint8)
     both, set_then_reset, up, down = _transitions(s, r, later)

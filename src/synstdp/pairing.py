@@ -222,14 +222,7 @@ def branch_drives(g: PairingGeometry, table: CandidateTable,
 
 def all_branch_drives(g: PairingGeometry, delta_t: float,
                       s_pre: float = 1.0, s_post: float = 1.0) -> list[BranchDrive]:
-    """Per-branch drives at offset delta_t, one scalar BranchDrive per branch.
-    The bank's odds come from one law call per polarity; each drive gets its
-    floats as the values of its cached p_set / p_reset."""
+    """Per-branch drives at offset delta_t, one scalar BranchDrive per branch."""
     d = branch_drives(g, candidate_tables(g, delta_t), s_pre, s_post)
-    drives = []
-    for *fields, p_set, p_reset in zip(*(getattr(d, f).tolist() for f in
-                                         ("v_max", "v_min", "reset_later", "p_set", "p_reset"))):
-        drive = BranchDrive(*fields, device=g.device)
-        drive.__dict__.update(p_set=p_set, p_reset=p_reset)  # where cached_property keeps them
-        drives.append(drive)
-    return drives
+    return [BranchDrive(*f, device=g.device)
+            for f in zip(d.v_max.tolist(), d.v_min.tolist(), d.reset_later.tolist())]

@@ -1,9 +1,8 @@
 """Parametric spike waveforms.
 
 Every waveform is a piecewise function of time built from a positive "head"
-on [-tau_minus, 0) and a negative "tail" on [0, tau_plus).  Evaluation is
-right-continuous at piece boundaries; one-sided limits are available for
-exact peak extraction in the pairing engine.
+on [-tau_minus, 0) and a negative "tail" on [0, tau_plus).  One-sided limits
+are available for exact peak extraction in the pairing engine.
 """
 from __future__ import annotations
 
@@ -124,16 +123,6 @@ class SpikeWaveform:
 
     def has_curved_pieces(self) -> bool:
         return any(p.curved for p in self.pieces())
-
-    def evaluate(self, t) -> np.ndarray | float:
-        """Waveform value at time(s) t; right-continuous at piece edges."""
-        arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(arr)
-        for p in self.pieces():
-            m = (arr >= p.lo) & (arr < p.hi)
-            if m.any():
-                out[m] = p.func(arr[m])
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def limits_with_support(self, t, side) -> tuple[np.ndarray, np.ndarray]:
         """One-sided limits at times t (side +1 approaches from above, -1

@@ -128,7 +128,10 @@ def test_energy_count_beyond_bound_exits_1_without_a_table(tmp_path, capsys):
                    f"got {10**300}\n")
 
 
-NONFINITE_ARGS = {  # argv -> the one line on stderr
+# argv -> the one line on stderr; fit checks --domain before it reads a file,
+# so its results directory need not exist.  A negative LO would fit across
+# both sides of delta_t = 0.
+BAD_ARGS = {
     "closedform-interval-nan": (["closedform", "--interval", "nan", "0.4"],
                                 "error: interval [nan, 0.4]: ends must be finite"),
     "closedform-interval-inf": (["closedform", "--interval", "0.3", "inf"],
@@ -137,13 +140,21 @@ NONFINITE_ARGS = {  # argv -> the one line on stderr
                             "error: baseline must be positive and finite, got nan"),
     "energy-baseline-inf": (["energy", "--baseline", "inf"],
                             "error: baseline must be positive and finite, got inf"),
+    "fit-domain-lo-nan": (["fit", "--in", "missing", "--domain", "nan", "2"],
+                          "error: --domain must be finite with 0 <= LO <= HI, got nan 2.0"),
+    "fit-domain-hi-inf": (["fit", "--in", "missing", "--domain", "1", "inf"],
+                          "error: --domain must be finite with 0 <= LO <= HI, got 1.0 inf"),
+    "fit-domain-lo-negative": (["fit", "--in", "missing", "--domain", "-1", "2"],
+                               "error: --domain must be finite with 0 <= LO <= HI, got -1.0 2.0"),
+    "fit-domain-lo-above-hi": (["fit", "--in", "missing", "--domain", "3", "2"],
+                               "error: --domain must be finite with 0 <= LO <= HI, got 3.0 2.0"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(NONFINITE_ARGS))
+@pytest.mark.parametrize("case", sorted(BAD_ARGS))
 def test_nonfinite_argument_exits_1_with_one_error_line(case):
     """Run as a process, so that a numpy warning on stderr would show."""
-    argv, line = NONFINITE_ARGS[case]
+    argv, line = BAD_ARGS[case]
     proc = subprocess.run([sys.executable, "-m", "synstdp.cli", *argv], capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line + "\n")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from synstdp import DendriteBank, SpikeWaveform, branch_pre_spike_value, make_bank
+from synstdp import DendriteBank, DeviceModel, PairingGeometry, SpikeWaveform
+from synstdp.pairing import candidate_tables
 
 
 def test_sixteen_branch_ramp():
-    bank = make_bank(16, 0.6, 1.0, 0.0)
+    bank = DendriteBank(16, 0.6, 1.0, 0.0)
     assert bank.n == 16
     assert bank.alphas[0] == 0.6
     assert abs(bank.alphas[1] - 0.62667) < 1e-5
@@ -14,75 +15,57 @@ def test_sixteen_branch_ramp():
 
 
 def test_uniform_attenuation_bank():
-    bank = make_bank(16, 1.0, 1.0, 0.0)
+    bank = DendriteBank(16, 1.0, 1.0, 0.0)
     assert all(a == 1.0 for a in bank.alphas)
 
 
 def test_two_point_ramp():
-    bank = make_bank(2, 0.5, 1.0, 0.3)
+    bank = DendriteBank(2, 0.5, 1.0, 0.3)
     assert bank.alphas == (0.5, 1.0)
     assert bank.delays == (0.0, 0.3)
 
 
 def test_single_branch_collapses_to_max():
-    bank = make_bank(1, 0.6, 0.9, 0.3)
+    bank = DendriteBank(1, 0.6, 0.9, 0.3)
     assert bank.alphas == (0.9,)
     assert bank.delays == (0.0,)
 
 
 def test_delay_assignments():
-    assert make_bank(3, 0.5, 1.0, 0.3, "uniform").delays == (0.3, 0.3, 0.3)
-    rev = make_bank(3, 0.5, 1.0, 0.3, "reversed").delays
+    assert DendriteBank(3, 0.5, 1.0, 0.3, "uniform").delays == (0.3, 0.3, 0.3)
+    rev = DendriteBank(3, 0.5, 1.0, 0.3, "reversed").delays
     assert rev[0] == 0.3 and rev[-1] == 0.0
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        make_bank(0, 0.6, 1.0, 0.0)
+        DendriteBank(0, 0.6, 1.0, 0.0)
     with pytest.raises(ValueError):
-        make_bank(4, 0.0, 1.0, 0.0)
+        DendriteBank(4, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        make_bank(4, 0.8, 0.6, 0.0)
+        DendriteBank(4, 0.8, 0.6, 0.0)
     with pytest.raises(ValueError):
-        make_bank(4, 0.6, 1.1, 0.0)
+        DendriteBank(4, 0.6, 1.1, 0.0)
     with pytest.raises(ValueError):
-        make_bank(4, 0.6, 1.0, -0.1)
+        DendriteBank(4, 0.6, 1.0, -0.1)
     with pytest.raises(ValueError):
-        make_bank(4, 0.6, 1.0, 0.1, "diagonal")
-
-
-def test_branch_value_examples():
-    w = SpikeWaveform("hrht")
-    bank = make_bank(2, 0.6, 1.0, 0.0)
-    assert abs(branch_pre_spike_value(bank, 1, w, -0.5) - 0.54) < 1e-15
-    delayed = make_bank(2, 1.0, 1.0, 0.3, "uniform")
-    assert branch_pre_spike_value(delayed, 2, w, 0.1) == 0.9  # head shifted to [-0.7, 0.3)
-    assert branch_pre_spike_value(delayed, 1, w, 50.0) == 0.0
-    with pytest.raises(IndexError):
-        branch_pre_spike_value(bank, 3, w, 0.0)
-    with pytest.raises(IndexError):
-        branch_pre_spike_value(bank, 0, w, 0.0)
+        DendriteBank(4, 0.6, 1.0, 0.1, "diagonal")
 
 
 def test_branch_value_bounded_by_alpha():
+    """Branch i's attenuated, delayed pre spike, as the engine's candidate
+    tables hold it, stays within alpha_i * a_plus."""
     w = SpikeWaveform("hrht")
-    bank = make_bank(8, 0.6, 1.0, 0.2)
-    t = np.linspace(-3, 8, 800)
-    for i in range(1, 9):
-        v = branch_pre_spike_value(bank, i, w, t)
-        assert np.all(np.abs(v) <= bank.alphas[i - 1] * w.a_plus + 1e-12)
-
-
-def test_identity_bank():
-    w = SpikeWaveform("sawtooth")
-    bank = make_bank(5, 1.0, 1.0, 0.0)
-    t = np.linspace(-2, 6, 500)
-    for i in range(1, 6):
-        assert np.array_equal(branch_pre_spike_value(bank, i, w, t), w.evaluate(t))
+    bank = DendriteBank(8, 0.6, 1.0, 0.2)
+    g = PairingGeometry(pre=w, post=w, bank=bank, device=DeviceModel(), pair_only=False)
+    bound = np.asarray(bank.alphas) * w.a_plus + 1e-12
+    for delta_t in np.linspace(-8, 8, 33):
+        pre_v = candidate_tables(g, delta_t).pre_v
+        assert np.all(np.abs(pre_v) <= bound)
 
 
 def test_monotone_orderings():
-    bank = make_bank(7, 0.55, 0.95, 0.4)
+    bank = DendriteBank(7, 0.55, 0.95, 0.4)
     assert np.all(np.diff(bank.alphas) >= 0)
     assert np.all(np.diff(bank.delays) >= 0)
 
@@ -92,7 +75,7 @@ def test_bank_holds_the_numbers_it_was_given():
     assert (bank.n, bank.alpha_min, bank.alpha_max, bank.delay_max,
             bank.delay_assignment) == (1, 0.6, 0.9, 0.3, "reversed")
     assert bank.alphas == (0.9,) and bank.delays == (0.0,)
-    assert make_bank is DendriteBank and DendriteBank() == make_bank(16, 0.6, 1.0)
+    assert DendriteBank() == DendriteBank(16, 0.6, 1.0)
     huge = DendriteBank(10**9)  # nothing of size n is built until alphas or delays is read
     assert huge.n == 10**9
 

@@ -119,7 +119,7 @@ RESOLVED = {  # resolved-config.json of the shipped configs, run as given
 
 def run_digests(case, out_dir) -> dict[str, str]:
     cfg = load_config(case) if isinstance(case, Path) else parse_config(case)
-    wcfg = dataclasses.replace(cfg.window_config(), epochs=EPOCHS)
+    wcfg = dataclasses.replace(cfg.window, epochs=EPOCHS)
     paths = write_window_csv(run_window(wcfg, workers=1), out_dir)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in paths.values() if p.name in FILES}
@@ -131,7 +131,7 @@ def test_golden_digests(name, tmp_path):
 
 
 def test_statedist_digest(tmp_path):
-    grid, _, states = analytic_window(parse_config(DELAY_NOISE).window_config())
+    grid, _, states = analytic_window(parse_config(DELAY_NOISE).window)
     path = write_states_csv(grid, states, tmp_path / "states.csv")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN["fig7_delay_noise"]["states.csv"]

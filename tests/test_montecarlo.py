@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import synstdp.montecarlo as montecarlo
-from synstdp import (DeviceModel, InitPolicy, PairingGeometry, SpikeWaveform, WindowConfig,
-                     all_branch_drives, analytic_window, make_bank, parse_config, run_window,
-                     state_distribution)
+from synstdp import (DendriteBank, DeviceModel, InitPolicy, PairingGeometry, SpikeWaveform,
+                     WindowConfig, all_branch_drives, analytic_window, parse_config,
+                     reset_probability, run_window, set_probability, state_distribution)
 from synstdp.montecarlo import INIT_KINDS, _point_stream
 from synstdp.validate import enumerate_pmf, mc_outliers
 from tests.test_device import phi
@@ -21,7 +21,7 @@ def make_geometry(alpha_min=0.6, alpha_max=1.0, delay_max=0.0, sigma_lrs=0.1,
     w = SpikeWaveform("hrht")
     return PairingGeometry(
         pre=w, post=w,
-        bank=make_bank(n, alpha_min, alpha_max, delay_max),
+        bank=DendriteBank(n, alpha_min, alpha_max, delay_max),
         device=DeviceModel(sigma_lrs=sigma_lrs),
         amp_noise_sigma=amp_noise,
     )
@@ -317,7 +317,7 @@ def test_unknown_init_kind_rejected():
 def test_windows_for_every_shape():
     for shape in ("hrht", "rect", "sawtooth", "dexp", "bio"):
         w = SpikeWaveform(shape)
-        g = PairingGeometry(pre=w, post=w, bank=make_bank(4, 0.6, 1.0, 0.0),
+        g = PairingGeometry(pre=w, post=w, bank=DendriteBank(4, 0.6, 1.0, 0.0),
                             device=DeviceModel(sigma_lrs=0.0))
         cfg = WindowConfig(geometry=g, delta_t_min=-4.0, delta_t_max=4.0,
                            delta_t_step=1.0, epochs=60, seed=5)
@@ -329,7 +329,7 @@ def test_windows_for_every_shape():
 
 def test_distinct_post_waveform():
     g = PairingGeometry(pre=SpikeWaveform("rect"), post=SpikeWaveform("hrht"),
-                        bank=make_bank(2, 1.0, 1.0, 0.0), device=DeviceModel())
+                        bank=DendriteBank(2, 1.0, 1.0, 0.0), device=DeviceModel())
     cfg = WindowConfig(geometry=g, delta_t_min=1.0, delta_t_max=3.0,
                        delta_t_step=1.0, epochs=10, seed=2)
     win = run_window(cfg)
@@ -359,14 +359,20 @@ def replay_offset(cfg, k, delta_t):
         on0 = np.full((n, E), cfg.init_policy.kind == "all_on")
     u_set, u_reset = stream.random((n, E)), stream.random((n, E))
     n_set, n_reset, switched = np.zeros(E, int), np.zeros(E, int), []
-    unscaled = all_branch_drives(g, delta_t)
-    per_epoch = [all_branch_drives(g, delta_t, *scales[:, e]) if sigma > 0.0 else unscaled
+
+    def odds(drives):  # the law once per polarity over the bank's peaks
+        v_max, v_min = np.array([(d.v_max, d.v_min) for d in drives]).T
+        return (set_probability(g.device, v_max), reset_probability(g.device, v_min),
+                [d.reset_later for d in drives])
+
+    unscaled = odds(all_branch_drives(g, delta_t))
+    per_epoch = [odds(all_branch_drives(g, delta_t, *scales[:, e])) if sigma > 0.0 else unscaled
                  for e in range(E)]
     for i in range(n):
         for e in range(E):
-            d = per_epoch[e][i]
-            on, sets, resets = replay_device(bool(on0[i, e]), u_set[i, e] < d.p_set,
-                                             u_reset[i, e] < d.p_reset, d.reset_later)
+            p_set, p_reset, reset_later = per_epoch[e]
+            on, sets, resets = replay_device(bool(on0[i, e]), u_set[i, e] < p_set[i],
+                                             u_reset[i, e] < p_reset[i], reset_later[i])
             n_set[e] += sets
             n_reset[e] += resets
             if on != on0[i, e]:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from synstdp import (DeviceModel, PairingGeometry, SpikeWaveform, all_branch_drives,
-                     branch_drives, make_bank)
+from synstdp import (DendriteBank, DeviceModel, PairingGeometry, SpikeWaveform,
+                     all_branch_drives, branch_drives)
 from synstdp.pairing import _SCAN_ELEMENTS, CandidateTable, candidate_tables
 from synstdp.waveforms import EDGE_SNAP_TOL
 from tests.test_device import phi
@@ -13,8 +13,8 @@ def dense_grid_peaks(pre, post, alpha, delay, delta_t, step=0.001, pair_only=Tru
     lo = min(pre.support()[0] + delay, post.support()[0] + delta_t) - 0.1
     hi = max(pre.support()[1] + delay, post.support()[1] + delta_t) + 0.1
     t = np.arange(lo, hi, step)
-    po = post.evaluate(t - delta_t)
-    pr = alpha * pre.evaluate(t - delay)
+    po = post.limits_with_support(t - delta_t, +1)[0]
+    pr = alpha * pre.limits_with_support(t - delay, +1)[0]
     v = po - pr
     if pair_only:
         v = np.where((po != 0) & (pr != 0), v, 0.0)
@@ -28,7 +28,7 @@ def hrht():
 
 def geometry(alpha=1.0, n=1, delay=0.0, pair_only=True, **dev_kw):
     w = SpikeWaveform("hrht")
-    return PairingGeometry(pre=w, post=w, bank=make_bank(n, alpha, alpha, delay, "uniform"),
+    return PairingGeometry(pre=w, post=w, bank=DendriteBank(n, alpha, alpha, delay, "uniform"),
                            device=DeviceModel(**dev_kw), pair_only=pair_only)
 
 
@@ -126,7 +126,7 @@ def test_peak_monotone_beyond_plateau(hrht):
 
 def test_attenuation_monotonicity():
     w = SpikeWaveform("hrht")
-    bank = make_bank(16, 0.6, 1.0, 0.0)
+    bank = DendriteBank(16, 0.6, 1.0, 0.0)
     g = PairingGeometry(pre=w, post=w, bank=bank, device=DeviceModel())
     for dt in (0.5, 2.0, 4.0):
         ps = [d.p_set for d in all_branch_drives(g, dt)]
@@ -140,7 +140,7 @@ def test_voltage_spread_asymmetry():
     """Attenuation acts on the pre tail for potentiation (narrow spread) and
     on the pre head for depression (wide spread)."""
     w = SpikeWaveform("hrht")
-    bank = make_bank(16, 0.6, 1.0, 0.0)
+    bank = DendriteBank(16, 0.6, 1.0, 0.0)
     g = PairingGeometry(pre=w, post=w, bank=bank, device=DeviceModel())
     vmax = [d.v_max for d in all_branch_drives(g, 1.0)]
     vmin = [d.v_min for d in all_branch_drives(g, -1.0)]
@@ -150,7 +150,7 @@ def test_voltage_spread_asymmetry():
 
 def test_uniform_bank_identical_drives():
     w = SpikeWaveform("hrht")
-    g = PairingGeometry(pre=w, post=w, bank=make_bank(16, 1.0, 1.0, 0.0), device=DeviceModel())
+    g = PairingGeometry(pre=w, post=w, bank=DendriteBank(16, 1.0, 1.0, 0.0), device=DeviceModel())
     for dt in (-3.0, -0.5, 0.5, 2.5):
         drives = all_branch_drives(g, dt)
         assert all(d == drives[0] for d in drives)
@@ -167,10 +167,10 @@ def test_pair_only_false_exposes_lone_spike_disturb():
 
 def test_dt_step_validation(hrht):
     with pytest.raises(ValueError):
-        PairingGeometry(pre=hrht, post=hrht, bank=make_bank(1, 1, 1, 0),
+        PairingGeometry(pre=hrht, post=hrht, bank=DendriteBank(1, 1, 1, 0),
                         device=DeviceModel(), dt_step=0.2)
     with pytest.raises(ValueError):
-        PairingGeometry(pre=hrht, post=hrht, bank=make_bank(1, 1, 1, 0),
+        PairingGeometry(pre=hrht, post=hrht, bank=DendriteBank(1, 1, 1, 0),
                         device=DeviceModel(), dt_step=0.0)
 
 
@@ -180,9 +180,9 @@ def test_branch_drives_match_per_branch_drives():
     On the fig7_delay bank with pair_only, 6 and then all 16 branches have
     empty columns."""
     sawtooth, hrht = SpikeWaveform("sawtooth"), SpikeWaveform("hrht")
-    loose = PairingGeometry(pre=sawtooth, post=sawtooth, bank=make_bank(16, 0.6, 1.0, 0.3),
+    loose = PairingGeometry(pre=sawtooth, post=sawtooth, bank=DendriteBank(16, 0.6, 1.0, 0.3),
                             device=DeviceModel(), pair_only=False)
-    fig7_delay = PairingGeometry(pre=hrht, post=hrht, bank=make_bank(16, 0.6, 1.0, 0.3, "ramp"),
+    fig7_delay = PairingGeometry(pre=hrht, post=hrht, bank=DendriteBank(16, 0.6, 1.0, 0.3, "ramp"),
                                  device=DeviceModel())
     s_pre, s_post = np.array([1.0, 0.93, 1.08]), np.array([1.0, 1.05, 0.9])
     cases = [(loose, dt, 0) for dt in (-2.0, -0.2, 0.0, 0.4, 3.0)]
@@ -201,7 +201,7 @@ def test_drive_peaks_curved_shapes_match_dense_grid():
     dev = DeviceModel()
     for shape in ("dexp", "bio"):
         w = SpikeWaveform(shape)
-        g = PairingGeometry(pre=w, post=w, bank=make_bank(1, 0.8, 0.8, 0.0),
+        g = PairingGeometry(pre=w, post=w, bank=DendriteBank(1, 0.8, 0.8, 0.0),
                             device=dev)
         for delta_t in (-3.0, -1.2, 0.4, 1.5, 3.7):
             d = drive(g, 1, delta_t)
@@ -216,7 +216,7 @@ def test_rectangular_pre_spike_makes_flat_window():
     so the switching probability is constant across the whole overlap."""
     pre = SpikeWaveform("rect")
     post = SpikeWaveform("hrht")
-    g = PairingGeometry(pre=pre, post=post, bank=make_bank(1, 1.0, 1.0, 0.0),
+    g = PairingGeometry(pre=pre, post=post, bank=DendriteBank(1, 1.0, 1.0, 0.0),
                         device=DeviceModel())
     ps = [drive(g, 1, dt).p_set for dt in np.arange(0.5, 5.9, 0.3)]
     assert max(ps) - min(ps) < 1e-12
@@ -226,7 +226,7 @@ def test_rectangular_pre_spike_makes_flat_window():
 def test_mixed_pre_post_waveforms():
     pre = SpikeWaveform("hrht")
     post = SpikeWaveform("sawtooth")
-    g = PairingGeometry(pre=pre, post=post, bank=make_bank(2, 0.6, 1.0, 0.0),
+    g = PairingGeometry(pre=pre, post=post, bank=DendriteBank(2, 0.6, 1.0, 0.0),
                         device=DeviceModel())
     d = drive(g, 2, 2.0)
     vmax, vmin = dense_grid_peaks(pre, post, 1.0, 0.0, 2.0)
@@ -278,7 +278,7 @@ def test_candidate_tables_bitwise_match_per_sample_reference(shape, pair_only):
     repeats its first one, and an empty column is all zeros."""
     w = SpikeWaveform(shape)
     for delay_max, assignment in ORACLE_BANKS:
-        g = PairingGeometry(pre=w, post=w, bank=make_bank(16, 0.6, 1.0, delay_max, assignment),
+        g = PairingGeometry(pre=w, post=w, bank=DendriteBank(16, 0.6, 1.0, delay_max, assignment),
                             device=DeviceModel(), dt_step=ORACLE_STEP, pair_only=pair_only)
         for delta_t in ORACLE_OFFSETS:
             table = candidate_tables(g, delta_t)
@@ -319,7 +319,7 @@ def peaks(table, i, s_pre=1.0, s_post=1.0):
 def _bank(shape, delay_max=0.3, pair_only=True, pre=None):
     w = SpikeWaveform(shape)
     return PairingGeometry(pre=SpikeWaveform(pre) if pre else w, post=w,
-                           bank=make_bank(16, 0.6, 1.0, delay_max, "ramp"),
+                           bank=DendriteBank(16, 0.6, 1.0, delay_max, "ramp"),
                            device=DeviceModel(), pair_only=pair_only)
 
 

@@ -25,7 +25,7 @@ def test_amplitude_bounds():
         SpikeWaveform("hrht", a_minus=-0.1)
     # zero tail amplitude is a valid (tail-less) waveform
     w = SpikeWaveform("hrht", a_minus=0.0)
-    assert w.evaluate(2.5) == 0.0
+    assert w.limits_with_support(2.5, +1)[0] == 0.0
 
 
 def test_unknown_parameter_rejected():
@@ -38,16 +38,16 @@ def test_unknown_parameter_rejected():
 def test_dexp_extras_accepted_and_bounded():
     w = SpikeWaveform("dexp", extra={"tau_head": 0.3, "tau_tail": 1.5})
     t = np.linspace(-2.0, 7.0, 4001)
-    v = w.evaluate(t)
+    v = w.limits_with_support(t, +1)[0]
     assert np.all(v <= w.a_plus + 1e-12)
     assert np.all(v >= -w.a_minus - 1e-12)
 
 
 def test_hrht_evaluate_examples():
     w = SpikeWaveform("hrht")
-    assert w.evaluate(-0.5) == 0.9
-    assert abs(w.evaluate(2.5) - (-0.2)) < 1e-15  # -0.4*(1 - 2.5/5)
-    assert w.evaluate(10.0) == 0.0
+    assert w.limits_with_support(-0.5, +1)[0] == 0.9
+    assert abs(w.limits_with_support(2.5, +1)[0] - (-0.2)) < 1e-15  # -0.4*(1 - 2.5/5)
+    assert w.limits_with_support(10.0, +1)[0] == 0.0
 
 
 def test_support():
@@ -62,7 +62,9 @@ def test_zero_outside_support(shape):
     lo, hi = w.support()
     t = np.concatenate([np.linspace(lo - 5, lo - 1e-9, 100),
                         np.linspace(hi, hi + 5, 100)])
-    assert np.all(w.evaluate(t) == 0.0)
+    # left of the support from below, right of it from above
+    v, inside = w.limits_with_support(t, np.repeat([-1, +1], 100))
+    assert np.all(v == 0.0) and not inside.any()
 
 
 @pytest.mark.parametrize("shape", ["hrht", "rect", "sawtooth"])
@@ -71,7 +73,7 @@ def test_extrema_piecewise(shape):
     lo, hi = w.support()
     step = 0.01
     t = np.arange(lo, hi, step)
-    v = w.evaluate(t)
+    v = w.limits_with_support(t, +1)[0]
     # head peak within one sample step of a_plus; tail bottom exactly -a_minus
     assert v.max() >= w.a_plus * (1.0 - step / w.tau_minus) - 1e-12
     assert v.max() <= w.a_plus + 1e-12
@@ -82,7 +84,7 @@ def test_extrema_piecewise(shape):
 def test_evaluate_bounded(shape):
     w = SpikeWaveform(shape)
     lo, hi = w.support()
-    v = w.evaluate(np.linspace(lo - 1, hi + 1, 5000))
+    v = w.limits_with_support(np.linspace(lo - 1, hi + 1, 5000), +1)[0]
     assert np.all(v <= w.a_plus + 1e-12) and np.all(v >= -w.a_minus - 1e-12)
 
 
@@ -98,7 +100,7 @@ def test_one_sided_limits():
 
 def test_sawtooth_head_ramp():
     w = SpikeWaveform("sawtooth")
-    assert abs(w.evaluate(-1.0)) < 1e-15      # ramps from 0
+    assert abs(w.limits_with_support(-1.0, +1)[0]) < 1e-15      # ramps from 0
     assert w.limits_with_support([0.0], [-1])[0][0] == 0.9   # peak at the head end
 
 
@@ -117,7 +119,7 @@ def test_dexp_head_peak_within_slope_scaled_step():
     step = 0.01
     t = np.arange(*w.support(), step)
     tau_head = dict(w.extra)["tau_head"]
-    assert w.evaluate(t).max() >= w.a_plus * (1.0 - step / tau_head) - 1e-12
+    assert w.limits_with_support(t, +1)[0].max() >= w.a_plus * (1.0 - step / tau_head) - 1e-12
 
 
 def test_extras_rejected_for_piecewise_shapes():
