@@ -35,14 +35,19 @@ class ConfigError(ValueError):
     pass
 
 
+# Finest dot-grouping bin of the scatter: |delta_g| < 1e8 (4 per branch,
+# at most 1e7 branches), so delta_g / level_bin stays far from overflow
+MIN_LEVEL_BIN = 1e-12
+
+
 @dataclass(frozen=True)
 class OutputOptions:
     svg: bool = True
     level_bin: float = 1.0  # dot-grouping bin for scatter opacity
 
     def __post_init__(self):
-        if self.level_bin <= 0:
-            raise ValueError(f"level_bin: must be positive, got {self.level_bin}")
+        if not self.level_bin >= MIN_LEVEL_BIN:
+            raise ValueError(f"level_bin: must be at least {MIN_LEVEL_BIN:g}, got {self.level_bin}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -26,6 +26,9 @@ MAX_ROWS = 10**8  # offsets x epochs: 1.6 GB of result arrays, a 3.2 GB window.c
 MAX_TRIALS = 10**9  # offsets x epochs x branches
 MAX_OFFSET_TRIALS = 10**7  # epochs x branches; the offset being sampled holds
 #                            50-100 B a trial: 0.5-1 GB per worker
+MAX_OFFSET_CANDIDATES = 10**7  # branches x grid points over both spike supports,
+#                                for curved shapes; a candidate table is built
+#                                at ~100 B a point: 1 GB per worker
 
 
 INIT_KINDS = ("split", "all_off", "all_on", "random")
@@ -74,6 +77,13 @@ class WindowConfig:
         if self.epochs * n > MAX_OFFSET_TRIALS:
             raise ValueError(f"{self.epochs} epochs x {n} branches exceeds the bound "
                              f"of {MAX_OFFSET_TRIALS} trials in one offset")
+        g = self.geometry
+        if g.pre.has_curved_pieces() or g.post.has_curved_pieces():
+            span = sum(hi - lo for lo, hi in (g.pre.support(), g.post.support()))
+            if n * span / g.dt_step > MAX_OFFSET_CANDIDATES:
+                raise ValueError(f"{n} branches x {span:g} time units of spike support / "
+                                 f"dt_step {g.dt_step:g} exceeds the bound of "
+                                 f"{MAX_OFFSET_CANDIDATES} grid candidates in one offset")
 
     def n_offsets(self) -> int | float:
         """len(grid()), counted without building the grid; inf when the
@@ -166,17 +176,28 @@ def _start_on(policy: InitPolicy, delta_t: float) -> list[float]:
     return [float(policy.kind == "all_on")]
 
 
+@lru_cache(maxsize=8)
+def _gh_nodes(sigma: float):
+    """(s_pre, s_post, weights) of the Gauss-Hermite nodes in both spike
+    scales under amplitude noise sigma, read-only; built once per process,
+    not at every offset.  Node 12 i + j scales the pre spike by scales[i]
+    and the post spike by scales[j]."""
+    x, w = np.polynomial.hermite_e.hermegauss(_GH_POINTS)
+    scales, w = 1.0 + sigma * x, w / w.sum()
+    nodes = np.repeat(scales, _GH_POINTS), np.tile(scales, _GH_POINTS), np.outer(w, w).ravel()
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
 def _node_drives(g: PairingGeometry, table):
     """Drives of all branches at the amplitude-noise quadrature nodes, shape
     (nodes, n), with the node weights: Gauss-Hermite in both spike scales,
     or the single unscaled node when noise is off."""
     if g.amp_noise_sigma == 0.0:
         return branch_drives(g, table), np.ones(1)
-    x, w = np.polynomial.hermite_e.hermegauss(_GH_POINTS)
-    scales, w = 1.0 + g.amp_noise_sigma * x, w / w.sum()
-    # node 12 i + j scales the pre spike by scales[i] and the post spike by scales[j]
-    s_pre, s_post = np.repeat(scales, _GH_POINTS), np.tile(scales, _GH_POINTS)
-    return branch_drives(g, table, s_pre, s_post), np.outer(w, w).ravel()
+    s_pre, s_post, weights = _gh_nodes(g.amp_noise_sigma)
+    return branch_drives(g, table, s_pre, s_post), weights
 
 
 def _transitions(s, r, reset_later):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dendrite import DendriteBank
 from .device import DeviceModel, reset_probability, set_probability
-from .waveforms import SpikeWaveform
+from .waveforms import EDGE_SNAP_TOL, SpikeWaveform
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,22 @@ def candidate_tables(g: PairingGeometry, delta_t: float) -> CandidateTable:
     side = np.tile([-1, +1], rows.size)
     if g.pre.has_curved_pieces() or g.post.has_curved_pieces():
         # the grid of a live branch: the multiples k*dt_step in [lo, hi],
-        # where an end within 1e-9 steps of a multiple counts as on it
-        k0 = np.ceil(lo / g.dt_step - 1e-9).astype(np.int64)
-        k1 = np.floor(hi / g.dt_step + 1e-9).astype(np.int64)
-        size = np.where(live, np.maximum(k1 - k0 + 1, 0), 0)
+        # where an end within 1e-9 steps of a multiple counts as on it, but
+        # none in a gap between two supports that do not meet, where nothing
+        # is evaluated.  So two runs of k: to the end of the earlier support,
+        # and from the start of the later one (past the first run where they
+        # meet), each widened by twice the edge snap, as a time that near an
+        # edge counts as on it
+        pad = 2.0 * EDGE_SNAP_TOL
+        k0 = np.ceil(lo / g.dt_step - 1e-9)
+        k1 = np.floor(hi / g.dt_step + 1e-9)
+        end = np.minimum(np.floor((np.minimum(pre_hi, post_hi) + pad) / g.dt_step + 1e-9), k1)
+        start = np.ceil((np.maximum(pre_lo, post_lo) - pad) / g.dt_step - 1e-9)
+        k0 = np.concatenate([k0, np.maximum(start, end + 1)]).astype(np.int64)
+        k1 = np.concatenate([end, k1]).astype(np.int64)
+        size = np.where(np.tile(live, 2), np.maximum(k1 - k0 + 1, 0), 0)
         k = np.arange(size.sum()) + np.repeat(k0 - (np.cumsum(size) - size), size)
-        branch = np.concatenate([branch, np.repeat(np.arange(n), size)])
+        branch = np.concatenate([branch, np.repeat(np.tile(np.arange(n), 2), size)])
         t = np.concatenate([t, k * g.dt_step])
         side = np.concatenate([side, np.ones(k.size, dtype=side.dtype)])
     # stable: equal (branch, t, side) keys keep the order they were added in

@@ -11,8 +11,16 @@ from typing import Callable
 
 import numpy as np
 
+from ._cephes import exp
+
 MAX_AMPLITUDE = 10.0  # volts; sanity cap for configuration input
 EDGE_SNAP_TOL = 1e-9  # piece-edge snapping for one-sided limits
+# Range of a duration (tau_minus, tau_plus, a tau or width extra), and
+# bound on a center's magnitude, in normalized time units: the pieces
+# divide a time of at most ~2 MAX_TIME by a duration and square the
+# quotient, which then stays below 1e25, far from overflow.  A piece at
+# least MIN_TIME wide is 1,000 edge snaps wide.
+MIN_TIME, MAX_TIME = 1e-6, 1e6
 
 
 # half-rectangular/half-triangular, rectangular, double sawtooth, double
@@ -60,18 +68,20 @@ class SpikeWaveform:
             raise ValueError(f"a_plus: must be in (0, {MAX_AMPLITUDE}] V, got {self.a_plus}")
         if not (0.0 <= self.a_minus <= MAX_AMPLITUDE):
             raise ValueError(f"a_minus: must be in [0, {MAX_AMPLITUDE}] V, got {self.a_minus}")
-        if self.tau_minus <= 0.0:
-            raise ValueError(f"tau_minus: must be positive, got {self.tau_minus}")
-        if self.tau_plus <= 0.0:
-            raise ValueError(f"tau_plus: must be positive, got {self.tau_plus}")
         extra = dict(_EXTRAS.get(self.shape, {}))
         unknown = dict(self.extra).keys() - extra.keys()
         if unknown:
             raise ValueError(f"extra: unknown keys {sorted(unknown)}")
         extra.update(self.extra)
-        for key, val in extra.items():
-            if (key.startswith("tau") or key.endswith("width")) and val <= 0.0:
-                raise ValueError(f"extra.{key}: must be positive, got {val}")
+        for key, val in (("tau_minus", self.tau_minus), ("tau_plus", self.tau_plus),
+                         *((f"extra.{k}", v) for k, v in extra.items())):
+            if key.endswith("center"):
+                if not abs(val) <= MAX_TIME:
+                    raise ValueError(f"{key}: must be in [-{MAX_TIME:g}, {MAX_TIME:g}], got {val}")
+            elif val <= 0.0:
+                raise ValueError(f"{key}: must be positive, got {val}")
+            elif not MIN_TIME <= val <= MAX_TIME:
+                raise ValueError(f"{key}: must be in [{MIN_TIME:g}, {MAX_TIME:g}], got {val}")
         object.__setattr__(self, "extra", tuple(sorted(extra.items())))
 
     def pieces(self) -> list[Piece]:
@@ -95,8 +105,8 @@ class SpikeWaveform:
             ex = dict(self.extra)
             th, tt = ex["tau_head"], ex["tau_tail"]
             return [
-                Piece(-tm, 0.0, lambda t: ap * np.exp(t / th), curved=True),
-                Piece(0.0, tp, lambda t: -am * np.exp(-t / tt), curved=True),
+                Piece(-tm, 0.0, lambda t: ap * exp(t / th), curved=True),
+                Piece(0.0, tp, lambda t: -am * exp(-t / tt), curved=True),
             ]
         if self.shape == "bio":
             ex = dict(self.extra)
@@ -104,7 +114,7 @@ class SpikeWaveform:
             tc, tw = ex["tail_center"], ex["tail_width"]
 
             def bio(t):
-                return ap * np.exp(-(((t - hc) / hw) ** 2)) - am * np.exp(-(((t - tc) / tw) ** 2))
+                return ap * exp(-(((t - hc) / hw) ** 2)) - am * exp(-(((t - tc) / tw) ** 2))
 
             return [Piece(-tm - 0.5, tp + 1.0, bio, curved=True)]
         raise AssertionError(f"unhandled shape {self.shape}")

@@ -333,11 +333,35 @@ def test_null_rejected_where_the_default_is_a_value(tmp_path, capsys, key, raw, 
     assert capsys.readouterr().err == f"error: {key}: {msg}\n"
 
 
+# values that reached numpy as an overflow (a square in a bio lobe, a
+# quotient in a dexp piece, delta_g / level_bin in the scatter) fail at parse
+# time under their key, before any warning
+OVERFLOWS = [
+    ("waveform.extra.head_width", {"waveform": {"shape": "bio", "extra": {"head_width": 1e-200}}}),
+    ("waveform.extra.head_center", {"waveform": {"shape": "bio", "extra": {"head_center": 1e300}}}),
+    ("waveform.extra.tau_head", {"waveform": {"shape": "dexp", "extra": {"tau_head": 1e-310}}}),
+    ("output.level_bin", {"output": {"level_bin": 5e-324}}),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key,raw", OVERFLOWS, ids=[k for k, _ in OVERFLOWS])
+def test_values_that_overflow_in_numpy_fail_at_parse_time(tmp_path, capsys, key, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    args = ["window", "--config", str(path), "--epochs", "20", "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: must be ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 # one out-of-range value for each rule about one field, keyed by its path; a
 # --params file's keys are under the class name
 ONE_FIELD_RANGES = [
     ("waveform.shape", "sine"), ("waveform.a_plus", 0.0), ("waveform.a_minus", -0.1),
     ("waveform.tau_minus", 0.0), ("waveform.tau_plus", -1.0), ("waveform.extra.tau_tail", 0.0),
+    ("waveform.tau_minus", 1e-7), ("waveform.tau_plus", 2e6), ("waveform.extra.tau_tail", 2e6),
     ("post_waveform.a_plus", 11.0),
     ("dendrites.n", 0), ("dendrites.alpha_min", 0.0), ("dendrites.alpha_max", 1.5),
     ("dendrites.delay_max", -0.1), ("dendrites.delay_assignment", "spiral"),
@@ -424,6 +448,9 @@ RUN_SIZES = [
     ("branches", {"dendrites": {"n": 10**9}}),
     ("one-offset", {"simulation": {"delta_t_min": 0.0, "delta_t_max": 0.5, "delta_t_step": 1.0,
                                    "epochs": 10**6}}),
+    # a curved shape's grid over both spike supports: > 10^8 candidates an offset
+    ("grid-tau", {"waveform": {"shape": "bio", "tau_plus": 1e5}}),
+    ("grid-step", {"waveform": {"shape": "bio"}, "simulation": {"dt_step": 1e-6}}),
 ]
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from synstdp import DeviceModel, ProbModel, reset_probability, set_probability
-from synstdp.device import _SCREEN_CELLS, _erf, _screen, switch_draws
+from synstdp._cephes import _MAXLOG, erf, exp
+from synstdp.device import _SCREEN_CELLS, _screen, switch_draws
 from synstdp.montecarlo import _lrs_draws, _point_stream
 
 # standard-normal table values
@@ -156,7 +157,7 @@ def ulps(a, b):
                          ids=["dense-grid", "edges"])
 def test_erf_within_one_ulp_of_scipy(x):
     special = pytest.importorskip("scipy.special")
-    got, want = _erf(x), special.erf(x)
+    got, want = erf(x), special.erf(x)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     live = ~np.isnan(want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -164,18 +165,18 @@ def test_erf_within_one_ulp_of_scipy(x):
 
 
 def test_erf_exact_values():
-    assert _erf(0.0) == 0.0 and np.signbit(_erf(-0.0))
-    assert _erf(np.inf) == 1.0 and _erf(-np.inf) == -1.0 and np.isnan(_erf(np.nan))
-    assert _erf(6.0) == 1.0 and _erf(-30.0) == -1.0
+    assert erf(0.0) == 0.0 and np.signbit(erf(-0.0))
+    assert erf(np.inf) == 1.0 and erf(-np.inf) == -1.0 and np.isnan(erf(np.nan))
+    assert erf(6.0) == 1.0 and erf(-30.0) == -1.0
     x = np.linspace(0.0, 30.0, 10_001)
-    assert np.array_equal(_erf(-x), -_erf(x))
+    assert np.array_equal(erf(-x), -erf(x))
 
 
 def test_erf_monotone():
-    assert np.all(np.diff(_erf(np.linspace(-30.0, 30.0, 3_000_001))) >= 0.0)
+    assert np.all(np.diff(erf(np.linspace(-30.0, 30.0, 3_000_001))) >= 0.0)
     # float by float it may step back by an ulp (so may scipy's), never more
     for x in (0.3, 1.0, 2.5, 8.0):
-        y = _erf(np.array(sorted(neighbours(x, 200))))
+        y = erf(np.array(sorted(neighbours(x, 200))))
         assert (np.maximum.accumulate(y) - y).max() <= np.spacing(1.0)
 
 
@@ -183,7 +184,22 @@ def test_erf_monotone():
                                      (np.zeros(0), (0,)), (np.zeros((2, 0)), (2, 0)),
                                      ([[0.5, 1.5, 9.0]], (1, 3))])
 def test_erf_keeps_shape(x, shape):
-    assert np.shape(_erf(x)) == shape
+    assert np.shape(erf(x)) == shape
+
+
+# exp: a numpy port of Cephes exp.c, which the erf above and the curved spikes use
+
+def test_exp_within_two_ulps_of_math_exp():
+    x = np.linspace(-_MAXLOG, 0.0, 200_001)
+    want = np.array([math.exp(v) for v in x.tolist()])
+    assert ulps(exp(x), want).max() <= 2 and exp(0.0) == exp(-0.0) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_is_zero_below_maxlog_without_a_warning():
+    x = np.array([-np.inf, -1e300, -800.0])
+    assert exp(x).tobytes() == np.zeros(3).tobytes()
+    assert [exp(v) for v in x.tolist()] == [0.0, 0.0, 0.0]
 
 
 def test_cli_imports_no_scipy():

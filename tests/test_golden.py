@@ -5,7 +5,8 @@ simulator writes for a fixed config and seed; it must say which and why.
 Each case is a 200-epoch `window` run at the config's seed (42), written by
 `write_window_csv`.  The shape cases set only the spike shape and
 `pair_only = false`, so they also cover lone-spike candidates at the support
-edges.  The other cases pin the drive paths and init policies the shipped
+edges; the curved shapes (dexp, bio) run on a 0.5 offset grid, without and
+with amplitude noise.  The other cases pin the drive paths and init policies the shipped
 configs leave out: amplitude noise on the delayed bank (per-epoch scaled
 peaks and the Gauss-Hermite analytic), random init with lone-spike
 candidates, the linear switching law from all-OFF, all-ON init, and random
@@ -13,17 +14,20 @@ init under amplitude noise.  A last digest pins the `statedist` path: the
 `states.csv` that `analytic_window` and `write_states_csv` give for the
 noisy delayed bank, which is byte for byte the window run's.  The
 `resolved-config.json` that `synstdp window` writes for each shipped config
-is pinned too.  The switching law uses no `np.exp` (device._erf builds
-exp(-x*x) from basic arithmetic), so these digests do not depend on which
-SIMD kernels numpy dispatches to on the CPU.  The dexp and bio shapes are
-left out: their waveforms use `np.exp`, which may differ in the last bit
-across CPUs; the candidate-table oracle in test_pairing covers them.
+is pinned too.  The switching law and the curved spikes take e**x from
+`_cephes`, built from basic arithmetic, so these digests do not depend on
+which SIMD kernels numpy dispatches to on the CPU;
+`test_curved_tables_do_not_depend_on_numpy_cpu_dispatch` checks this.
 """
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from synstdp import analytic_window, load_config, parse_config, run_window
@@ -42,6 +46,10 @@ CASES = {
     "hrht": {"waveform": {"shape": "hrht"}, "simulation": {"pair_only": False}},
     "rect": {"waveform": {"shape": "rect"}, "simulation": {"pair_only": False}},
     "sawtooth": {"waveform": {"shape": "sawtooth"}, "simulation": {"pair_only": False}},
+    **{f"{shape}{tag}": {"waveform": {"shape": shape},
+                         "simulation": {"pair_only": False, "delta_t_step": 0.5, **noise}}
+       for shape in ("dexp", "bio")
+       for tag, noise in (("", {}), ("_noise", {"amp_noise_sigma": 0.05}))},
     "fig7_delay_noise": DELAY_NOISE,
     "random_q05": {"simulation": {"pair_only": False, "init_policy": {"random": {"q": 0.5}}}},
     "linear_all_off": {"device": {"prob_model": {"linear": {"gamma": 2.0}}},
@@ -82,6 +90,26 @@ GOLDEN = {
         "window.csv": "14eba3117926b320e136bbc97f2b2641b640dcac90cb14f7664825dcce67a3ee",
         "mean.csv": "c9aabef1260600020a5f7bc6504ccaaf699b9c597ef77fd3b553d5aeae25793b",
         "states.csv": "f97926534ed744cca25f36570bbffd397e0b5b5d4906ce38a9ba6ee5b7c7856b",
+    },
+    "dexp": {
+        "window.csv": "b17680881dff26d47d4532358d7700e29c21f53c5ae10345f73e53adb065137a",
+        "mean.csv": "e69e55b3576ccfa343f52126e24dddf97f8b09ec8f7dfc404c5a23087d880edd",
+        "states.csv": "7d172c9ced064e6c3a5c26afdba7c42b4b28c830167e35717a1be570a177bd87",
+    },
+    "bio": {
+        "window.csv": "139fa23990c8e8c9a93d73ddda1a3731300d66797d6f003cc049baf72f529647",
+        "mean.csv": "a5a5b92250110ea2363d19f036561f7108b9dfa324e862e18436913b083cb61a",
+        "states.csv": "8d6aeea837a7b43effdf7e510af5ef08e86711fd53a562b524d964ce368d6fc2",
+    },
+    "dexp_noise": {
+        "window.csv": "d7ad9956d63cba24556025ba7846929a8851a43da5c099a9c2e4ace200a68e6c",
+        "mean.csv": "217944e15c9e066b37d247b244f42462e91425c4b6a230cbb3bac01019d26e13",
+        "states.csv": "ff4af4b5c78e4f077d491443a8fe58ca7b3bb922202ce55b51a927064b86eddb",
+    },
+    "bio_noise": {
+        "window.csv": "178ecb5572e8cc62ee1325e5a303153bc00f6bf609be82ef11bcfb932eb95951",
+        "mean.csv": "4f21486496bd5d316e7051a8e737372009b73f0457c9848448af1ccaa48f9836",
+        "states.csv": "c3d07da126c501d78a88cebbc961b4f8afbfdf4f4758fab32c2e08f4fa2b1121",
     },
     "fig7_delay_noise": {
         "window.csv": "6791b8512e40befdade183b31a723554099a93aca1c896ddd9a4b76bc41a85f7",
@@ -141,3 +169,47 @@ def test_statedist_digest(tmp_path):
 def test_resolved_config_digest(name):
     text = json.dumps(load_config(CASES[name]).to_dict(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == RESOLVED[name]
+
+
+# the candidate tables of both curved shapes, at both pair_only values, on
+# the offsets of the config in argv[1], hashed by a fresh interpreter
+TABLES_DIGEST = """
+import hashlib, json, sys
+from synstdp import parse_config
+from synstdp.pairing import candidate_tables
+h = hashlib.sha256()
+bench = json.load(open(sys.argv[1]))
+for shape in ("dexp", "bio"):
+    for pair_only in (True, False):
+        win = parse_config({**bench, "waveform": {"shape": shape},
+                            "simulation": {**bench["simulation"], "pair_only": pair_only}}).window
+        for delta_t in win.grid().tolist():
+            table = candidate_tables(win.geometry, delta_t)
+            for x in (table.t, table.post_v, table.pre_v, table.counts):
+                h.update(x.tobytes())
+print(h.hexdigest())
+"""
+
+
+def _cpu_dispatch_targets() -> list[str]:
+    """numpy's SIMD dispatch targets that this CPU runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_curved_tables_do_not_depend_on_numpy_cpu_dispatch():
+    """The curved spikes' values are the same bytes with numpy's dispatched
+    SIMD kernels (AVX2, AVX-512 and the like) masked as without."""
+    targets = _cpu_dispatch_targets()
+    if not targets:
+        pytest.skip(f"numpy {np.__version__} dispatches no SIMD kernels on this CPU")
+    bench = CONFIGS.parent / "perfbench" / "configs" / "statedist_bio.json"
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(CONFIGS.parent / "src")
+    digests = [subprocess.run([sys.executable, "-c", TABLES_DIGEST, str(bench)], env=run_env,
+                              capture_output=True, text=True, check=True).stdout
+               for run_env in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)})]
+    assert digests[0] and digests[0] == digests[1], targets

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,23 @@ def test_drive_peaks_curved_shapes_match_dense_grid():
             # curved pieces rely on dt_step sampling between breakpoints
             assert abs(d.v_max - vmax) < 0.05
             assert abs(d.v_min - vmin) < 0.05
+
+
+def test_curved_grid_skips_the_gap_between_the_spikes():
+    """Without pair_only the grid covers each spike's support, not the gap
+    between them: spikes 400 apart cost what spikes 20 apart do."""
+    w = SpikeWaveform("bio")
+    g = PairingGeometry(pre=w, post=w, bank=DendriteBank(16, 0.6, 1.0, 0.3, "ramp"),
+                        device=DeviceModel(), pair_only=False)
+    peaks, counts = [], []
+    for delta_t in (20.0, 400.0):
+        tracemalloc.start()
+        try:
+            counts.append(candidate_tables(g, delta_t).counts.tolist())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert counts[0] == counts[1] and peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_rectangular_pre_spike_makes_flat_window():
