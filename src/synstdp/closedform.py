@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The direct sum is a Python loop over the branches, run once per probe:
-# `synstdp closedform` at n = MAX_N takes about 1.0 s (0.9-1.1 s, 0.6 s of
-# it start-up; 2-core Xeon, Python 3.11)
+from .device import DeviceModel, ProbModel, set_probability
+
+# Largest closed-form bank: `synstdp closedform` takes 0.35 s at n = MAX_N,
+# 0.04 s above n = 16 (2-core Xeon, Python 3.11), so the bound stays not for
+# run time but as energy.MAX_DEVICES, the most devices a compound synapse has
 MAX_N = 20_000
 
 
@@ -71,19 +73,14 @@ def k_index(p: ClosedFormParams, delta_t: float) -> KIndex:
     return KIndex(k=k, a1=a1, b1=b1)
 
 
-def branch_probability(p: ClosedFormParams, i: int, delta_t: float) -> float:
-    """Linear switching probability of branch i, clamped to [0, 1]."""
-    return min(max(p.gamma * (branch_peak(p, i, delta_t) - p.v_th), 0.0), 1.0)
-
-
 def avg_conductance_direct(p: ClosedFormParams, delta_t: float) -> float:
     """Average compound conductance (r_on normalized to 1): the sum of every
-    branch's clamped switching probability.  Clamping enforces the [0, 1]
-    saturation bounds the bare per-branch ramp leaves implicit."""
-    total = 0.0
-    for i in range(1, p.n + 1):
-        total += branch_probability(p, i, delta_t)
-    return total
+    branch's SET probability under the device's linear law, which clamps the
+    bare per-branch ramp to [0, 1].  The peaks are `branch_peak`'s, and the
+    sum runs in branch order from the first branch."""
+    device = DeviceModel(vth_pos=p.v_th, prob_model=ProbModel("linear", p.gamma))
+    peaks = p.a_total - np.arange(1, p.n + 1) * p.delta_v - p.beta * delta_t
+    return float(np.cumsum(set_probability(device, peaks))[-1])
 
 
 def _kappa(p: ClosedFormParams, delta_t: float) -> float:
@@ -151,10 +148,10 @@ def quadratic_coeffs_fitted(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> 
             g * ki.b1 * ki.b1 / 2.0)
 
 
-def comparison_report(p: ClosedFormParams, dt_lo: float, dt_hi: float, n_probe: int = 20) -> dict:
-    """Both coefficient paths against the direct sum over probe offsets."""
+def comparison_report(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> dict:
+    """Both coefficient paths against the direct sum over 20 probe offsets."""
     fitted = quadratic_coeffs_fitted(p, dt_lo, dt_hi)  # checks the interval first
-    probes = np.linspace(dt_lo, dt_hi, n_probe)
+    probes = np.linspace(dt_lo, dt_hi, 20)
     ki = k_index(p, 0.0)
     published = quadratic_coeffs_published(p)
 

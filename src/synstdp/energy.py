@@ -92,7 +92,7 @@ _SI_PREFIXES = [(1e-18, "a"), (1e-15, "f"), (1e-12, "p"), (1e-9, "n"), (1e-6, "u
                 (1e-3, "m"), (1.0, ""), (1e3, "k"), (1e6, "M"), (1e9, "G"), (1e12, "T")]
 
 
-def format_si(value: float, unit: str, digits: int = 3) -> str:
+def format_si(value: float, unit: str) -> str:
     if value == 0.0:
         return f"0 {unit}"
     if math.isinf(value):
@@ -102,7 +102,7 @@ def format_si(value: float, unit: str, digits: int = 3) -> str:
     for f, p in _SI_PREFIXES:
         if mag >= f:
             factor, prefix = f, p
-    return f"{value / factor:.{digits}g} {prefix}{unit}"
+    return f"{value / factor:.3g} {prefix}{unit}"
 
 
 def table1(scenarios: dict[str, EnergyScenario] | None = None,

@@ -8,7 +8,6 @@ distribution are recorded per point.
 """
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -18,6 +17,7 @@ import numpy as np
 
 from .device import switch_draws
 from .pairing import PairingGeometry, branch_drives, candidate_tables
+from .waveforms import MAX_TIME, MIN_TIME
 
 _GH_POINTS = 12  # Gauss-Hermite order for amplitude-noise averaging
 # Run-size bounds, checked when a WindowConfig is made; fig4d is 1.21e6 rows
@@ -58,8 +58,13 @@ class WindowConfig:
     init_policy: InitPolicy = InitPolicy()
 
     def __post_init__(self):
-        if self.delta_t_step <= 0.0:
-            raise ValueError(f"delta_t_step: must be positive, got {self.delta_t_step}")
+        # offsets are times, in the time keys' range: so grid() is finite, and
+        # its rounding to 1e-10 keeps them distinct
+        for name, t in (("delta_t_min", self.delta_t_min), ("delta_t_max", self.delta_t_max)):
+            if not abs(t) <= MAX_TIME:
+                raise ValueError(f"{name}: must be in [-{MAX_TIME:g}, {MAX_TIME:g}], got {t}")
+        if not self.delta_t_step >= MIN_TIME:
+            raise ValueError(f"delta_t_step: must be >= {MIN_TIME:g}, got {self.delta_t_step}")
         if self.delta_t_min >= self.delta_t_max:
             raise ValueError("need delta_t_min < delta_t_max")
         if self.epochs < 1:
@@ -67,8 +72,7 @@ class WindowConfig:
         if self.seed < 0:
             raise ValueError(f"seed: must be a non-negative integer, got {self.seed}")
         offsets, n = self.n_offsets(), self.geometry.bank.n
-        # offsets may be inf, so it is compared before it is multiplied
-        if offsets > MAX_ROWS or offsets * self.epochs > MAX_ROWS:
+        if offsets * self.epochs > MAX_ROWS:
             raise ValueError(f"{offsets} offsets x {self.epochs} epochs exceeds the bound "
                              f"of {MAX_ROWS} window rows")
         if offsets * self.epochs * n > MAX_TRIALS:
@@ -85,11 +89,9 @@ class WindowConfig:
                                  f"dt_step {g.dt_step:g} exceeds the bound of "
                                  f"{MAX_OFFSET_CANDIDATES} grid candidates in one offset")
 
-    def n_offsets(self) -> int | float:
-        """len(grid()), counted without building the grid; inf when the
-        offset span overflows a float."""
-        k = np.floor((self.delta_t_max - self.delta_t_min) / self.delta_t_step + 1e-9)
-        return int(k) + 1 if np.isfinite(k) else math.inf
+    def n_offsets(self) -> int:
+        """len(grid()), counted without building the grid: at most 2e12 + 1."""
+        return int(np.floor((self.delta_t_max - self.delta_t_min) / self.delta_t_step + 1e-9)) + 1
 
     def grid(self) -> np.ndarray:
         return np.round(self.delta_t_min + np.arange(self.n_offsets()) * self.delta_t_step, 10)

@@ -116,7 +116,7 @@ _W, _H = 800.0, 500.0
 _ML, _MR, _MT, _MB = 60.0, 20.0, 20.0, 45.0
 
 
-def _frame(delta_t: np.ndarray, title: str):
+def _frame(delta_t: np.ndarray):
     """(x_lo, x_hi, sx, parts) of a plot over the offsets delta_t: the x range,
     widened around a single offset, its scale, and the opening SVG lines."""
     if delta_t.size == 0:
@@ -128,14 +128,11 @@ def _frame(delta_t: np.ndarray, title: str):
     def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
-    parts = [
+    return x_lo, x_hi, sx, [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:g}" height="{_H:g}" '
         f'viewBox="0 0 {_W:g} {_H:g}">',
         f'<rect width="{_W:g}" height="{_H:g}" fill="white"/>',
     ]
-    if title:
-        parts.append(f'<text x="{_W / 2:.2f}" y="15" font-size="13" text-anchor="middle">{title}</text>')
-    return x_lo, x_hi, sx, parts
 
 
 def _close(parts: list[str], y_label: str) -> str:
@@ -159,10 +156,10 @@ def _xticks(lo: float, hi: float):
     return out
 
 
-def write_svg_scatter(w: StdpWindow, level_bin: float = 1.0, title: str = "") -> str:
+def write_svg_scatter(w: StdpWindow, level_bin: float = 1.0) -> str:
     """Standalone SVG of the window: one dot per (delta_t, binned outcome)
     with opacity proportional to outcome frequency, analytic curve overlaid."""
-    x_lo, x_hi, sx, parts = _frame(w.delta_t, title)
+    x_lo, x_hi, sx, parts = _frame(w.delta_t)
     y_abs = max(w.max_abs_delta_g, float(np.abs(w.analytic).max()), 1.0)
     y_lo, y_hi = -1.05 * y_abs, 1.05 * y_abs
 
@@ -225,12 +222,12 @@ def write_states_csv(delta_t, states, path: str | Path) -> Path:
     return p
 
 
-def write_svg_states(delta_t, states, title: str = "") -> str:
+def write_svg_states(delta_t, states) -> str:
     """SVG of per-state occupancy probability versus offset, one polyline per
     switching-count state."""
     delta_t = np.asarray(delta_t, dtype=float)
     states = np.asarray(states, dtype=float)
-    x_lo, x_hi, sx, parts = _frame(delta_t, title)
+    x_lo, x_hi, sx, parts = _frame(delta_t)
 
     def sy(p):
         return _H - _MB - p * (_H - _MT - _MB)

@@ -33,7 +33,7 @@ class PairingGeometry:
     post: SpikeWaveform
     bank: DendriteBank
     device: DeviceModel
-    dt_step: float = 0.01
+    dt_step: float = 0.01  # grid step over curved pieces; unread without them
     pair_only: bool = True
     amp_noise_sigma: float = 0.0  # per-pairing amplitude noise (relative)
 
@@ -41,9 +41,9 @@ class PairingGeometry:
         if self.dt_step <= 0.0:
             raise ValueError(f"dt_step: must be positive, got {self.dt_step}")
         cap = min(self.pre.tau_minus, self.post.tau_minus) / 10.0
-        if self.dt_step > cap + 1e-15:
-            raise ValueError(
-                f"dt_step {self.dt_step} too coarse; must be <= min(tau_minus)/10 = {cap}")
+        if self.dt_step > cap + 1e-15 and any(w.has_curved_pieces() for w in (self.pre, self.post)):
+            raise ValueError(f"dt_step: must be <= min(tau_minus)/10 = {cap} "
+                             f"for a curved spike, got {self.dt_step}")
         if self.amp_noise_sigma < 0.0:
             raise ValueError(f"amp_noise_sigma: must be >= 0, got {self.amp_noise_sigma}")
 

@@ -127,18 +127,17 @@ def enumerate_pmf(ps) -> np.ndarray:
     return out
 
 
-def check_poisson_binomial(vectors_per_n: int = 50, n_max: int = 12,
-                           seed: int = 2024) -> CheckResult:
+def check_poisson_binomial() -> CheckResult:
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2024)
     worst = 0.0
-    for n in range(1, n_max + 1):
-        ps = rng.random((vectors_per_n, n))
+    for n in range(1, 13):
+        ps = rng.random((50, n))
         exact = np.array([enumerate_pmf(row) for row in ps])
         worst = max(worst, float(np.abs(state_distribution(ps) - exact).max()))
     return CheckResult(
         "poisson binomial vs enumeration", worst <= 1e-12,
-        f"max |pmf error| {worst:.2e} over {vectors_per_n} vectors at each n<=12 "
+        f"max |pmf error| {worst:.2e} over 50 vectors at each n<=12 "
         f"({time.perf_counter() - t0:.2f} s)")
 
 

@@ -73,8 +73,9 @@ def test_invariant_violations_have_paths():
         parse_config({"waveform": {"tau_minus": 0.0}})
     with pytest.raises(ConfigError, match="device"):
         parse_config({"device": {"sigma_th": -1.0}})
-    with pytest.raises(ConfigError, match="simulation"):
-        parse_config({"simulation": {"dt_step": 0.5}})
+    with pytest.raises(ConfigError, match="^simulation.dt_step: "):
+        parse_config({"waveform": {"shape": "bio"}, "simulation": {"dt_step": 0.5}})
+    assert parse_config({"simulation": {"dt_step": 0.5}}).window.geometry.dt_step == 0.5
     with pytest.raises(ConfigError, match="init_policy"):
         parse_config({"simulation": {"init_policy": "sometimes"}})
     with pytest.raises(ConfigError, match="schema_version"):
@@ -334,13 +335,21 @@ def test_null_rejected_where_the_default_is_a_value(tmp_path, capsys, key, raw, 
 
 
 # values that reached numpy as an overflow (a square in a bio lobe, a
-# quotient in a dexp piece, delta_g / level_bin in the scatter) fail at parse
-# time under their key, before any warning
+# quotient in a dexp piece, delta_g / level_bin in the scatter, a curved
+# grid's int64 index, the offset grid's span) fail at parse time under their
+# key, before any warning; so does an offset step below grid()'s 1e-10
+# rounding, which repeated offsets silently
 OVERFLOWS = [
     ("waveform.extra.head_width", {"waveform": {"shape": "bio", "extra": {"head_width": 1e-200}}}),
     ("waveform.extra.head_center", {"waveform": {"shape": "bio", "extra": {"head_center": 1e300}}}),
     ("waveform.extra.tau_head", {"waveform": {"shape": "dexp", "extra": {"tau_head": 1e-310}}}),
     ("output.level_bin", {"output": {"level_bin": 5e-324}}),
+    ("simulation.delta_t_min", {"waveform": {"shape": "bio"}, "simulation": {
+        "delta_t_min": 1e20, "delta_t_max": 1.5e20, "delta_t_step": 1e20}}),
+    ("simulation.delta_t_min", {"simulation": {
+        "delta_t_min": -1e300, "delta_t_max": 1e300, "delta_t_step": 1e300}}),
+    ("simulation.delta_t_step", {"simulation": {
+        "delta_t_min": 0.0, "delta_t_max": 1e-9, "delta_t_step": 1e-11}}),
 ]
 
 
@@ -354,6 +363,18 @@ def test_values_that_overflow_in_numpy_fail_at_parse_time(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: must be ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_curved_statedist_at_the_ends_of_the_offset_range(tmp_path):
+    """dexp without pair_only at offsets of +-MAX_TIME: the curved grid's
+    index stays within int64 and nothing warns."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"waveform": {"shape": "dexp"}, "simulation": {
+        "pair_only": False, "delta_t_min": -1e6, "delta_t_max": 1e6, "delta_t_step": 1e6}}))
+    assert main(["statedist", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "states.csv").read_text().splitlines()[1:]
+    assert sorted({float(r.split(",")[0]) for r in rows}) == [-1e6, 0.0, 1e6]
 
 
 # one out-of-range value for each rule about one field, keyed by its path; a
@@ -442,23 +463,31 @@ def test_to_dict_round_trip(name):
     assert {k: v for k, v in written.items() if k in given} == given
 
 
+BOUND = r"^simulation: .* exceeds the bound of "
+# (id, config, its error): a run-size bound, or a time range met before it
 RUN_SIZES = [
-    ("epochs", {"simulation": {"epochs": 10**9}}),
-    ("offsets", {"dendrites": {"n": 1}, "simulation": {"epochs": 1, "delta_t_step": 1e-12}}),
-    ("branches", {"dendrites": {"n": 10**9}}),
+    ("epochs", {"simulation": {"epochs": 10**9}}, BOUND),
+    ("offsets", {"dendrites": {"n": 1}, "simulation": {"epochs": 1, "delta_t_step": 1e-12}},
+     r"^simulation\.delta_t_step: must be >= 1e-06, got 1e-12$"),
+    # the most offsets the time ranges admit: 2e12 + 1
+    ("offsets-in-range", {"dendrites": {"n": 1}, "simulation": {
+        "epochs": 1, "delta_t_min": -1e6, "delta_t_max": 1e6, "delta_t_step": 1e-6}},
+     r"^simulation: 2000000000001 offsets x 1 epochs exceeds the bound of "),
+    ("branches", {"dendrites": {"n": 10**9}}, BOUND),
     ("one-offset", {"simulation": {"delta_t_min": 0.0, "delta_t_max": 0.5, "delta_t_step": 1.0,
-                                   "epochs": 10**6}}),
+                                   "epochs": 10**6}}, BOUND),
     # a curved shape's grid over both spike supports: > 10^8 candidates an offset
-    ("grid-tau", {"waveform": {"shape": "bio", "tau_plus": 1e5}}),
-    ("grid-step", {"waveform": {"shape": "bio"}, "simulation": {"dt_step": 1e-6}}),
+    ("grid-tau", {"waveform": {"shape": "bio", "tau_plus": 1e5}}, BOUND),
+    ("grid-step", {"waveform": {"shape": "bio"}, "simulation": {"dt_step": 1e-6}}, BOUND),
 ]
 
 
-@pytest.mark.parametrize("raw", [raw for _, raw in RUN_SIZES], ids=[k for k, _ in RUN_SIZES])
-def test_run_size_bound_fails_at_parse_time_without_allocating(raw):
+@pytest.mark.parametrize("raw,error", [case[1:] for case in RUN_SIZES],
+                         ids=[case[0] for case in RUN_SIZES])
+def test_run_size_bound_fails_at_parse_time_without_allocating(raw, error):
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=r"^simulation: .* exceeds the bound of "):
+        with pytest.raises(ConfigError, match=error):
             parse_config(raw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -485,8 +514,13 @@ def test_run_size_bounds_are_inclusive():
     with pytest.raises(ValueError, match=f"^{epochs + 1} epochs x 16 branches exceeds the bound "
                                          f"of {MAX_OFFSET_TRIALS} trials in one offset$"):
         WindowConfig(g, **one_offset, epochs=epochs + 1)
+    # offsets are times: their range is inclusive, and a span beyond it fails
+    # before its offsets are counted
+    assert WindowConfig(g, delta_t_min=-1e6, delta_t_max=1e6, delta_t_step=1e6,
+                        epochs=1).n_offsets() == 3
     far = dict(delta_t_min=-1e308, delta_t_max=1e308, delta_t_step=1.0)
-    with pytest.raises(ValueError, match="inf offsets"):
+    with pytest.raises(ValueError, match=r"^delta_t_min: must be in \[-1e\+06, 1e\+06\], "
+                                         r"got -1e\+308$"):
         WindowConfig(g, **far, epochs=1)
 
 

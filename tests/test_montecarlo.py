@@ -349,7 +349,8 @@ def replay_offset(cfg, k, delta_t):
     is the running sum, from 0.0 in branch order, of +(g_on - g_off) for a
     device that ended ON and -(g_on - g_off) for one that ended OFF.
     Returns (delta_g, n_set, n_reset, the stream after its last draw, the
-    ON conductances drawn, the number of redraws)."""
+    ON conductances drawn, the number of redraws, each epoch's count of
+    switched devices)."""
     g, (n, E) = cfg.geometry, (cfg.geometry.bank.n, cfg.epochs)
     stream, sigma, sigma_lrs = _point_stream(cfg.seed, k), g.amp_noise_sigma, g.device.sigma_lrs
     scales = stream.normal(1.0, sigma, (2, E)) if sigma > 0.0 else np.ones((2, E))
@@ -386,7 +387,8 @@ def replay_offset(cfg, k, delta_t):
     dg = [0.0] * E
     for (e, sign), x in zip(switched, g_on):
         dg[e] += sign * (x - g.device.g_off_norm)
-    return np.array(dg), n_set, n_reset, stream, g_on, redraws
+    switches = np.bincount([e for e, _ in switched], minlength=E)
+    return np.array(dg), n_set, n_reset, stream, g_on, redraws, switches
 
 
 def replay_device(on, set_ok, reset_ok, reset_later):
@@ -446,7 +448,7 @@ def test_sequential_oracle_matches_run_window(name, monkeypatch):
     w = run_window(cfg, workers=1)
     redraws = 0
     for k, dt in enumerate(w.delta_t.tolist()):
-        dg, n_set, n_reset, stream, g_on, redrawn = replay_offset(cfg, k, dt)
+        dg, n_set, n_reset, stream, g_on, redrawn, _ = replay_offset(cfg, k, dt)
         assert np.array_equal(n_set, w.n_set[k]) and np.array_equal(n_reset, w.n_reset[k]), dt
         assert np.array_equal(dg, w.delta_g[k]), dt
         # the sampler's stream ends where the oracle's does: no draw missing or extra
@@ -532,22 +534,27 @@ def same_start_window(name: str, seed: int):
                                     "simulation": sim}).window)
 
 
-def state_outliers(w, states) -> list[tuple[float, int, float]]:
-    """(delta_t, state, p) of each cell where the count of epochs with
-    |delta_g| = state is beyond an exact two-sided binomial test against
-    `states`, at a family-wise level of 1e-6 over the P (n + 1) cells."""
+def count_outliers(delta_t, switches, states) -> list[tuple[float, int, float]]:
+    """(delta_t, state, p) of each cell where the number of epochs that
+    switched `state` devices is beyond an exact two-sided binomial test
+    against `states`, at a family-wise level of 1e-6 over the P (n + 1)
+    cells; switches is the (P, E) integer count of each epoch."""
     from scipy.stats import binom
-    switched = np.abs(w.delta_g)
-    assert np.array_equal(switched, np.round(switched))
-    n_cells = states.size
+    epochs, n_cells = switches.shape[1], states.size
     out = []
-    for k, dt in enumerate(w.delta_t):
-        counts = np.bincount(switched[k].astype(int), minlength=states.shape[1])
+    for k, dt in enumerate(delta_t):
+        counts = np.bincount(switches[k], minlength=states.shape[1])
         p = np.clip(states[k], 0.0, 1.0)
-        tail = 2.0 * np.minimum(binom.cdf(counts, w.epochs, p),
-                                binom.sf(counts - 1, w.epochs, p))
+        tail = 2.0 * np.minimum(binom.cdf(counts, epochs, p), binom.sf(counts - 1, epochs, p))
         out += [(float(dt), j, float(tail[j])) for j in np.nonzero(tail < 1e-6 / n_cells)[0]]
     return out
+
+
+def state_outliers(w, states) -> list[tuple[float, int, float]]:
+    """count_outliers of a window whose |delta_g| is its count of switches."""
+    switched = np.abs(w.delta_g)
+    assert np.array_equal(switched, np.round(switched))
+    return count_outliers(w.delta_t, switched.astype(int), states)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -562,3 +569,25 @@ def test_switch_count_check_flags_wrong_states():
     delay = same_start_window("delay_bank_noise", 1)
     assert len(state_outliers(off, on.states)) > 100
     assert len(state_outliers(delay, same_start_window("split_fig4d", 1).states)) > 20
+
+
+# under random init ups and downs cancel in delta_g, so each epoch's count of
+# switched devices is taken from the sequential oracle, which replays the
+# sampler's draws
+RANDOM_INIT_GRID = {"delta_t_min": -4.5, "delta_t_max": 4.5, "delta_t_step": 1.5,
+                    "epochs": 2000, "seed": 5}
+
+
+@pytest.mark.parametrize("q", [0.25, 0.5])
+def test_random_init_states_match_switch_counts(q):
+    cfg = parse_config({"simulation": {**RANDOM_INIT_GRID,
+                                       "init_policy": {"random": {"q": q}}}}).window
+    switches = np.array([replay_offset(cfg, k, dt)[-1]
+                         for k, dt in enumerate(cfg.grid().tolist())])
+    grid, _, states = analytic_window(cfg)
+    assert count_outliers(grid, switches, states) == []
+    # power: the all-OFF window's states are flagged at every offset where
+    # a device can switch (none does at 0, where every peak is below 0.4 V)
+    all_off = analytic_window(dataclasses.replace(cfg, init_policy=InitPolicy("all_off")))[2]
+    flagged = {dt for dt, _, _ in count_outliers(grid, switches, all_off)}
+    assert flagged == set(grid.tolist()) - {0.0}

@@ -168,12 +168,17 @@ def test_pair_only_false_exposes_lone_spike_disturb():
 
 
 def test_dt_step_validation(hrht):
-    with pytest.raises(ValueError):
-        PairingGeometry(pre=hrht, post=hrht, bank=DendriteBank(1, 1, 1, 0),
+    dexp = SpikeWaveform("dexp")
+    # the min(tau_minus)/10 cap holds only where the curved-piece grid reads dt_step
+    with pytest.raises(ValueError, match="^dt_step: must be <= "):
+        PairingGeometry(pre=hrht, post=dexp, bank=DendriteBank(1, 1, 1, 0),
                         device=DeviceModel(), dt_step=0.2)
-    with pytest.raises(ValueError):
-        PairingGeometry(pre=hrht, post=hrht, bank=DendriteBank(1, 1, 1, 0),
-                        device=DeviceModel(), dt_step=0.0)
+    PairingGeometry(pre=hrht, post=hrht, bank=DendriteBank(1, 1, 1, 0),
+                    device=DeviceModel(), dt_step=0.2)
+    for pre in (hrht, dexp):
+        with pytest.raises(ValueError, match="^dt_step: must be positive"):
+            PairingGeometry(pre=pre, post=pre, bank=DendriteBank(1, 1, 1, 0),
+                            device=DeviceModel(), dt_step=0.0)
 
 
 def test_branch_drives_match_per_branch_drives():
