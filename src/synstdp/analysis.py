@@ -54,6 +54,13 @@ def _r_squared(y, pred) -> float:
     return 1.0 - sse / sst
 
 
+def _fit(model: str, params: dict, x, y, pred, **flags) -> FitResult:
+    """The FitResult of the prediction pred of y, fitted over the offsets x."""
+    return FitResult(model=model, params=params, rmse=float(np.sqrt(np.mean((pred - y) ** 2))),
+                     r_squared=_r_squared(y, pred), domain=(float(x.min()), float(x.max())),
+                     **flags)
+
+
 def fit_exponential(points) -> FitResult:
     """Least-squares A*exp(-|dt|/tau) on |value|, for points whose delta_t all
     share one sign.  Log-linear regression seeds (A, tau); Gauss-Newton then
@@ -68,7 +75,6 @@ def fit_exponential(points) -> FitResult:
     nz = y[y != 0.0]
     if nz.size and np.any(nz > 0) and np.any(nz < 0):
         raise ValueError("exponential fit needs values of a single sign")
-    domain = (float(x.min()), float(x.max()))
     ax, ay = np.abs(x), np.abs(y)
     keep = ay > 0.0
     n_excluded = int((~keep).sum())
@@ -111,16 +117,8 @@ def fit_exponential(points) -> FitResult:
             converged = True
             break
     a, tau, _ = best
-    pred = a * np.exp(-ax / tau)
-    return FitResult(
-        model="exponential",
-        params={"A": float(a), "tau": float(tau)},
-        rmse=float(np.sqrt(np.mean((pred - ay) ** 2))),
-        r_squared=_r_squared(ay, pred),
-        domain=domain,
-        converged=converged,
-        n_excluded=n_excluded,
-    )
+    return _fit("exponential", {"A": float(a), "tau": float(tau)}, x, ay,
+                a * np.exp(-ax / tau), converged=converged, n_excluded=n_excluded)
 
 
 def fit_linear(points) -> FitResult:
@@ -131,14 +129,8 @@ def fit_linear(points) -> FitResult:
     if np.all(x == x[0]):
         raise ValueError("linear fit needs at least two distinct delta_t")
     slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    return FitResult(
-        model="linear",
-        params={"slope": float(slope), "intercept": float(intercept)},
-        rmse=float(np.sqrt(np.mean((pred - y) ** 2))),
-        r_squared=_r_squared(y, pred),
-        domain=(float(x.min()), float(x.max())),
-    )
+    return _fit("linear", {"slope": float(slope), "intercept": float(intercept)}, x, y,
+                slope * x + intercept)
 
 
 def fit_quadratic(points) -> FitResult:
@@ -151,12 +143,5 @@ def fit_quadratic(points) -> FitResult:
     if rank < 3:
         raise ValueError("rank-deficient design for quadratic fit")
     a, b, c = (float(v) for v in coef)
-    pred = design @ coef
-    return FitResult(
-        model="quadratic",
-        params={"a": a, "b": b, "c": c},
-        rmse=float(np.sqrt(np.mean((pred - y) ** 2))),
-        r_squared=_r_squared(y, pred),
-        domain=(float(x.min()), float(x.max())),
-    )
+    return _fit("quadratic", {"a": a, "b": b, "c": c}, x, y, design @ coef)
 

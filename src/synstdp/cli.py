@@ -27,6 +27,9 @@ from .output import (read_mean_csv, write_states_csv, write_svg_scatter,
 from .validate import render_report, run_all
 
 
+_FITS = {"exp": fit_exponential, "lin": fit_linear, "quad": fit_quadratic}  # by --model
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="synstdp",
                                  description="Stochastic STDP window simulator for compound "
@@ -51,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--in", dest="results", type=Path, required=True,
                    help="directory containing mean.csv from a window run")
     f.add_argument("--side", choices=("pos", "neg"), default="pos")
-    f.add_argument("--model", choices=("exp", "lin", "quad"), default="exp")
+    f.add_argument("--model", choices=tuple(_FITS), default="exp")
     f.add_argument("--source", choices=("analytic", "mc"), default="analytic")
     f.add_argument("--domain", type=float, nargs=2, metavar=("LO", "HI"),
                    help="|delta_t| fit range; defaults to [tau_minus, tau_minus+tau_plus] "
@@ -108,7 +111,6 @@ def _cmd_window(args) -> int:
 def _cmd_statedist(args) -> int:
     cfg = _load_run_config(args.config)
     grid, _, states = analytic_window(cfg.window)
-    args.out.mkdir(parents=True, exist_ok=True)
     path = write_states_csv(grid, states, args.out / "states.csv")
     if cfg.output.svg:
         (args.out / "states.svg").write_text(write_svg_states(grid, states), encoding="utf-8")
@@ -138,12 +140,7 @@ def _cmd_fit(args) -> int:
     sign = 1.0 if args.side == "pos" else -1.0
     mask = (sign * delta_t >= lo) & (sign * delta_t <= hi)
     points = np.column_stack([delta_t[mask], values[mask]])
-    if args.model == "exp":
-        result = fit_exponential(points)
-    elif args.model == "lin":
-        result = fit_linear(points)
-    else:
-        result = fit_quadratic(points)
+    result = _FITS[args.model](points)
     payload = {"side": args.side, "source": args.source, **result.to_dict()}
     out = args.out if args.out else args.results / "fits.json"
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -111,15 +111,14 @@ def quadratic_coeffs_published(p: ClosedFormParams) -> tuple[float, float, float
     return a, b, c
 
 
-def _clamp_breakpoints(p: ClosedFormParams) -> list[float]:
-    """Offsets where some branch's probability crosses a clamp bound."""
+def _clamp_breakpoints(p: ClosedFormParams) -> np.ndarray:
+    """Offsets where some branch's probability crosses a clamp bound, in
+    branch order: branch i's offset where p_i hits 0, then where it hits 1."""
     if p.beta == 0.0:
-        return []
-    pts = []
-    for i in range(1, p.n + 1):
-        pts.append((p.a_total - p.v_th - i * p.delta_v) / p.beta)               # p_i hits 0
-        pts.append((p.a_total - p.v_th - 1.0 / p.gamma - i * p.delta_v) / p.beta)  # p_i hits 1
-    return pts
+        return np.empty(0)
+    i_dv = np.arange(1, p.n + 1) * p.delta_v
+    return np.column_stack([(p.a_total - p.v_th - i_dv) / p.beta,
+                            (p.a_total - p.v_th - 1.0 / p.gamma - i_dv) / p.beta]).ravel()
 
 
 def quadratic_coeffs_fitted(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> tuple[float, float, float]:
@@ -132,9 +131,11 @@ def quadratic_coeffs_fitted(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> 
         raise ValueError(f"interval [{dt_lo}, {dt_hi}]: ends must be finite")
     if dt_lo > dt_hi:
         raise ValueError("need dt_lo <= dt_hi")
-    for b in _clamp_breakpoints(p):
-        if dt_lo < b < dt_hi:
-            raise ValueError(f"interval [{dt_lo}, {dt_hi}] contains a clamping breakpoint at dt={b:.6g}")
+    b = _clamp_breakpoints(p)
+    b = b[(dt_lo < b) & (b < dt_hi)]
+    if b.size:
+        raise ValueError(f"interval [{dt_lo}, {dt_hi}] contains a clamping breakpoint "
+                         f"at dt={b[0]:.6g}")
     for dt in (dt_lo, dt_hi):
         kap = _kappa(p, dt)
         if kap > p.n + 1e-12:

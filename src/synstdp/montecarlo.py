@@ -8,7 +8,7 @@ distribution are recorded per point.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from multiprocessing import get_context
@@ -26,9 +26,6 @@ MAX_ROWS = 10**8  # offsets x epochs: 1.6 GB of result arrays, a 3.2 GB window.c
 MAX_TRIALS = 10**9  # offsets x epochs x branches
 MAX_OFFSET_TRIALS = 10**7  # epochs x branches; the offset being sampled holds
 #                            50-100 B a trial: 0.5-1 GB per worker
-MAX_OFFSET_CANDIDATES = 10**7  # branches x grid points over both spike supports,
-#                                for curved shapes; a candidate table is built
-#                                at ~100 B a point: 1 GB per worker
 
 
 INIT_KINDS = ("split", "all_off", "all_on", "random")
@@ -81,13 +78,6 @@ class WindowConfig:
         if self.epochs * n > MAX_OFFSET_TRIALS:
             raise ValueError(f"{self.epochs} epochs x {n} branches exceeds the bound "
                              f"of {MAX_OFFSET_TRIALS} trials in one offset")
-        g = self.geometry
-        if g.pre.has_curved_pieces() or g.post.has_curved_pieces():
-            span = sum(hi - lo for lo, hi in (g.pre.support(), g.post.support()))
-            if n * span / g.dt_step > MAX_OFFSET_CANDIDATES:
-                raise ValueError(f"{n} branches x {span:g} time units of spike support / "
-                                 f"dt_step {g.dt_step:g} exceeds the bound of "
-                                 f"{MAX_OFFSET_CANDIDATES} grid candidates in one offset")
 
     def n_offsets(self) -> int:
         """len(grid()), counted without building the grid: at most 2e12 + 1."""
@@ -317,11 +307,22 @@ def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
     return delta_g, n_set, n_reset, analytic, states
 
 
+@contextmanager
+def fan_out(fn, jobs: list, workers: int):
+    """fn over jobs as an iterator in job order: in this process at one worker
+    or job, else on a fork pool of at most one process a job, closed on exit."""
+    if min(workers, len(jobs)) <= 1:
+        yield map(fn, jobs)
+    else:
+        with get_context("fork").Pool(min(workers, len(jobs))) as pool:
+            yield pool.imap(fn, jobs)
+
+
 def run_window(cfg: WindowConfig, workers: int = 1) -> StdpWindow:
     """Sweep the delta_t grid; grid points are independent and may be
-    computed by a pool of at most one worker per point.  Each point's
-    results are written into the window's preallocated rows as they arrive,
-    in grid order."""
+    computed by a pool of workers (`fan_out`).  Each point's results are
+    written into the window's preallocated rows as they arrive, in grid
+    order."""
     grid = cfg.grid()
     points, n = grid.size, cfg.geometry.bank.n
     w = StdpWindow(
@@ -333,10 +334,8 @@ def run_window(cfg: WindowConfig, workers: int = 1) -> StdpWindow:
         states=np.empty((points, n + 1)),
         sigma_lrs=cfg.geometry.device.sigma_lrs,
     )
-    jobs, point = enumerate(grid.tolist()), partial(_compute_point, cfg)
-    workers = min(workers, points)
-    with (get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext()) as pool:
-        results = pool.imap(point, jobs, chunksize=4) if pool else map(point, jobs)
+    jobs = list(enumerate(grid.tolist()))
+    with fan_out(partial(_compute_point, cfg), jobs, workers) as results:
         for k, row in enumerate(results):
             w.delta_g[k], w.n_set[k], w.n_reset[k], w.analytic[k], w.states[k] = row
     return w.validate()

@@ -6,14 +6,12 @@ ascending, then epoch / state index), making output byte-stable.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from functools import lru_cache
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from .montecarlo import StdpWindow
+from .montecarlo import StdpWindow, fan_out
 
 
 def _floats(a) -> list[float]:
@@ -55,22 +53,20 @@ def write_window_csv(w: StdpWindow, out_dir: str | Path, workers: int = 1) -> di
 
     Each offset's window.csv rows are built as one string and written at
     once, so the whole file is never held in memory.  With workers > 1 a
-    fork pool of at most one process per offset builds them, and they are
-    written in grid order as they arrive: the bytes do not depend on the
-    worker count."""
+    pool builds them (`fan_out`), and they are written in grid order as they
+    arrive: the bytes do not depend on the worker count."""
     out = Path(out_dir)
-    jobs = ((dt, w.delta_g[k], w.n_set[k], w.n_reset[k])
-            for k, dt in enumerate(_floats(w.delta_t)))
-    workers = min(workers, w.delta_t.size)
+    jobs = [(dt, w.delta_g[k], w.n_set[k], w.n_reset[k])
+            for k, dt in enumerate(_floats(w.delta_t))]
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = {}
 
         p = out / "window.csv"
         with p.open("w", encoding="utf-8", newline="\n") as f, \
-                (get_context("fork").Pool(workers) if workers > 1 else nullcontext()) as pool:
+                fan_out(_offset_rows, jobs, workers) as results:
             f.write("delta_t,epoch,delta_g_norm,n_set,n_reset\n")
-            for rows in (pool.imap(_offset_rows, jobs) if pool else map(_offset_rows, jobs)):
+            for rows in results:
                 f.write(rows)
         paths["window"] = p
 
@@ -146,8 +142,10 @@ def _close(parts: list[str], y_label: str) -> str:
 
 
 def _xticks(lo: float, hi: float):
-    span = hi - lo
-    step = 1.0 if span <= 15 else 2.0 if span <= 30 else 5.0
+    """Ticks at the multiples in [lo, hi] of the first step of 1, 2, 5, 10,
+    20, 50, ... 5e307 that spans hi - lo in at most 15 steps."""
+    step = next(s for s in (m * 10.0**k for k in range(308) for m in (1.0, 2.0, 5.0))
+                if hi - lo <= 15 * s)
     t = np.ceil(lo / step) * step
     out = []
     while t <= hi + 1e-9:

@@ -26,6 +26,9 @@ from .dendrite import DendriteBank
 from .device import DeviceModel, reset_probability, set_probability
 from .waveforms import EDGE_SNAP_TOL, SpikeWaveform
 
+MAX_OFFSET_CANDIDATES = 10**7  # branches x grid points over both spike supports, for
+#                                curved shapes; ~100 B each in a table: 1 GB per worker
+
 
 @dataclass(frozen=True)
 class PairingGeometry:
@@ -40,12 +43,22 @@ class PairingGeometry:
     def __post_init__(self):
         if self.dt_step <= 0.0:
             raise ValueError(f"dt_step: must be positive, got {self.dt_step}")
-        cap = min(self.pre.tau_minus, self.post.tau_minus) / 10.0
-        if self.dt_step > cap + 1e-15 and any(w.has_curved_pieces() for w in (self.pre, self.post)):
-            raise ValueError(f"dt_step: must be <= min(tau_minus)/10 = {cap} "
-                             f"for a curved spike, got {self.dt_step}")
+        if self.curved:
+            cap = min(self.pre.tau_minus, self.post.tau_minus) / 10.0
+            if self.dt_step > cap + 1e-15:
+                raise ValueError(f"dt_step: must be <= min(tau_minus)/10 = {cap} "
+                                 f"for a curved spike, got {self.dt_step}")
+            span = sum(hi - lo for lo, hi in (self.pre.support(), self.post.support()))
+            if self.bank.n * span / self.dt_step > MAX_OFFSET_CANDIDATES:
+                raise ValueError(f"{self.bank.n} branches x {span:g} time units of spike support / "
+                                 f"dt_step {self.dt_step:g} exceeds the bound of "
+                                 f"{MAX_OFFSET_CANDIDATES} grid candidates in one offset")
         if self.amp_noise_sigma < 0.0:
             raise ValueError(f"amp_noise_sigma: must be >= 0, got {self.amp_noise_sigma}")
+
+    @property
+    def curved(self) -> bool:  # peaks are searched on the dt_step grid too
+        return self.pre.has_curved_pieces() or self.post.has_curved_pieces()
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,7 @@ def candidate_tables(g: PairingGeometry, delta_t: float) -> CandidateTable:
     branch = np.repeat(rows, 2)
     t = np.repeat(edges[keep], 2)
     side = np.tile([-1, +1], rows.size)
-    if g.pre.has_curved_pieces() or g.post.has_curved_pieces():
+    if g.curved:
         # the grid of a live branch: the multiples k*dt_step in [lo, hi],
         # where an end within 1e-9 steps of a multiple counts as on it, but
         # none in a gap between two supports that do not meet, where nothing

@@ -61,6 +61,23 @@ def test_fit_uses_resolved_config_for_default_domain(tmp_path, quick_config):
     assert fits["domain"] == [-2.0, -1.0]  # grid only reaches -2 of [-6, -1]
 
 
+def test_fit_defaults_are_exponential_on_the_run_domain(tmp_path):
+    """`synstdp fit --in DIR` alone: the exp model on the analytic curve's
+    positive side over [tau_minus, tau_minus + tau_plus] of the run's
+    resolved-config.json, here not the defaults' [1, 6]."""
+    config, out = tmp_path / "short.json", tmp_path / "results"
+    config.write_text(json.dumps({
+        "waveform": {"tau_minus": 0.5, "tau_plus": 2.0},
+        "simulation": {"delta_t_min": -3.0, "delta_t_max": 3.0, "delta_t_step": 0.25,
+                       "epochs": 20, "seed": 9},
+    }), encoding="utf-8")
+    assert main(["window", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["fit", "--in", str(out)]) == 0
+    fits = json.loads((out / "fits.json").read_text())
+    assert fits["model"] == "exponential"
+    assert (fits["side"], fits["source"], fits["domain"]) == ("pos", "analytic", [0.5, 2.5])
+
+
 def test_fit_missing_results_dir_fails(tmp_path):
     assert main(["fit", "--in", str(tmp_path / "nope")]) == 1
 

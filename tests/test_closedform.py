@@ -7,7 +7,7 @@ from synstdp import (ClosedFormParams, avg_conductance_continuous,
                      avg_conductance_direct, branch_peak, comparison_report,
                      k_index, quadratic_coeffs_fitted,
                      quadratic_coeffs_published)
-from synstdp.closedform import MAX_N
+from synstdp.closedform import MAX_N, _clamp_breakpoints
 from synstdp.validate import WORKED_PARAMS as WORKED, bruteforce_direct
 
 
@@ -36,7 +36,8 @@ def test_direct_sum_worked_values():
 
 
 def test_direct_sum_matches_bruteforce_everywhere():
-    for dt in np.linspace(0.0, 5.0, 101):
+    # branch 1 saturates below dt = -2.75, so the clamp to 1 is compared too
+    for dt in np.linspace(-20.0, 6.0, 2601):
         assert avg_conductance_direct(WORKED, float(dt)) == bruteforce_direct(WORKED, float(dt))
 
 
@@ -88,6 +89,31 @@ def test_fitted_quadratic_rejects_breakpoint_interval():
         quadratic_coeffs_fitted(WORKED, 0.2, 0.3)
 
 
+def per_branch_breakpoints(p):
+    """Reference: each branch's offsets where its probability hits 0, then 1."""
+    pts = []
+    for i in range(1, p.n + 1):
+        pts.append((p.a_total - p.v_th - i * p.delta_v) / p.beta)
+        pts.append((p.a_total - p.v_th - 1.0 / p.gamma - i * p.delta_v) / p.beta)
+    return np.array(pts)
+
+
+def test_clamp_breakpoints_bitwise_match_the_per_branch_loop():
+    rng = np.random.default_rng(5)
+    cases = [WORKED, ClosedFormParams(n=MAX_N, a_total=1.3, delta_v=1.0 / MAX_N, beta=0.08,
+                                      v_th=1.0, gamma=2.0)]
+    for n in rng.integers(1, 300, 40).tolist():
+        dv = rng.uniform(1e-4, 0.1)
+        cases.append(ClosedFormParams(n=n, a_total=n * dv * rng.uniform(1.01, 5.0), delta_v=dv,
+                                      beta=rng.uniform(1e-3, 5.0), v_th=rng.uniform(0.01, 2.0),
+                                      gamma=rng.uniform(0.1, 20.0)))
+    for p in cases:
+        assert _clamp_breakpoints(p).tobytes() == per_branch_breakpoints(p).tobytes()
+    # the error names the first breakpoint inside in that order: branch 1 hits 0
+    with pytest.raises(ValueError, match=r"contains a clamping breakpoint at dt=3\.5$"):
+        quadratic_coeffs_fitted(WORKED, -20.0, 6.0)
+
+
 def test_fitted_quadratic_degenerate_beta_zero():
     p = ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=0.0, v_th=1.0, gamma=2.0)
     a, b, c = quadratic_coeffs_fitted(p, 0.3, 0.4)
@@ -122,10 +148,17 @@ def test_fitted_curvature_positive_for_random_params():
 
 
 def test_saturated_branch_rejected():
+    """Each check of quadratic_coeffs_fitted's piece, on a case that passes
+    the checks before it."""
     p = ClosedFormParams(n=4, a_total=2.0, delta_v=0.05, beta=0.08, v_th=1.0, gamma=2.0)
-    # branch 1 peak 1.95 -> unclamped probability 1.9 > 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cutoff 20 exceeds n=4 at dt=0\.0: "):
         quadratic_coeffs_fitted(p, 0.0, 0.1)
+    # branch 1 peak 1.4 -> unclamped probability 1.8 > 1, with a cutoff of 15 <= n
+    p = ClosedFormParams(n=16, a_total=2.0, delta_v=0.1, beta=0.08, v_th=0.5, gamma=2.0)
+    with pytest.raises(ValueError, match=r"^branch 1 saturated at dt=0\.0: piece is not quadratic$"):
+        quadratic_coeffs_fitted(p, 0.0, 0.1)
+    with pytest.raises(ValueError, match=r"^cutoff negative at dt=5\.0: no active branches$"):
+        quadratic_coeffs_fitted(WORKED, 5.0, 6.0)
 
 
 def test_params_validation():

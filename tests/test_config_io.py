@@ -15,7 +15,7 @@ from synstdp.closedform import MAX_N
 from synstdp.config import load_params
 from synstdp.energy import MAX_COUNT, MAX_DEVICES
 from synstdp.montecarlo import MAX_OFFSET_TRIALS, MAX_ROWS, MAX_TRIALS
-from synstdp.output import (read_mean_csv, write_states_csv, write_svg_scatter,
+from synstdp.output import (_xticks, read_mean_csv, write_states_csv, write_svg_scatter,
                             write_svg_states, write_window_csv)
 from tests.test_golden import CASES as GOLDEN_CASES
 from tests.test_montecarlo import small_config
@@ -248,6 +248,22 @@ def test_svg_states_plot():
     w = run_window(small_config(epochs=5))
     svg = write_svg_states(w.delta_t, w.states)
     assert svg.startswith("<svg") and svg.count("<polyline") == w.states.shape[1]
+
+
+def test_svg_x_ticks_stay_few_on_wide_offset_ranges():
+    """The tick step climbs the 1-2-5 ladder: steps 1, 2 and 5 up to spans of
+    15, 30 and 75, as before, then 10, 20, 50, ... so that no plot has more
+    than 16 ticks.  A statedist over +-1e6 at a step of 1e4 used to get
+    400,001 of them."""
+    assert _xticks(-6.0, 6.0) == list(range(-6, 7))
+    assert _xticks(0.0, 15.0) == list(range(0, 16))
+    assert _xticks(0.0, 30.0) == list(range(0, 31, 2))
+    assert _xticks(0.0, 75.0) == list(range(0, 76, 5))
+    assert _xticks(0.0, 76.0) == list(range(0, 71, 10))
+    assert _xticks(-1e6, 1e6) == list(range(-10**6, 10**6 + 1, 2 * 10**5))
+    delta_t = np.linspace(-1e6, 1e6, 201)
+    svg = write_svg_states(delta_t, np.full((201, 17), 1 / 17))
+    assert svg.count("<text") == 11 + 5 + 2  # x ticks, y ticks, axis labels
 
 
 def test_post_waveform_section():

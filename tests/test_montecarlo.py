@@ -12,6 +12,7 @@ from synstdp import (DendriteBank, DeviceModel, InitPolicy, PairingGeometry, Spi
                      WindowConfig, all_branch_drives, analytic_window, parse_config,
                      reset_probability, run_window, set_probability, state_distribution)
 from synstdp.montecarlo import INIT_KINDS, _point_stream
+from synstdp.output import write_window_csv
 from synstdp.validate import enumerate_pmf, mc_outliers
 from tests.test_device import phi
 
@@ -212,7 +213,9 @@ def test_workers_do_not_change_results():
     assert np.array_equal(w1.analytic, w4.analytic)
 
 
-def test_pool_is_capped_at_one_worker_per_point(monkeypatch):
+def test_pool_is_capped_at_one_worker_per_point(monkeypatch, tmp_path):
+    """Both fan-outs, the sweep's and window.csv's rows, go through one pool
+    of at most one worker per job, and give the serial results."""
     started = []
 
     class RecordingPool:  # runs the jobs in this process
@@ -225,7 +228,7 @@ def test_pool_is_capped_at_one_worker_per_point(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, jobs, chunksize=1):
+        def imap(self, fn, jobs):
             return map(fn, jobs)
 
     monkeypatch.setattr(montecarlo, "get_context",
@@ -241,6 +244,12 @@ def test_pool_is_capped_at_one_worker_per_point(monkeypatch):
                        delta_t_step=5.0, epochs=5, seed=1)
     run_window(one, workers=8)
     assert started == [3, 2]  # a single point runs without a pool
+    write_window_csv(w, tmp_path / "pooled", workers=64)
+    assert started == [3, 2, 3]
+    write_window_csv(w, tmp_path / "serial", workers=1)
+    assert started == [3, 2, 3]
+    for name in ("window.csv", "mean.csv", "states.csv"):
+        assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_delay_window_produces_change_at_zero_offset():

@@ -181,6 +181,27 @@ def test_dt_step_validation(hrht):
                             device=DeviceModel(), dt_step=0.0)
 
 
+def test_curved_grid_bound_holds_for_a_geometry_built_in_code(hrht):
+    """The grid bound is the geometry's own, not only the config parser's: a
+    bio spike with tau_plus 1e5 would give ~3.2e8 candidates an offset, and
+    is rejected before any table is built.  hrht reads no grid."""
+    bio = SpikeWaveform("bio", tau_plus=1e5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^16 branches x .* exceeds the bound of 10000000 "
+                                             r"grid candidates in one offset$"):
+            PairingGeometry(pre=bio, post=bio, bank=DendriteBank(), device=DeviceModel())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    long_hrht = SpikeWaveform("hrht", tau_plus=1e5)
+    g = PairingGeometry(pre=long_hrht, post=long_hrht, bank=DendriteBank(), device=DeviceModel())
+    assert not g.curved
+    assert PairingGeometry(pre=hrht, post=SpikeWaveform("bio"), bank=DendriteBank(),
+                           device=DeviceModel()).curved
+
+
 def test_branch_drives_match_per_branch_drives():
     """The (..., n) arrays of branch_drives: row k under per-epoch scales is
     the scalar drive at those scales, reset_later included.
