@@ -21,9 +21,9 @@ from .closedform import ClosedFormParams, comparison_report
 from .config import ConfigError, default_config, load_config, load_params
 from .energy import (DEFAULT_GPU_BASELINE, SCENARIOS, EnergyScenario,
                      render_table, table1)
-from .montecarlo import analytic_window, run_window
+from .montecarlo import MAX_WORKERS, analytic_window, run_window
 from .output import (read_mean_csv, write_states_csv, write_svg_scatter,
-                     write_svg_states, write_window_csv)
+                     write_svg_states, write_text, write_window_csv)
 from .validate import render_report, run_all
 
 
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=int, help="override the config seed")
     w.add_argument("--epochs", type=int, help="override the config epoch count")
     w.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the sweep (default 1)")
+                   help=f"worker processes for the sweep (default 1, at most {MAX_WORKERS})")
 
     s = sub.add_parser("statedist", help="analytic switching-count state distributions")
     s.add_argument("--config", type=Path)
@@ -92,17 +92,19 @@ def _cmd_window(args) -> int:
         if value is not None and value < least:
             kind = "positive" if least else "non-negative"
             raise ConfigError(f"{flag} must be a {kind} integer, got {value}")
+    if args.workers > MAX_WORKERS:
+        raise ConfigError(f"--workers must be at most {MAX_WORKERS}, got {args.workers}")
     cfg = _load_run_config(args.config)
     overrides = {"seed": args.seed, "epochs": args.epochs}
     cfg = dataclasses.replace(cfg, window=dataclasses.replace(
         cfg.window, **{k: v for k, v in overrides.items() if v is not None}))
     window = run_window(cfg.window, workers=args.workers)
     paths = write_window_csv(window, args.out, workers=args.workers)
-    (args.out / "resolved-config.json").write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(args.out / "resolved-config.json",
+               json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
     if cfg.output.svg:
-        svg = write_svg_scatter(window, level_bin=cfg.output.level_bin)
-        (args.out / "window.svg").write_text(svg, encoding="utf-8")
+        write_text(args.out / "window.svg",
+                   write_svg_scatter(window, level_bin=cfg.output.level_bin))
     print(f"wrote {', '.join(str(p) for p in paths.values())} "
           f"({window.delta_t.size} points x {window.epochs} epochs)")
     return 0
@@ -113,7 +115,7 @@ def _cmd_statedist(args) -> int:
     grid, _, states = analytic_window(cfg.window)
     path = write_states_csv(grid, states, args.out / "states.csv")
     if cfg.output.svg:
-        (args.out / "states.svg").write_text(write_svg_states(grid, states), encoding="utf-8")
+        write_text(args.out / "states.svg", write_svg_states(grid, states))
     print(f"wrote {path}")
     return 0
 

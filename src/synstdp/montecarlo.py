@@ -26,6 +26,7 @@ MAX_ROWS = 10**8  # offsets x epochs: 1.6 GB of result arrays, a 3.2 GB window.c
 MAX_TRIALS = 10**9  # offsets x epochs x branches
 MAX_OFFSET_TRIALS = 10**7  # epochs x branches; the offset being sampled holds
 #                            50-100 B a trial: 0.5-1 GB per worker
+MAX_WORKERS = 256  # processes of one fork pool
 
 
 INIT_KINDS = ("split", "all_off", "all_on", "random")
@@ -310,7 +311,10 @@ def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
 @contextmanager
 def fan_out(fn, jobs: list, workers: int):
     """fn over jobs as an iterator in job order: in this process at one worker
-    or job, else on a fork pool of at most one process a job, closed on exit."""
+    or job, else on a fork pool of at most one process a job, closed on exit.
+    More than MAX_WORKERS workers is a ValueError, raised before any fork."""
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     if min(workers, len(jobs)) <= 1:
         yield map(fn, jobs)
     else:

@@ -1,16 +1,20 @@
 """Result serialization: CSV files and self-contained SVG scatter plots.
 
-Floats are written with shortest round-trip representation so re-parsing
-reproduces the in-memory values exactly; row order is fixed (delta_t
-ascending, then epoch / state index), making output byte-stable.
+Floats are written as their repr, the shortest round-trip representation, so
+re-parsing reproduces the in-memory values exactly; row order is fixed
+(delta_t ascending, then epoch / state index), making output byte-stable.
+window.csv's rows come from the array formatter `_dtoa`, which writes the
+same bytes as repr; the other files call repr.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from . import _dtoa
 from .montecarlo import StdpWindow, fan_out
 
 
@@ -19,53 +23,49 @@ def _floats(a) -> list[float]:
     return np.asarray(a, dtype=float).tolist()
 
 
-@lru_cache(maxsize=2)  # window.csv's epochs and states.csv's states
+@lru_cache(maxsize=1)
 def _indices(n: int) -> list[str]:
-    """The ",i," middles of rows numbered 0..n-1 within one offset."""
+    """The ",i," middles of states.csv's rows numbered 0..n-1 within one offset."""
     return [f",{i}," for i in range(n)]
 
 
-def _offset_rows(job) -> str:
-    """The window.csv rows of one offset as one string, job = (delta_t,
-    delta_g, n_set, n_reset) with one entry per epoch.  A row is four slots:
-    the offset, the ",epoch," middle, the repr of delta_g, and the
-    ",n_set,n_reset" tail, looked up in a table of every pair of counts up to
-    the largest ones, or formatted per row where that table would hold more
-    entries than there are rows."""
+_BLOCK = 65_536  # rows formatted at once, so that no array outgrows a few MB
+
+
+def _offset_rows(job) -> bytes:
+    """The window.csv rows of one offset, job = (delta_t, delta_g, n_set,
+    n_reset) with one entry per epoch.  `_dtoa` lays out each block of rows
+    as fields side by side: the offset, the epoch, delta_g's repr and the two
+    counts."""
     dt, delta_g, n_set, n_reset = job
-    epochs = len(delta_g)
-    sets, resets = int(n_set.max()) + 1, int(n_reset.max()) + 1
-    parts = [""] * (4 * epochs)
-    parts[0::4] = [repr(dt)] * epochs
-    parts[1::4] = _indices(epochs)
-    parts[2::4] = map(repr, _floats(delta_g))
-    if sets * resets <= epochs:
-        tails = np.array([f",{s},{r}\n" for s in range(sets) for r in range(resets)], dtype=object)
-        parts[3::4] = tails[n_set * resets + n_reset].tolist()
-    else:
-        parts[3::4] = map(",{},{}\n".format, n_set.tolist(), n_reset.tolist())
-    return "".join(parts)
+    head, epochs = f"{dt!r},".encode(), len(delta_g)
+    blocks = []
+    for s in range(0, epochs, _BLOCK):
+        e = min(s + _BLOCK, epochs)
+        blocks.append(_dtoa.rows([
+            head, _dtoa.uint_field(np.arange(s, e)), b",", _dtoa.float_field(delta_g[s:e]),
+            b",", _dtoa.uint_field(n_set[s:e]), b",", _dtoa.uint_field(n_reset[s:e]), b"\n"]))
+    return b"".join(blocks)
 
 
 def write_window_csv(w: StdpWindow, out_dir: str | Path, workers: int = 1) -> dict[str, Path]:
     """Write window.csv (per-epoch outcomes), mean.csv (per-point stats) and
     states.csv (switching-count probabilities) into out_dir.
 
-    Each offset's window.csv rows are built as one string and written at
-    once, so the whole file is never held in memory.  With workers > 1 a
+    Each offset's window.csv rows are built as one bytes object and written
+    at once, so the whole file is never held in memory.  With workers > 1 a
     pool builds them (`fan_out`), and they are written in grid order as they
     arrive: the bytes do not depend on the worker count."""
     out = Path(out_dir)
     jobs = [(dt, w.delta_g[k], w.n_set[k], w.n_reset[k])
             for k, dt in enumerate(_floats(w.delta_t))]
-    try:
+    with _naming(out):
         out.mkdir(parents=True, exist_ok=True)
         paths = {}
 
         p = out / "window.csv"
-        with p.open("w", encoding="utf-8", newline="\n") as f, \
-                fan_out(_offset_rows, jobs, workers) as results:
-            f.write("delta_t,epoch,delta_g_norm,n_set,n_reset\n")
+        with p.open("wb") as f, fan_out(_offset_rows, jobs, workers) as results:
+            f.write(b"delta_t,epoch,delta_g_norm,n_set,n_reset\n")
             for rows in results:
                 f.write(rows)
         paths["window"] = p
@@ -79,10 +79,24 @@ def write_window_csv(w: StdpWindow, out_dir: str | Path, workers: int = 1) -> di
                              zip(_floats(w.delta_t), mean, std, _floats(w.analytic))]))
         paths["mean"] = p
 
-        paths["states"] = write_states_csv(w.delta_t, w.states, out / "states.csv")
-        return paths
+    paths["states"] = write_states_csv(w.delta_t, w.states, out / "states.csv")
+    return paths
+
+
+@contextmanager
+def _naming(out: Path):
+    """An OSError raised inside, re-raised with the directory results go to."""
+    try:
+        yield
     except OSError as e:
         raise OSError(f"cannot write results under {out}: {e}") from None
+
+
+def write_text(path: Path, text: str) -> None:
+    """A text result (resolved-config.json, an SVG) written to path; an
+    OSError names the directory."""
+    with _naming(path.parent):
+        path.write_text(text, encoding="utf-8")
 
 
 def read_mean_csv(path: str | Path):
@@ -208,15 +222,17 @@ _STATE_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b
 
 
 def write_states_csv(delta_t, states, path: str | Path) -> Path:
-    """states.csv from bare arrays (used by both the window and statedist runs)."""
+    """states.csv from bare arrays (used by both the window and statedist runs);
+    an OSError names the directory."""
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8", newline="\n") as f:
-        f.write("delta_t,state_index,probability\n")
-        indices = _indices(states.shape[1])
-        for k, dt in enumerate(_floats(delta_t)):
-            dts = repr(dt)
-            f.write("".join([f"{dts}{s}{q!r}\n" for s, q in zip(indices, _floats(states[k]))]))
+    with _naming(p.parent):
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with p.open("w", encoding="utf-8", newline="\n") as f:
+            f.write("delta_t,state_index,probability\n")
+            indices = _indices(states.shape[1])
+            for k, dt in enumerate(_floats(delta_t)):
+                dts = repr(dt)
+                f.write("".join([f"{dts}{s}{q!r}\n" for s, q in zip(indices, _floats(states[k]))]))
     return p
 
 

@@ -165,6 +165,9 @@ BAD_ARGS = {
                                "error: --domain must be finite with 0 <= LO <= HI, got -1.0 2.0"),
     "fit-domain-lo-above-hi": (["fit", "--in", "missing", "--domain", "3", "2"],
                                "error: --domain must be finite with 0 <= LO <= HI, got 3.0 2.0"),
+    # checked before the config is read or a pool is made
+    "window-workers-above-bound": (["window", "--out", "missing", "--workers", "257"],
+                                   "error: --workers must be at most 256, got 257"),
 }
 
 
@@ -210,6 +213,26 @@ def test_window_rejects_bad_override_naming_the_flag(tmp_path, quick_config, cap
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+def test_statedist_onto_a_file_names_the_directory(tmp_path, quick_config, capsys):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(["statedist", "--config", str(quick_config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write results under {out}: [Errno 17] ")
+
+
+@pytest.mark.parametrize("name", ["resolved-config.json", "window.svg"])
+def test_window_text_write_error_names_the_directory(tmp_path, quick_config, capsys, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)  # a directory where the file goes
+    assert main(["window", "--config", str(quick_config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write results under {out}: ")
+    assert captured.err.count("\n") == 1 and name in captured.err
 
 
 def test_window_bytes_do_not_depend_on_workers(tmp_path):

@@ -169,7 +169,12 @@ def _reference_csvs(w: StdpWindow) -> dict[str, str]:
             "states.csv": "".join(states)}
 
 
-EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 123456789.125]
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 123456789.125,
+               # both sides of fixed notation's ends; 3.0 and 2**-14 (a power
+               # of two, in scientific notation); 17 digits; a carry (0.3 is
+               # 0.29999999999999998...)
+               0.0001, 9.999999999999999e-05, 9999999999999998.0, 3.0, 2.0**-14,
+               1.2345678901234567, 0.3]
 
 
 def _edge_window(delta_t, epochs: int) -> StdpWindow:
@@ -192,8 +197,10 @@ EDGE_WINDOWS = {
     "one-offset-one-epoch": ([-0.0], 1),
     "offsets-one-epoch": ([-0.0, -6.0, 0.1 + 0.2, 1e-05, 5e-324, 123456789.125], 1),
     "offsets-epochs": ([-1.5, -0.0, 0.1 + 0.2, 6.0], 7),
-    # more epochs than pairs of counts up to (16, 16): the tails come from a table
+    # more epochs than pairs of counts up to (16, 16)
     "offsets-many-epochs": ([-1.5, 0.1 + 0.2], 300),
+    # an offset's rows are formatted in blocks of 65,536: one block and a bit
+    "one-offset-two-blocks": ([0.25], 65_536 + 7),
 }
 
 

@@ -213,6 +213,21 @@ def test_workers_do_not_change_results():
     assert np.array_equal(w1.analytic, w4.analytic)
 
 
+def test_more_workers_than_the_bound_fail_before_any_pool(monkeypatch):
+    """No process is started: the bound is checked before the pool is made."""
+    def no_pool(method):
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(montecarlo, "get_context", no_pool)
+    over = montecarlo.MAX_WORKERS + 1
+    for jobs in ([], [1], [1, 2, 3]):
+        with pytest.raises(ValueError, match=f"workers must be at most 256, got {over}"):
+            with montecarlo.fan_out(abs, jobs, over):
+                pass
+    with pytest.raises(ValueError, match="workers must be at most"):
+        run_window(small_config(epochs=5), workers=over)
+
+
 def test_pool_is_capped_at_one_worker_per_point(monkeypatch, tmp_path):
     """Both fan-outs, the sweep's and window.csv's rows, go through one pool
     of at most one worker per job, and give the serial results."""
