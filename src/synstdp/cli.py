@@ -22,8 +22,8 @@ from .config import ConfigError, default_config, load_config, load_params
 from .energy import (DEFAULT_GPU_BASELINE, SCENARIOS, EnergyScenario,
                      render_table, table1)
 from .montecarlo import MAX_WORKERS, analytic_window, run_window
-from .output import (read_mean_csv, write_states_csv, write_svg_scatter,
-                     write_svg_states, write_text, write_window_csv)
+from .output import (_write, read_mean_csv, write_states_csv, write_svg_scatter,
+                     write_svg_states, write_window_csv)
 from .validate import render_report, run_all
 
 
@@ -82,6 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _load_run_config(path: Path | None):
     return load_config(path) if path is not None else default_config()
 
@@ -100,11 +104,10 @@ def _cmd_window(args) -> int:
         cfg.window, **{k: v for k, v in overrides.items() if v is not None}))
     window = run_window(cfg.window, workers=args.workers)
     paths = write_window_csv(window, args.out, workers=args.workers)
-    write_text(args.out / "resolved-config.json",
-               json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write(args.out / "resolved-config.json", [_json(cfg.to_dict()).encode()])
     if cfg.output.svg:
-        write_text(args.out / "window.svg",
-                   write_svg_scatter(window, level_bin=cfg.output.level_bin))
+        _write(args.out / "window.svg",
+               [write_svg_scatter(window, level_bin=cfg.output.level_bin).encode()])
     print(f"wrote {', '.join(str(p) for p in paths.values())} "
           f"({window.delta_t.size} points x {window.epochs} epochs)")
     return 0
@@ -115,7 +118,7 @@ def _cmd_statedist(args) -> int:
     grid, _, states = analytic_window(cfg.window)
     path = write_states_csv(grid, states, args.out / "states.csv")
     if cfg.output.svg:
-        write_text(args.out / "states.svg", write_svg_states(grid, states))
+        _write(args.out / "states.svg", [write_svg_states(grid, states).encode()])
     print(f"wrote {path}")
     return 0
 
@@ -143,11 +146,9 @@ def _cmd_fit(args) -> int:
     mask = (sign * delta_t >= lo) & (sign * delta_t <= hi)
     points = np.column_stack([delta_t[mask], values[mask]])
     result = _FITS[args.model](points)
-    payload = {"side": args.side, "source": args.source, **result.to_dict()}
-    out = args.out if args.out else args.results / "fits.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = _json({"side": args.side, "source": args.source, **result.to_dict()})
+    _write(args.out if args.out else args.results / "fits.json", [text.encode()])
+    print(text, end="")
     return 0
 
 
@@ -158,11 +159,10 @@ def _cmd_closedform(args) -> int:
         from .validate import WORKED_PARAMS
         params = WORKED_PARAMS
     report = comparison_report(params, *args.interval)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _json(report)
     if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n", encoding="utf-8")
-    print(text)
+        _write(args.out, [text.encode()])
+    print(text, end="")
     return 0
 
 
@@ -176,11 +176,9 @@ def _cmd_energy(args) -> int:
     else:
         scenarios = {args.scenario: SCENARIOS[args.scenario]}
     result = table1(scenarios, baseline_img_s_w=args.baseline, mode=args.mode)
-    print(render_table(result))
     if args.json_out:
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        args.json_out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8")
+        _write(args.json_out, [_json(result).encode()])
+    print(render_table(result))
     return 0
 
 
@@ -209,7 +207,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader of stdout has gone: point stdout at devnull so that the
         # flush at interpreter exit cannot raise again, and end quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as e:  # ConfigError is a ValueError
         print(f"error: {e}", file=sys.stderr)

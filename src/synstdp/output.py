@@ -1,15 +1,16 @@
 """Result serialization: CSV files and self-contained SVG scatter plots.
 
-Floats are written as their repr, the shortest round-trip representation, so
-re-parsing reproduces the in-memory values exactly; row order is fixed
-(delta_t ascending, then epoch / state index), making output byte-stable.
-window.csv's rows come from the array formatter `_dtoa`, which writes the
-same bytes as repr; the other files call repr.
+Every result file reaches disk through `_write`, which makes its directory,
+writes its bytes and names that directory in any OSError.  Floats are
+written as their repr, the shortest round-trip representation, so re-parsing
+reproduces the in-memory values exactly; row order is fixed (delta_t
+ascending, then epoch / state index), making output byte-stable.  The rows
+of all three CSV files come from the array formatter `_dtoa`, which writes
+the same bytes as repr, in blocks of at most 65,536 rows.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,34 +19,45 @@ from . import _dtoa
 from .montecarlo import StdpWindow, fan_out
 
 
-def _floats(a) -> list[float]:
-    """Python floats of an array: their repr is the shortest round-trip form."""
-    return np.asarray(a, dtype=float).tolist()
-
-
-@lru_cache(maxsize=1)
-def _indices(n: int) -> list[str]:
-    """The ",i," middles of states.csv's rows numbered 0..n-1 within one offset."""
-    return [f",{i}," for i in range(n)]
+def _write(path: str | Path, blocks) -> Path:
+    """The one way a result reaches disk: path's directory made, then the
+    bytes blocks written to path in order as they come; an OSError is
+    re-raised naming the directory."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("wb") as f:
+            for block in blocks:
+                f.write(block)
+    except OSError as e:
+        raise OSError(f"cannot write results under {path.parent}: {e}") from None
+    return path
 
 
 _BLOCK = 65_536  # rows formatted at once, so that no array outgrows a few MB
 
 
+def _rows(columns: list):
+    """The CSV rows of columns, in blocks of at most _BLOCK rows: a column is
+    a bytes constant written on every row, or an array with one entry a row
+    (its floats' repr, its integers' digits), laid out by `_dtoa`."""
+    n = next(len(c) for c in columns if not isinstance(c, bytes))
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        fields = []
+        for c in columns:
+            if not isinstance(c, bytes):
+                c = (_dtoa.float_field if c.dtype.kind == "f" else _dtoa.uint_field)(c[s:e])
+            fields += [c, b","]
+        fields[-1] = b"\n"
+        yield _dtoa.rows(fields)
+
+
 def _offset_rows(job) -> bytes:
-    """The window.csv rows of one offset, job = (delta_t, delta_g, n_set,
-    n_reset) with one entry per epoch.  `_dtoa` lays out each block of rows
-    as fields side by side: the offset, the epoch, delta_g's repr and the two
-    counts."""
-    dt, delta_g, n_set, n_reset = job
-    head, epochs = f"{dt!r},".encode(), len(delta_g)
-    blocks = []
-    for s in range(0, epochs, _BLOCK):
-        e = min(s + _BLOCK, epochs)
-        blocks.append(_dtoa.rows([
-            head, _dtoa.uint_field(np.arange(s, e)), b",", _dtoa.float_field(delta_g[s:e]),
-            b",", _dtoa.uint_field(n_set[s:e]), b",", _dtoa.uint_field(n_reset[s:e]), b"\n"]))
-    return b"".join(blocks)
+    """The window.csv rows of one offset, job = (delta_t's repr, delta_g,
+    n_set, n_reset) with one entry per epoch."""
+    head, delta_g, n_set, n_reset = job
+    return b"".join(_rows([head, np.arange(len(delta_g)), delta_g, n_set, n_reset]))
 
 
 def write_window_csv(w: StdpWindow, out_dir: str | Path, workers: int = 1) -> dict[str, Path]:
@@ -57,51 +69,23 @@ def write_window_csv(w: StdpWindow, out_dir: str | Path, workers: int = 1) -> di
     pool builds them (`fan_out`), and they are written in grid order as they
     arrive: the bytes do not depend on the worker count."""
     out = Path(out_dir)
-    jobs = [(dt, w.delta_g[k], w.n_set[k], w.n_reset[k])
-            for k, dt in enumerate(_floats(w.delta_t))]
-    with _naming(out):
-        out.mkdir(parents=True, exist_ok=True)
-        paths = {}
-
-        p = out / "window.csv"
-        with p.open("wb") as f, fan_out(_offset_rows, jobs, workers) as results:
-            f.write(b"delta_t,epoch,delta_g_norm,n_set,n_reset\n")
-            for rows in results:
-                f.write(rows)
-        paths["window"] = p
-
-        p = out / "mean.csv"
-        with p.open("w", encoding="utf-8", newline="\n") as f:
-            f.write("delta_t,mc_mean,mc_std,analytic\n")
-            mean = _floats([row.mean() for row in w.delta_g])
-            std = _floats([row.std() for row in w.delta_g])
-            f.write("".join([f"{dt!r},{m!r},{s!r},{a!r}\n" for dt, m, s, a in
-                             zip(_floats(w.delta_t), mean, std, _floats(w.analytic))]))
-        paths["mean"] = p
-
+    heads = b"".join(_rows([w.delta_t])).splitlines()  # each offset's repr
+    jobs = [(head, w.delta_g[k], w.n_set[k], w.n_reset[k]) for k, head in enumerate(heads)]
+    with fan_out(_offset_rows, jobs, workers) as results:
+        paths = {"window": _write(out / "window.csv", chain(
+            [b"delta_t,epoch,delta_g_norm,n_set,n_reset\n"], results))}
+    mean = np.array([row.mean() for row in w.delta_g])
+    std = np.array([row.std() for row in w.delta_g])
+    paths["mean"] = _write(out / "mean.csv", chain(
+        [b"delta_t,mc_mean,mc_std,analytic\n"],
+        _rows([w.delta_t, mean, std, w.analytic])))
     paths["states"] = write_states_csv(w.delta_t, w.states, out / "states.csv")
     return paths
 
 
-@contextmanager
-def _naming(out: Path):
-    """An OSError raised inside, re-raised with the directory results go to."""
-    try:
-        yield
-    except OSError as e:
-        raise OSError(f"cannot write results under {out}: {e}") from None
-
-
-def write_text(path: Path, text: str) -> None:
-    """A text result (resolved-config.json, an SVG) written to path; an
-    OSError names the directory."""
-    with _naming(path.parent):
-        path.write_text(text, encoding="utf-8")
-
-
 def read_mean_csv(path: str | Path):
     """(delta_t, mc_mean, mc_std, analytic) arrays from a mean.csv file; a
-    file without rows, or with a row that is not four numbers, is a
+    file without rows, or with a row that is not four finite numbers, is a
     ValueError that names the file and the line."""
     rows = []
     with Path(path).open(encoding="utf-8") as f:
@@ -113,9 +97,12 @@ def read_mean_csv(path: str | Path):
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             try:
-                rows.append([float(v) for v in fields])
+                row = [float(v) for v in fields]
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows)
@@ -224,16 +211,10 @@ _STATE_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b
 def write_states_csv(delta_t, states, path: str | Path) -> Path:
     """states.csv from bare arrays (used by both the window and statedist runs);
     an OSError names the directory."""
-    p = Path(path)
-    with _naming(p.parent):
-        p.parent.mkdir(parents=True, exist_ok=True)
-        with p.open("w", encoding="utf-8", newline="\n") as f:
-            f.write("delta_t,state_index,probability\n")
-            indices = _indices(states.shape[1])
-            for k, dt in enumerate(_floats(delta_t)):
-                dts = repr(dt)
-                f.write("".join([f"{dts}{s}{q!r}\n" for s, q in zip(indices, _floats(states[k]))]))
-    return p
+    delta_t, states = np.asarray(delta_t, dtype=float), np.asarray(states, dtype=float)
+    offsets, count = states.shape
+    return _write(path, chain([b"delta_t,state_index,probability\n"], _rows(
+        [np.repeat(delta_t, count), np.tile(np.arange(count), offsets), states.ravel()])))
 
 
 def write_svg_states(delta_t, states) -> str:

@@ -82,8 +82,9 @@ def test_fit_missing_results_dir_fails(tmp_path):
     assert main(["fit", "--in", str(tmp_path / "nope")]) == 1
 
 
-@pytest.mark.parametrize("body", ["", "0.5,1.0,0.1\n", "0.5,1.0,0.1,x\n"],
-                         ids=["header-only", "short-row", "not-a-number"])
+@pytest.mark.parametrize("body", ["", "0.5,1.0,0.1\n", "0.5,1.0,0.1,x\n", "0.5,1.0,0.1,nan\n",
+                                  "0.5,1.0,0.1,0.2\n1.0,1.0,0.1,inf\n"],
+                         ids=["header-only", "short-row", "not-a-number", "nan", "inf"])
 def test_fit_bad_mean_csv_exits_1_naming_the_file(tmp_path, capsys, body):
     mean_csv = tmp_path / "mean.csv"
     mean_csv.write_text("delta_t,mc_mean,mc_std,analytic\n" + body, encoding="utf-8")
@@ -222,6 +223,26 @@ def test_statedist_onto_a_file_names_the_directory(tmp_path, quick_config, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write results under {out}: [Errno 17] ")
+
+
+@pytest.mark.parametrize("command", ["energy", "closedform", "fit"])
+def test_report_under_a_file_names_the_directory(tmp_path, quick_config, capsys, command):
+    """--json / --out aimed below a file: exit 1 with nothing on stdout
+    (energy writes its JSON before it prints its table)."""
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    target = str(taken / "r.json")
+    argv = {"energy": ["energy", "--json", target],
+            "closedform": ["closedform", "--out", target],
+            "fit": ["fit", "--in", str(tmp_path / "run"), "--domain", "0.5", "2.0",
+                    "--out", target]}[command]
+    if command == "fit":
+        assert main(["window", "--config", str(quick_config), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write results under {taken}: [Errno 17] ")
 
 
 @pytest.mark.parametrize("name", ["resolved-config.json", "window.svg"])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from synstdp import (ClosedFormParams, avg_conductance_continuous,
                      k_index, quadratic_coeffs_fitted,
                      quadratic_coeffs_published)
 from synstdp.closedform import MAX_N, _clamp_breakpoints
+from synstdp.config import load_params, parse_config
+from synstdp.montecarlo import analytic_window
 from synstdp.validate import WORKED_PARAMS as WORKED, bruteforce_direct
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_branch_peak_examples():
@@ -189,3 +194,37 @@ def test_comparison_report():
     # the published coefficients genuinely differ from the fitted ones
     assert abs(rep["published_coeffs"]["c"] - rep["fitted_coeffs"]["c"]) > 1.0
     assert len(rep["direct_sum"]) == 20
+
+
+@pytest.mark.parametrize("init, device, sign, edge", [
+    ("all_off", {"vth_neg": -10.0}, 1.0, 4.75),
+    ("all_on", {"vth_pos": 10.0}, -1.0, 1.0),
+], ids=["potentiation", "depression"])
+def test_engine_equals_direct_sum_on_the_delay_bank_tail(init, device, sign, edge):
+    """The closed form's peaks A - i*dV - beta*dt are the engine's on a delay
+    bank: fig4d's hrht spikes, 16 branches at alpha = 1 with delays ramped up
+    to 15*dV/beta = 3.75, so that each branch peaks dV below the one before,
+    under the linear law (gamma = 2) with no LRS spread.  Starting all OFF,
+    with RESET out of reach, analytic = direct(dt - tau_plus) wherever every
+    branch is on the pre spike's tail, dt >= delay_max + tau_minus = 4.75;
+    starting all ON, the mirror -analytic = direct(-dt - tau_plus +
+    delay_max) holds for dt <= -1.  One grid step inward they part by 0.04."""
+    p = load_params(CONFIGS / "closedform.json", ClosedFormParams)
+    delay_max = 15 * p.delta_v / p.beta
+    cfg = parse_config({
+        "waveform": {"shape": "hrht", "a_plus": 0.9, "a_minus": 0.4, "tau_minus": 1.0,
+                     "tau_plus": 5.0},
+        "dendrites": {"n": 16, "alpha_min": 1.0, "alpha_max": 1.0, "delay_max": delay_max,
+                      "delay_assignment": "ramp"},
+        "device": {"sigma_lrs": 0.0, "prob_model": {"linear": {"gamma": p.gamma}}, **device},
+        "simulation": {"delta_t_min": -12.0, "delta_t_max": 12.0, "delta_t_step": 0.25,
+                       "init_policy": init}})
+    grid, analytic, _ = analytic_window(cfg.window)
+    shift = delay_max if sign < 0 else 0.0
+    gap = np.array([sign * a - avg_conductance_direct(p, sign * dt - 5.0 + shift)
+                    for dt, a in zip(grid.tolist(), analytic.tolist())])
+    tail = sign * grid >= edge
+    assert np.abs(gap[tail]).max() <= 1e-12
+    assert np.count_nonzero(analytic[tail]) == 15  # not only the zeros past the window
+    parting = np.flatnonzero(grid == sign * (edge - 0.25))
+    assert abs(abs(gap[parting[0]]) - 0.04) <= 1e-12

@@ -201,6 +201,8 @@ EDGE_WINDOWS = {
     "offsets-many-epochs": ([-1.5, 0.1 + 0.2], 300),
     # an offset's rows are formatted in blocks of 65,536: one block and a bit
     "one-offset-two-blocks": ([0.25], 65_536 + 7),
+    # states.csv's 17 rows an offset cross its first block at offset 3,855
+    "states-two-blocks": (np.arange(3_900) * 0.1 - 195.0, 1),
 }
 
 

@@ -279,15 +279,24 @@ def test_mixed_pre_post_waveforms():
 
 
 def reference_table(g, i, delta_t):
-    """Branch i's candidate table built one scalar one-sided limit at a time;
-    the piece is picked at the edge-snapped time, evaluated at the unsnapped."""
-    def limit(w, t, side):
+    """Branch i's candidate table from scalar one-sided limits: for each
+    (time, side) the piece is picked at the edge-snapped time, one pair at a
+    time; then each picked piece is evaluated once, at the unsnapped times
+    that picked it."""
+    def limits(w, ts, sides):
         pieces = w.pieces()
-        at = next((e for p in pieces for e in (p.lo, p.hi) if abs(t - e) <= EDGE_SNAP_TOL), t)
-        for p in pieces:
-            if (p.lo <= at < p.hi) if side > 0 else (p.lo < at <= p.hi):
-                return float(p.func(np.asarray([t], dtype=float))[0]), True
-        return 0.0, False
+        picked = []
+        for t, side in zip(ts, sides):
+            at = next((e for p in pieces for e in (p.lo, p.hi) if abs(t - e) <= EDGE_SNAP_TOL), t)
+            picked.append(next((j for j, p in enumerate(pieces)
+                                if ((p.lo <= at < p.hi) if side > 0 else (p.lo < at <= p.hi))),
+                               -1))
+        picked, ts, values = np.array(picked), np.asarray(ts, dtype=float), np.zeros(len(ts))
+        for j, p in enumerate(pieces):
+            mine = picked == j
+            if mine.any():
+                values[mine] = p.func(ts[mine])
+        return values, picked >= 0
     alpha, delay = g.bank.alphas[i - 1], g.bank.delays[i - 1]
     pre_lo, pre_hi = (x + delay for x in g.pre.support())
     post_lo, post_hi = (x + delta_t for x in g.post.support())
@@ -302,11 +311,11 @@ def reference_table(g, i, delta_t):
         k0, k1 = int(np.ceil(lo / g.dt_step - 1e-9)), int(np.floor(hi / g.dt_step + 1e-9))
         times += [(float(t), +1) for t in np.arange(k0, k1 + 1) * g.dt_step]
     times.sort(key=lambda e: (e[0], e[1]))
-    post = [limit(g.post, t - delta_t, side) for t, side in times]
-    pre = [limit(g.pre, t - delay, side) for t, side in times]
-    valid = [(a and b) if g.pair_only else (a or b) for (_, a), (_, b) in zip(post, pre)]
-    return (np.array([t for t, _ in times]), np.array([v for v, _ in post]),
-            alpha * np.array([v for v, _ in pre]), np.array(valid))
+    sides = [side for _, side in times]
+    post, post_ok = limits(g.post, [t - delta_t for t, _ in times], sides)
+    pre, pre_ok = limits(g.pre, [t - delay for t, _ in times], sides)
+    valid = (post_ok & pre_ok) if g.pair_only else (post_ok | pre_ok)
+    return np.array([t for t, _ in times]), post, alpha * pre, valid
 
 
 ORACLE_BANKS = [(0.3, "ramp"), (0.37, "reversed"), (0.25, "uniform")]
