@@ -302,7 +302,9 @@ def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
     switched = np.flatnonzero((off * up + on * down).view(bool))
     step = _lrs_draws(stream, g.device.sigma_lrs, switched.size) - g.device.g_off_norm
     step *= 1 - 2 * on.ravel()[switched].view(np.int8)
-    delta_g = np.bincount(switched % epochs, weights=step, minlength=epochs)
+    # float64 also where no device switches (bincount over no weights is int64)
+    delta_g = np.bincount(switched % epochs, weights=step, minlength=epochs).astype(
+        float, copy=False)
 
     analytic, states = _analytic_and_states(cfg, delta_t, *nodes)
     return delta_g, n_set, n_reset, analytic, states
@@ -311,15 +313,20 @@ def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
 @contextmanager
 def fan_out(fn, jobs: list, workers: int):
     """fn over jobs as an iterator in job order: in this process at one worker
-    or job, else on a fork pool of at most one process a job, closed on exit.
-    More than MAX_WORKERS workers is a ValueError, raised before any fork."""
+    or job, else on a fork pool of n = min(workers, len(jobs)) processes,
+    closed on exit.  The pool hands out runs of ceil(len(jobs) / (8 n)) jobs
+    (121 offsets at 2 workers: 16 runs of at most 8), since each run costs a
+    round trip between processes; 8 runs a worker, not Pool.map's 4, because
+    a worker holds a whole run's jobs and results at once.  More than
+    MAX_WORKERS workers is a ValueError, raised before any fork."""
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    if min(workers, len(jobs)) <= 1:
+    n = min(workers, len(jobs))
+    if n <= 1:
         yield map(fn, jobs)
     else:
-        with get_context("fork").Pool(min(workers, len(jobs))) as pool:
-            yield pool.imap(fn, jobs)
+        with get_context("fork").Pool(n) as pool:
+            yield pool.imap(fn, jobs, chunksize=-(-len(jobs) // (8 * n)))
 
 
 def run_window(cfg: WindowConfig, workers: int = 1) -> StdpWindow:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import math
+import multiprocessing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -230,8 +232,9 @@ def test_more_workers_than_the_bound_fail_before_any_pool(monkeypatch):
 
 def test_pool_is_capped_at_one_worker_per_point(monkeypatch, tmp_path):
     """Both fan-outs, the sweep's and window.csv's rows, go through one pool
-    of at most one worker per job, and give the serial results."""
-    started = []
+    of at most one worker per job, handing out runs of ceil(jobs / (8 n))
+    jobs, and give the serial results."""
+    started, chunks = [], []
 
     class RecordingPool:  # runs the jobs in this process
         def __init__(self, processes):
@@ -243,7 +246,8 @@ def test_pool_is_capped_at_one_worker_per_point(monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, jobs):
+        def imap(self, fn, jobs, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, jobs)
 
     monkeypatch.setattr(montecarlo, "get_context",
@@ -265,6 +269,39 @@ def test_pool_is_capped_at_one_worker_per_point(monkeypatch, tmp_path):
     assert started == [3, 2, 3]
     for name in ("window.csv", "mean.csv", "states.csv"):
         assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    assert chunks == [1, 1, 1]  # 3 jobs at 64 workers, 13 at 2, 3 at 64
+    for jobs, workers, chunk in ((121, 2, 8), (121, 16, 1), (121, 3, 6), (3, 64, 1)):
+        with montecarlo.fan_out(abs, list(range(jobs)), workers) as results:
+            assert list(results) == list(range(jobs))
+        assert (started[-1], chunks[-1]) == (min(workers, jobs), chunk)
+
+
+def test_fork_pool_leaves_no_process_running():
+    """A real pool's workers are gone when fan_out exits: after all results,
+    after a job raises (the caller sees its exception), and after the caller
+    leaves early."""
+    jobs = list(range(-20, 20))
+    with montecarlo.fan_out(abs, jobs, 2) as results:
+        assert list(results) == [abs(j) for j in jobs]
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="math domain error"):
+        with montecarlo.fan_out(math.sqrt, jobs, 2) as results:
+            list(results)
+    assert multiprocessing.active_children() == []
+    with montecarlo.fan_out(abs, jobs, 2) as results:
+        assert next(results) == 20
+    assert multiprocessing.active_children() == []
+
+
+def test_compute_point_delta_g_is_float_without_switches():
+    """fig4d at its first offset, -6.0, switches no device in a few epochs;
+    the per-point delta_g is float64 there too, as window.csv writes it."""
+    fig4d = json.loads((Path(__file__).resolve().parents[1] / "configs" / "fig4d.json").read_text())
+    cfg = dataclasses.replace(parse_config(fig4d).window, epochs=5)
+    delta_g, n_set, n_reset, _, _ = montecarlo._compute_point(cfg, (0, -6.0))
+    assert not n_set.any() and not n_reset.any()
+    assert delta_g.dtype == np.float64
+    assert np.array_equal(delta_g, np.zeros(5))
 
 
 def test_delay_window_produces_change_at_zero_offset():
