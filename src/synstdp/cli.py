@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: window, statedist, fit, closedform, energy, validate.  Every
-subcommand exits nonzero on any error.  A window sweep, and the formatting
-of its window.csv rows, run in one process unless --workers asks for a pool.
+subcommand exits nonzero on any error.  A window sweep runs in this process
+unless --workers asks for a fork pool; its result files are written here.
 """
 from __future__ import annotations
 
@@ -103,7 +103,7 @@ def _cmd_window(args) -> int:
     cfg = dataclasses.replace(cfg, window=dataclasses.replace(
         cfg.window, **{k: v for k, v in overrides.items() if v is not None}))
     window = run_window(cfg.window, workers=args.workers)
-    paths = write_window_csv(window, args.out, workers=args.workers)
+    paths = write_window_csv(window, args.out)
     _write(args.out / "resolved-config.json", [_json(cfg.to_dict()).encode()])
     if cfg.output.svg:
         _write(args.out / "window.svg",

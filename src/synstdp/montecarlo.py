@@ -146,7 +146,7 @@ def state_distribution(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
         raise ValueError("need probabilities along a last axis, got a scalar")
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError("probabilities must lie in [0, 1]")
     p = np.moveaxis(p, -1, 0)  # trials first: one step per leading index
     out = np.zeros((p.shape[0] + 1,) + p.shape[1:])
@@ -312,13 +312,15 @@ def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
 
 @contextmanager
 def fan_out(fn, jobs: list, workers: int):
-    """fn over jobs as an iterator in job order: in this process at one worker
-    or job, else on a fork pool of n = min(workers, len(jobs)) processes,
-    closed on exit.  The pool hands out runs of ceil(len(jobs) / (8 n)) jobs
-    (121 offsets at 2 workers: 16 runs of at most 8), since each run costs a
-    round trip between processes; 8 runs a worker, not Pool.map's 4, because
-    a worker holds a whole run's jobs and results at once.  More than
-    MAX_WORKERS workers is a ValueError, raised before any fork."""
+    """fn over jobs in job order, for `run_window`'s sweep: in this process at
+    one worker or job, else on a fork pool of n = min(workers, len(jobs))
+    processes, closed on exit, that hands out runs of ceil(len(jobs) / (8 n))
+    jobs (121 offsets at 2 workers: 16 runs of at most 8).  A run costs one
+    round trip between processes, and a worker holds its jobs and results at
+    once: hence 8 runs a worker, not Pool.map's 4.  Workers below 1 or above
+    MAX_WORKERS are a ValueError, raised before any fork."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     n = min(workers, len(jobs))

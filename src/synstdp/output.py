@@ -5,8 +5,9 @@ writes its bytes and names that directory in any OSError.  Floats are
 written as their repr, the shortest round-trip representation, so re-parsing
 reproduces the in-memory values exactly; row order is fixed (delta_t
 ascending, then epoch / state index), making output byte-stable.  The rows
-of all three CSV files come from the array formatter `_dtoa`, which writes
-the same bytes as repr, in blocks of at most 65,536 rows.
+of all three CSV files come from one block writer, `_rows`, over the array
+formatter `_dtoa`, which writes the same bytes as repr, in blocks of at most
+65,536 rows, all in the main process.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _dtoa
-from .montecarlo import StdpWindow, fan_out
+from .montecarlo import StdpWindow
 
 
 def _write(path: str | Path, blocks) -> Path:
@@ -40,8 +41,12 @@ _BLOCK = 65_536  # rows formatted at once, so that no array outgrows a few MB
 def _rows(columns: list):
     """The CSV rows of columns, in blocks of at most _BLOCK rows: a column is
     a bytes constant written on every row, or an array with one entry a row
-    (its floats' repr, its integers' digits), laid out by `_dtoa`."""
-    n = next(len(c) for c in columns if not isinstance(c, bytes))
+    (its floats' repr, its integers' digits), laid out by `_dtoa`.  Arrays
+    of different lengths are a ValueError that names them."""
+    lengths = [len(c) for c in columns if not isinstance(c, bytes)]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    n = lengths[0]
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         fields = []
@@ -53,27 +58,19 @@ def _rows(columns: list):
         yield _dtoa.rows(fields)
 
 
-def _offset_rows(job) -> bytes:
-    """The window.csv rows of one offset, job = (delta_t's repr, delta_g,
-    n_set, n_reset) with one entry per epoch."""
-    head, delta_g, n_set, n_reset = job
-    return b"".join(_rows([head, np.arange(len(delta_g)), delta_g, n_set, n_reset]))
-
-
-def write_window_csv(w: StdpWindow, out_dir: str | Path, workers: int = 1) -> dict[str, Path]:
+def write_window_csv(w: StdpWindow, out_dir: str | Path) -> dict[str, Path]:
     """Write window.csv (per-epoch outcomes), mean.csv (per-point stats) and
     states.csv (switching-count probabilities) into out_dir.
 
-    Each offset's window.csv rows are built as one bytes object and written
-    at once, so the whole file is never held in memory.  With workers > 1 a
-    pool builds them (`fan_out`), and they are written in grid order as they
-    arrive: the bytes do not depend on the worker count."""
+    window.csv is streamed offset by offset, each offset's rows in `_rows`
+    blocks, so the whole file is never held in memory."""
     out = Path(out_dir)
     heads = b"".join(_rows([w.delta_t])).splitlines()  # each offset's repr
-    jobs = [(head, w.delta_g[k], w.n_set[k], w.n_reset[k]) for k, head in enumerate(heads)]
-    with fan_out(_offset_rows, jobs, workers) as results:
-        paths = {"window": _write(out / "window.csv", chain(
-            [b"delta_t,epoch,delta_g_norm,n_set,n_reset\n"], results))}
+    epoch = np.arange(w.epochs)
+    paths = {"window": _write(out / "window.csv", chain(
+        [b"delta_t,epoch,delta_g_norm,n_set,n_reset\n"],
+        *(_rows([head, epoch, w.delta_g[k], w.n_set[k], w.n_reset[k]])
+          for k, head in enumerate(heads))))}
     mean = np.array([row.mean() for row in w.delta_g])
     std = np.array([row.std() for row in w.delta_g])
     paths["mean"] = _write(out / "mean.csv", chain(

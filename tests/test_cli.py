@@ -9,6 +9,7 @@ import pytest
 from synstdp.cli import main
 from synstdp.closedform import MAX_N
 from synstdp.energy import MAX_COUNT
+from tests.test_montecarlo import record_pools
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -257,8 +258,8 @@ def test_window_text_write_error_names_the_directory(tmp_path, quick_config, cap
 
 
 def test_window_bytes_do_not_depend_on_workers(tmp_path):
-    """A short noisy run on the delayed bank: the sweep and the window.csv
-    rows are computed by a pool at --workers 2 and in one process at 1."""
+    """A short noisy run on the delayed bank: the sweep is computed by a pool
+    at --workers 2 and in one process at 1."""
     config = CONFIGS.parent / "perfbench" / "configs" / "window_noise_w2.json"
     runs = {w: tmp_path / f"w{w}" for w in ("1", "2")}
     for workers, out in runs.items():
@@ -266,6 +267,15 @@ def test_window_bytes_do_not_depend_on_workers(tmp_path):
                      "--seed", "3", "--workers", workers]) == 0
     for name in ("window.csv", "mean.csv", "states.csv", "window.svg", "resolved-config.json"):
         assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name
+
+
+def test_window_starts_one_pool_for_the_sweep_only(tmp_path, quick_config, monkeypatch):
+    """--workers 2 forks one pool, for the sweep; the result files are
+    written by this process."""
+    started, _ = record_pools(monkeypatch)
+    assert main(["window", "--config", str(quick_config), "--out", str(tmp_path / "o"),
+                 "--workers", "2"]) == 0
+    assert started == [2]
 
 
 def test_rerun_from_resolved_config_gives_same_bytes(tmp_path):

@@ -217,14 +217,11 @@ def test_csv_writers_match_per_row_reference(tmp_path, name):
     assert path.read_bytes() == expected["states.csv"].encode()
 
 
-@pytest.mark.parametrize("name", sorted(EDGE_WINDOWS))
-def test_window_csv_from_a_pool_matches_per_row_reference(tmp_path, name):
-    """The rows of a two-process pool, written in grid order, are the
-    per-row reference's bytes (and so the one-process writer's)."""
-    w = _edge_window(*EDGE_WINDOWS[name])
-    write_window_csv(w, tmp_path, workers=2)
-    for file, text in _reference_csvs(w).items():
-        assert (tmp_path / file).read_bytes() == text.encode(), file
+def test_csv_columns_of_different_lengths_fail(tmp_path):
+    """Two offsets' states against one offset's delta_t: 3 rows of offsets,
+    6 of states, and no row is dropped without an error."""
+    with pytest.raises(ValueError, match=r"CSV columns differ in length: \[3, 6, 6\]"):
+        write_states_csv([0.0], np.full((2, 3), 1 / 3), tmp_path / "states.csv")
 
 
 def test_svg_deterministic_and_valid():

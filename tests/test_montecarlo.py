@@ -14,7 +14,6 @@ from synstdp import (DendriteBank, DeviceModel, InitPolicy, PairingGeometry, Spi
                      WindowConfig, all_branch_drives, analytic_window, parse_config,
                      reset_probability, run_window, set_probability, state_distribution)
 from synstdp.montecarlo import INIT_KINDS, _point_stream
-from synstdp.output import write_window_csv
 from synstdp.validate import enumerate_pmf, mc_outliers
 from tests.test_device import phi
 
@@ -51,8 +50,9 @@ def test_state_distribution_normalization_and_validation():
     for _ in range(50):
         ps = rng.random(16)
         assert abs(state_distribution(ps).sum() - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        state_distribution([0.5, 1.5])
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [np.nan, 0.5], [[0.5], [np.nan]]):
+        with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+            state_distribution(bad)
     with pytest.raises(ValueError):
         state_distribution(0.5)
 
@@ -216,27 +216,29 @@ def test_workers_do_not_change_results():
 
 
 def test_more_workers_than_the_bound_fail_before_any_pool(monkeypatch):
-    """No process is started: the bound is checked before the pool is made."""
+    """No process is started: the bounds are checked before the pool is made,
+    also where one job or none would need no pool."""
     def no_pool(method):
         raise AssertionError("a pool was asked for")
 
     monkeypatch.setattr(montecarlo, "get_context", no_pool)
     over = montecarlo.MAX_WORKERS + 1
-    for jobs in ([], [1], [1, 2, 3]):
-        with pytest.raises(ValueError, match=f"workers must be at most 256, got {over}"):
-            with montecarlo.fan_out(abs, jobs, over):
-                pass
-    with pytest.raises(ValueError, match="workers must be at most"):
-        run_window(small_config(epochs=5), workers=over)
+    for workers, message in ((over, f"at most 256, got {over}"),
+                             (0, "at least 1, got 0"), (-3, "at least 1, got -3")):
+        for jobs in ([], [1], [1, 2, 3]):
+            with pytest.raises(ValueError, match=f"workers must be {message}"):
+                with montecarlo.fan_out(abs, jobs, workers):
+                    pass
+        with pytest.raises(ValueError, match=f"workers must be {message}"):
+            run_window(small_config(epochs=5), workers=workers)
 
 
-def test_pool_is_capped_at_one_worker_per_point(monkeypatch, tmp_path):
-    """Both fan-outs, the sweep's and window.csv's rows, go through one pool
-    of at most one worker per job, handing out runs of ceil(jobs / (8 n))
-    jobs, and give the serial results."""
+def record_pools(monkeypatch):
+    """(started, chunks): each fork pool's process count and each imap's
+    chunk size, from here on; the pools run their jobs in this process."""
     started, chunks = [], []
 
-    class RecordingPool:  # runs the jobs in this process
+    class RecordingPool:
         def __init__(self, processes):
             started.append(processes)
 
@@ -252,6 +254,13 @@ def test_pool_is_capped_at_one_worker_per_point(monkeypatch, tmp_path):
 
     monkeypatch.setattr(montecarlo, "get_context",
                         lambda method: SimpleNamespace(Pool=RecordingPool))
+    return started, chunks
+
+
+def test_pool_is_capped_at_one_worker_per_point(monkeypatch):
+    """The sweep's pool has at most one worker per job, hands out runs of
+    ceil(jobs / (8 n)) jobs, and gives the serial results."""
+    started, chunks = record_pools(monkeypatch)
     three = WindowConfig(geometry=make_geometry(), delta_t_min=-1.0, delta_t_max=1.0,
                          delta_t_step=1.0, epochs=5, seed=1)
     w = run_window(three, workers=64)
@@ -263,13 +272,7 @@ def test_pool_is_capped_at_one_worker_per_point(monkeypatch, tmp_path):
                        delta_t_step=5.0, epochs=5, seed=1)
     run_window(one, workers=8)
     assert started == [3, 2]  # a single point runs without a pool
-    write_window_csv(w, tmp_path / "pooled", workers=64)
-    assert started == [3, 2, 3]
-    write_window_csv(w, tmp_path / "serial", workers=1)
-    assert started == [3, 2, 3]
-    for name in ("window.csv", "mean.csv", "states.csv"):
-        assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
-    assert chunks == [1, 1, 1]  # 3 jobs at 64 workers, 13 at 2, 3 at 64
+    assert chunks == [1, 1]  # 3 jobs at 64 workers, 13 at 2
     for jobs, workers, chunk in ((121, 2, 8), (121, 16, 1), (121, 3, 6), (3, 64, 1)):
         with montecarlo.fan_out(abs, list(range(jobs)), workers) as results:
             assert list(results) == list(range(jobs))
