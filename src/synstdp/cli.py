@@ -90,12 +90,18 @@ def _load_run_config(path: Path | None):
     return load_config(path) if path is not None else default_config()
 
 
-def _cmd_window(args) -> int:
-    for flag, value, least in (("--workers", args.workers, 1), ("--epochs", args.epochs, 1),
-                               ("--seed", args.seed, 0)):
+def _check_counts(*flags) -> None:
+    """A ConfigError naming the flag of each (flag, value, least) whose value
+    is given and below least (1 or 0)."""
+    for flag, value, least in flags:
         if value is not None and value < least:
             kind = "positive" if least else "non-negative"
             raise ConfigError(f"{flag} must be a {kind} integer, got {value}")
+
+
+def _cmd_window(args) -> int:
+    _check_counts(("--workers", args.workers, 1), ("--epochs", args.epochs, 1),
+                  ("--seed", args.seed, 0))
     if args.workers > MAX_WORKERS:
         raise ConfigError(f"--workers must be at most {MAX_WORKERS}, got {args.workers}")
     cfg = _load_run_config(args.config)
@@ -183,6 +189,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    _check_counts(("--epochs", args.epochs, 1))
     checks = run_all(epochs=args.epochs)
     print(render_report(checks))
     return 0 if all(c.passed for c in checks) else 1

@@ -15,7 +15,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .device import switch_draws
+from .device import DeviceModel, switch_draws
 from .pairing import PairingGeometry, branch_drives, candidate_tables
 from .waveforms import MAX_TIME, MIN_TIME
 
@@ -194,30 +194,42 @@ def _node_drives(g: PairingGeometry, table):
 
 
 def _transitions(s, r, reset_later):
-    """Pairing rule of one device, from its SET attempt s and RESET attempt r:
-    the attempts act in the time order of their peaks, RESET winning a tie.
-    Returns (both, set_then_reset, up, down): both attempts succeed; both
-    succeed with RESET last; the device ends ON from OFF (up); it ends OFF
-    from ON (down).  On 0/1 indicators these are indicators; the rule is linear
-    in each attempt, so on independent probabilities they are the exact
-    probabilities of the same events."""
+    """Pairing rule of one device, from the probabilities s and r that its SET
+    and RESET attempts succeed, independently: the attempts act in the time
+    order of their peaks, RESET winning a tie.  Returns (both, set_then_reset,
+    up, down): both attempts succeed; both succeed with RESET last; the device
+    ends ON from OFF (up); it ends OFF from ON (down).  The rule is linear in
+    each attempt, so these are the exact probabilities of the events (at 0/1
+    attempts, their indicators); the sampler and the analytic layer read them
+    through `_odds`."""
     both = s * r
     set_then_reset = both * reset_later
     return both, set_then_reset, s - set_then_reset, r - (both - set_then_reset)
 
 
+def _odds(drive):
+    """(a, c) of a device by its start state, arrays of shape (2, ..., n): row
+    0 for a device that starts OFF, row 1 for one that starts ON.  c is the
+    chance that its first attempt counts (a SET from OFF, p_set; a RESET from
+    ON, p_reset), and a <= c the chance that it then ends in the other state
+    (`up`, `down` of `_transitions`): with chance b = c - a the second attempt
+    comes later and undoes the first."""
+    _, _, up, down = _transitions(drive.p_set, drive.p_reset, drive.reset_later)
+    return np.stack([up, down]), np.stack([drive.p_set, drive.p_reset])
+
+
 def _analytic_and_states(cfg: WindowConfig, delta_t: float, drive, weights):
     """Mean conductance change and switching-count pmf of one offset from
     (n,) or (nodes, n) drives: a device starting ON with probability q switches
-    with probability (1 - q) up + q down of `_transitions`.  Each node's starts
+    with probability (1 - q) a_off + q a_on of `_odds`.  Each node's starts
     are averaged, then the nodes are summed as a running sum from +0.0: the
     order the output bytes are pinned to (a pairwise np.sum or the compensated
     builtin sum of Python >= 3.12 changes them)."""
     starts = _start_on(cfg.init_policy, delta_t)
     q = np.array(starts)[:, None, None]  # (starts, 1, 1) against (nodes, n)
-    _, _, up, down = _transitions(drive.p_set, drive.p_reset, drive.reset_later)
-    switch_on = (1.0 - q) * np.atleast_2d(up)  # starts OFF, ends ON
-    switch_off = q * np.atleast_2d(down)  # starts ON, ends OFF
+    a, _ = _odds(drive)
+    switch_on = (1.0 - q) * np.atleast_2d(a[0])  # starts OFF, ends ON
+    switch_off = q * np.atleast_2d(a[1])  # starts ON, ends OFF
     off_step = cfg.geometry.device.g_on_mean - cfg.geometry.device.g_off_norm
     change = (switch_on - switch_off).sum(axis=-1).sum(axis=0)
     pmf = state_distribution(switch_on + switch_off).sum(axis=0)
@@ -239,13 +251,87 @@ def analytic_window(cfg: WindowConfig):
 
 
 def _initial_on(cfg: WindowConfig, delta_t: float, epochs: int, n: int, stream):
-    """Start states of the offset's devices, branch-major (n, epochs)."""
+    """Start states of the offset's devices: a bool when every device starts
+    in the same state, else a branch-major (n, epochs) bool array.  Random
+    init draws its n x epochs uniforms at any q."""
     starts = _start_on(cfg.init_policy, delta_t)
     if cfg.init_policy.kind == "random":
-        return stream.random((n, epochs)) < starts[0]
-    # q is 0 or 1 here; epoch e starts as starts[e % len(starts)]
-    on = np.array(starts, dtype=bool)[np.arange(epochs) % len(starts)]
-    return np.broadcast_to(on, (n, epochs))
+        on = stream.random((n, epochs)) < starts[0]
+        return on if 0.0 < starts[0] < 1.0 else bool(starts[0])
+    if len(starts) == 1:
+        return bool(starts[0])
+    # split init at delta_t = 0: epoch e starts as starts[e % 2]
+    return np.broadcast_to(np.array(starts, dtype=bool)[np.arange(epochs) % 2], (n, epochs))
+
+
+def _fixed_odds_attempts(drive, on, stream, epochs: int):
+    """(event, switched, on) of the live branches, (rows, epochs) each, under
+    the offset's fixed odds: one uniform u per device-epoch of a live branch,
+    in branch-major order, with event = u < c and switched = u < a, (a, c) of
+    `_odds` for the device's start state.  A branch is live where c > 0 for a
+    start state its devices can have; the others draw nothing."""
+    a, c = _odds(drive)
+    if isinstance(on, bool):  # one start state: a threshold per row, no select
+        a, c = a[int(on)], c[int(on)]
+        live = np.flatnonzero(c)
+        u = stream.random((live.size, epochs))
+        return u < c[live, None], u < a[live, None], on
+    live = np.flatnonzero(c.any(axis=0))
+    on = on[live]
+    a, c = a[:, live, None], c[:, live, None]
+    u = stream.random(on.shape)
+    return u < np.where(on, c[1], c[0]), u < np.where(on, a[1], a[0]), on
+
+
+def _noisy_attempts(m: DeviceModel, drive, on, stream):
+    """(event, switched, on) of every branch, (n, epochs) each, under per-epoch
+    drives: a SET and a RESET uniform per device-epoch (`switch_draws`), all
+    SET uniforms first; event is the first attempt from the start state, and
+    a device switches unless the other attempt comes later and succeeds."""
+    # (epochs, n) views of branch-major memory: contiguous (n, epochs) rows
+    v_max, v_min, later = drive.v_max.T, drive.v_min.T, drive.reset_later.T
+    u_set = stream.random(v_max.shape)
+    u_reset = stream.random(v_max.shape)
+    s = switch_draws(m, u_set, v_max, 1)
+    r = switch_draws(m, u_reset, v_min, -1)
+    if isinstance(on, bool):
+        event, undo = (r, s & ~later) if on else (s, r & later)
+    else:
+        event, undo = np.where(on, r, s), np.where(on, s & ~later, r & later)
+    return event, event & ~undo, on
+
+
+def _tally(m: DeviceModel, stream, event, switched, on):
+    """(delta_g, n_set, n_reset) of an offset from its (rows, epochs) bool
+    outcomes: event, the first attempt from the start state counted (a SET
+    from OFF, a RESET from ON); switched, the device ends in the other state;
+    on, the start state, one bool or one per entry.  A device whose first
+    attempt counted and that did not switch was switched back by the second,
+    so an epoch has n_set = events - downs and n_reset = events - ups.  Each
+    switched device draws its ON conductance, in flat (branch-major) order,
+    and steps by it up from OFF or down from ON; an epoch's delta_g sums its
+    steps from 0.0 in branch order."""
+    epochs = event.shape[1]
+    n_event = event.sum(axis=0, dtype=np.int32)
+    n_switched = switched.sum(axis=0, dtype=np.int32)
+    if isinstance(on, bool):
+        n_down = n_switched if on else 0
+    else:
+        n_down = (switched & on).sum(axis=0, dtype=np.int32)
+    n_set, n_reset = n_event - n_down, n_event - (n_switched - n_down)
+    # a row's switched devices are a run of the flat indices: the epoch of
+    # each is its index less the row's start (cheaper than a modulo)
+    row_runs = switched.sum(axis=1)
+    flat = np.flatnonzero(switched)
+    epoch = flat - np.repeat(np.arange(0, row_runs.size * epochs, epochs), row_runs)
+    step = _lrs_draws(stream, m.sigma_lrs, flat.size) - m.g_off_norm
+    if not isinstance(on, bool):
+        step *= 1 - 2 * on.ravel()[flat].view(np.int8)
+    elif on:
+        np.negative(step, out=step)
+    # float64 also where no device switches (bincount over no weights is int64)
+    delta_g = np.bincount(epoch, weights=step, minlength=epochs).astype(float, copy=False)
+    return delta_g, n_set, n_reset
 
 
 def _lrs_draws(stream, sigma_lrs: float, shape) -> np.ndarray:
@@ -269,43 +355,22 @@ def _compute_point(cfg: WindowConfig, point: tuple[int, float]):
     n, epochs = g.bank.n, cfg.epochs
     stream = _point_stream(cfg.seed, k)
 
-    # fixed draw order, branch-major (n, epochs): amplitude noise (the pre
-    # scales, then the post scales), random init, SET, RESET; the LRS draws
-    # come last, one per switched device
+    # fixed draw order: amplitude noise (the pre scales, then the post
+    # scales), random init, the attempts' uniforms, branch-major; the LRS
+    # draws come last, one per switched device
     if g.amp_noise_sigma > 0.0:
         scales = stream.normal(1.0, g.amp_noise_sigma, (2, epochs))
     on = _initial_on(cfg, delta_t, epochs, n, stream)
-    u_set = stream.random((n, epochs))
-    u_reset = stream.random((n, epochs))
 
     # the offset's table feeds both the sampler and the analytic expectation;
     # without noise the single node's (n,) drive is the sampler's drive
     table = candidate_tables(g, delta_t)
     nodes = _node_drives(g, table)
-    drive = branch_drives(g, table, *scales) if g.amp_noise_sigma > 0.0 else nodes[0]
-    # contiguous (n, epochs) rows with noise, (n, 1) without
-    v_max, v_min, later = (np.atleast_2d(x).T for x in
-                           (drive.v_max, drive.v_min, drive.reset_later))
-    s = switch_draws(g.device, u_set, v_max, 1).view(np.uint8)
-    r = switch_draws(g.device, u_reset, v_min, -1).view(np.uint8)
-    both, set_then_reset, up, down = _transitions(s, r, later)
-    # the start state weighs the outcomes as 0/1 integers: a select (np.where)
-    # or a bool-to-float cast costs a branch per entry on random data
-    on = on.view(np.uint8)
-    off = 1 - on
-    n_set = (off * s + on * (both - set_then_reset)).sum(axis=0, dtype=np.int32)
-    n_reset = (off * set_then_reset + on * r).sum(axis=0, dtype=np.int32)
-
-    # each switched device draws its ON conductance, in flat (branch-major)
-    # order, and steps by it up from OFF or down from ON; an epoch's delta_g
-    # sums its steps from 0.0 in branch order
-    switched = np.flatnonzero((off * up + on * down).view(bool))
-    step = _lrs_draws(stream, g.device.sigma_lrs, switched.size) - g.device.g_off_norm
-    step *= 1 - 2 * on.ravel()[switched].view(np.int8)
-    # float64 also where no device switches (bincount over no weights is int64)
-    delta_g = np.bincount(switched % epochs, weights=step, minlength=epochs).astype(
-        float, copy=False)
-
+    if g.amp_noise_sigma > 0.0:
+        attempts = _noisy_attempts(g.device, branch_drives(g, table, *scales), on, stream)
+    else:
+        attempts = _fixed_odds_attempts(nodes[0], on, stream, epochs)
+    delta_g, n_set, n_reset = _tally(g.device, stream, *attempts)
     analytic, states = _analytic_and_states(cfg, delta_t, *nodes)
     return delta_g, n_set, n_reset, analytic, states
 

@@ -294,6 +294,14 @@ def test_missing_config_file_fails(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("epochs", ["0", "-4"])
+def test_validate_rejects_bad_epochs_naming_the_flag(capsys, epochs):
+    assert main(["validate", "--epochs", epochs]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: --epochs must be a positive integer, got {epochs}\n")
+
+
 def test_validate_subcommand_quick(capsys):
     assert main(["validate", "--epochs", "400"]) == 0
     out = capsys.readouterr().out

@@ -62,43 +62,43 @@ CASES = {
 
 GOLDEN = {
     "fig4b": {
-        "window.csv": "a860156932ce9cd7d67bd2742cd88d77cc952e25d5a6ae82ae26bc4cbf29dc88",
-        "mean.csv": "ef20e650d9c99d1f5d9a13a1d9f434859546a448f78e52b8610c758281096622",
+        "window.csv": "017b1b23dc2ed11d8a159746cd55d4481d4b07c79477fa6b9648fc369457c411",
+        "mean.csv": "e5cfd78dc9137cf3d88c8fdb1b1838bfa4250cdace866e4ef8594a0d700f77e3",
         "states.csv": "09c6709db35e70ca327c4db49a66f6a531fc06f21604e284ece39240093ba1e3",
     },
     "fig4d": {
-        "window.csv": "a6fdb7e745ae53e3c8ef1f3745c398fdd2df4cc913937132b4bc83f485df8772",
-        "mean.csv": "2e6350e1998d01d11a94ea019620a4c83729a37bcbe2d51b1c5d31ef91b77a14",
+        "window.csv": "1a4c046cf6932f755f791745890db8cb70543cfff7a78172692424962aa0566d",
+        "mean.csv": "4ee315a7729ed51456f5ea50c45539ddbd62e364b1cc7945ab94e7174864bb26",
         "states.csv": "464b8ba78c74efd0b2300fd46c910eaef10d68ff85b62ca2998edc57e3f16d47",
     },
     "fig7_delay": {
-        "window.csv": "49a0633e645d75de210ecf10c887a8d964e93c712b84386804f34ad4d102d93f",
-        "mean.csv": "1a3b225125035747b179f45b0060df55bdf4f321dabe6cb0edf0b862a0f2b697",
+        "window.csv": "fc08c750110310e7cb8917a71be3396d1dabba4bbdde17c296fbcc9fc7d093d0",
+        "mean.csv": "7c1e18a33fa21c7d3c6afedd4b2f9df7986eaa919a64404968ef91d53a078574",
         "states.csv": "45d2e597b8263e53e70f04410c957a984c962082f7a8d36d8a6760cb37217134",
     },
     "hrht": {
-        "window.csv": "4b816c8f499a4ceaa93ce2f0a12ba4af4d69248e724fe3cd8fe2ac95d6a4a529",
-        "mean.csv": "b921822d142f1cb686a47516d79a7fee1e5440ae170b70fcc14109507a94776c",
+        "window.csv": "1c90911c5b0b2bd36f80c22a1e9f4b70b2c6c1287c3c9fa9fc51c289a1bfe9d6",
+        "mean.csv": "85853e1427e2dd2c30de9c9a98b2509b020278cc9f3554bac2b5798f0fe8b04a",
         "states.csv": "412b91df60f5ffd7046fe3d261c573da4929280802a67d7e371190f14688a8bf",
     },
     "rect": {
-        "window.csv": "81e865139f69d62722768179b13f72d83606aed5f57e3e96d3c7013fc7b8ba0d",
-        "mean.csv": "7e2dec866b74f61f9106a50087e58c54cc9ec226b60a84159ba2a351caf4c57f",
+        "window.csv": "51783a3322da5b2b954ac6fdc76bd40400931cc1ea872aebcef56e17811e4fc2",
+        "mean.csv": "f648f979869ebc618cb88820275db67fbbd2aa2c32835de8f049fe2b87482c8d",
         "states.csv": "91e8e9a67ec16c48b4b2e61f4b257322129ab1d37d7eee11c17bdd7084e03a40",
     },
     "sawtooth": {
-        "window.csv": "14eba3117926b320e136bbc97f2b2641b640dcac90cb14f7664825dcce67a3ee",
-        "mean.csv": "c9aabef1260600020a5f7bc6504ccaaf699b9c597ef77fd3b553d5aeae25793b",
+        "window.csv": "16c258af5758a41efdb403285e371d054f568c2ed4b38114605c0649ab7539ba",
+        "mean.csv": "a75e0021f96c52d08b16227e613174c71bd74c842b6913dbd7593292872b3d02",
         "states.csv": "f97926534ed744cca25f36570bbffd397e0b5b5d4906ce38a9ba6ee5b7c7856b",
     },
     "dexp": {
-        "window.csv": "b17680881dff26d47d4532358d7700e29c21f53c5ae10345f73e53adb065137a",
-        "mean.csv": "e69e55b3576ccfa343f52126e24dddf97f8b09ec8f7dfc404c5a23087d880edd",
+        "window.csv": "9abd6b7b84ddf9b8782937465bf5bffc1e8801b5f171b5b254627641317a2429",
+        "mean.csv": "3ee70b14947f3fddeca49aa8f10a8210970c7c020adc55214f1d0521765e5bd7",
         "states.csv": "7d172c9ced064e6c3a5c26afdba7c42b4b28c830167e35717a1be570a177bd87",
     },
     "bio": {
-        "window.csv": "139fa23990c8e8c9a93d73ddda1a3731300d66797d6f003cc049baf72f529647",
-        "mean.csv": "a5a5b92250110ea2363d19f036561f7108b9dfa324e862e18436913b083cb61a",
+        "window.csv": "5d8d0efd3b4dd2e2f2762f7598ad2800a0d48f2ebb1ab60c07fe02c4eca48b95",
+        "mean.csv": "a937fb3b22086a1600f9bc796d832725d683dfec92257228e826ea2135ad487d",
         "states.csv": "8d6aeea837a7b43effdf7e510af5ef08e86711fd53a562b524d964ce368d6fc2",
     },
     "dexp_noise": {
@@ -117,18 +117,18 @@ GOLDEN = {
         "states.csv": "4856e0cfbbaa4dd3c55b4b0663fc35f2506a96795be1427b4a555f71fb8731fc",
     },
     "random_q05": {
-        "window.csv": "a3e923883f59c22a529f4393f5eb6fe21065801fc6d500e568a24a16fef90083",
-        "mean.csv": "7811bfc98959168f9f1131693bbf3dc90cb2d32e9fcd42373dd2fd3e56513f40",
+        "window.csv": "7ba86d97c6694b1c767d14698bb6d8bced5fe36a684dd4c5532836c87309efb3",
+        "mean.csv": "d81637fa3f08d2a6e43189476263f96b5c2533050e23bc6c975a34cc6ae16ec7",
         "states.csv": "d92f901b5bbc87fad9e4cc92fb405c1845d79a54ac6512896ef4f4f791067c8c",
     },
     "linear_all_off": {
-        "window.csv": "695eea80885eb885db5b1d98a563dc78c3b31d8963312f10b0878462e3038c00",
-        "mean.csv": "96ae0c8e49dee3c5d69ec91df68f0481ac35a639d5b3753df49e1a43fa7074d0",
+        "window.csv": "59db8ac52bbc3534d997cfa9aa1ee3f0094d3c7a41706178eeb3fef51b070651",
+        "mean.csv": "a919612d05509b7a7dede8d7ff08d5b411f2ae6d38ae991169b52c1d53083d2a",
         "states.csv": "92d464d4c476a8e34d399633e821d50b798f9c583a1c8b2540dfb1dd8514f14b",
     },
     "all_on": {
-        "window.csv": "a761c14c946187e6b4af9716e9d8c798043b6b0aa7099ac1b41bff0a09fd686c",
-        "mean.csv": "4f8f1ee04288830db77de959a97e38e94573867db3268d79ad1368df53e57588",
+        "window.csv": "9070fd5553ab6ff22e5d06684e1b1cac51c53501ba83728d82f0746a2241202b",
+        "mean.csv": "c1aa34c3b67de69e29ca5b1a173822247a3177f66f9d5f92c6d66960ad5d6ffd",
         "states.csv": "16ece59c49d0fc0c1a37d8b0de3d9bc14b5a95442a7fb70d91e38dbb579ac895",
     },
     "random_q025_noise": {

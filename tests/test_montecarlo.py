@@ -404,44 +404,83 @@ def test_distinct_post_waveform():
 # ---------------------------------------------------------------- draw contract
 
 def replay_offset(cfg, k, delta_t):
-    """Sequential oracle of grid point k: its stream's draws in contract order
-    (noise (2, E): pre scales, then post scales; random init, u_set and
-    u_reset, each branch-major (n, E)); each device's SET and RESET attempt
-    applied in the drive's order; then one N(1, sigma_lrs)
-    ON conductance per switched device, in branch-major order, with each
-    nonpositive one redrawn in turn until none is left.  An epoch's delta_g
-    is the running sum, from 0.0 in branch order, of +(g_on - g_off) for a
-    device that ended ON and -(g_on - g_off) for one that ended OFF.
-    Returns (delta_g, n_set, n_reset, the stream after its last draw, the
-    ON conductances drawn, the number of redraws, each epoch's count of
-    switched devices)."""
+    """Sequential oracle of grid point k: its stream's draws in contract order.
+    - Amplitude noise: the (2, E) scales, pre then post.
+    - Random init: (n, E) uniforms, branch-major; a device starts ON where
+      u < q.  Split init starts OFF at a positive offset, ON at a negative
+      one, and alternates OFF, ON, ... over the epochs at 0.
+    - With noise (per-epoch odds): the SET uniforms, then the RESET
+      uniforms, (n, E) each, branch-major; each device's two attempts are
+      applied in the drive's order by `replay_device`.
+    - Without noise (fixed odds): branch by branch, E uniforms for a live
+      branch and none for a dead one.  A device's first attempt from its
+      start state (SET from OFF, RESET from ON) counts with chance c (p_set
+      or p_reset); the other attempt undoes it, with chance b = p_set p_reset,
+      when it comes later.  So u < a = c - b switches the device, a <= u < c
+      counts both attempts and switches nothing, and u >= c counts none.  A
+      branch is dead when c = 0 for every start state its devices can have.
+    - Then one N(1, sigma_lrs) ON conductance per switched device, in
+      branch-major order, with each nonpositive one redrawn in turn until none
+      is left.
+    An epoch's delta_g is the running sum, from 0.0 in branch order, of
+    +(g_on - g_off) for a device that ended ON and -(g_on - g_off) for one
+    that ended OFF.  Returns a namespace of delta_g, n_set, n_reset, the
+    stream after its last draw, the ON conductances drawn, the number of
+    redraws, each epoch's count of switched devices (switches) and the
+    number of dead branches (0 with noise)."""
     g, (n, E) = cfg.geometry, (cfg.geometry.bank.n, cfg.epochs)
     stream, sigma, sigma_lrs = _point_stream(cfg.seed, k), g.amp_noise_sigma, g.device.sigma_lrs
-    scales = stream.normal(1.0, sigma, (2, E)) if sigma > 0.0 else np.ones((2, E))
-    if cfg.init_policy.kind == "random":
-        on0 = stream.random((n, E)) < cfg.init_policy.q
+    if sigma > 0.0:
+        scales = stream.normal(1.0, sigma, (2, E))
+    policy = cfg.init_policy
+    if policy.kind == "random":
+        on0 = stream.random((n, E)) < policy.q
+        mixed = 0.0 < policy.q < 1.0
+    elif policy.kind == "split" and delta_t == 0.0:
+        on0 = np.tile(np.arange(E) % 2 == 1, (n, 1))
+        mixed = True
     else:
-        on0 = np.full((n, E), cfg.init_policy.kind == "all_on")
-    u_set, u_reset = stream.random((n, E)), stream.random((n, E))
-    n_set, n_reset, switched = np.zeros(E, int), np.zeros(E, int), []
+        on0 = np.full((n, E), policy.kind == "all_on" or (policy.kind == "split" and delta_t < 0))
+        mixed = False
+    n_set, n_reset, switched, dead = np.zeros(E, int), np.zeros(E, int), [], 0
 
     def odds(drives):  # the law once per polarity over the bank's peaks
         v_max, v_min = np.array([(d.v_max, d.v_min) for d in drives]).T
         return (set_probability(g.device, v_max), reset_probability(g.device, v_min),
                 [d.reset_later for d in drives])
 
-    unscaled = odds(all_branch_drives(g, delta_t))
-    per_epoch = [odds(all_branch_drives(g, delta_t, *scales[:, e])) if sigma > 0.0 else unscaled
-                 for e in range(E)]
-    for i in range(n):
-        for e in range(E):
-            p_set, p_reset, reset_later = per_epoch[e]
-            on, sets, resets = replay_device(bool(on0[i, e]), u_set[i, e] < p_set[i],
-                                             u_reset[i, e] < p_reset[i], reset_later[i])
-            n_set[e] += sets
-            n_reset[e] += resets
-            if on != on0[i, e]:
-                switched.append((e, 1.0 if on else -1.0))
+    def count(i, e, on, sets, resets):  # device i of epoch e ends ON if on
+        n_set[e] += sets
+        n_reset[e] += resets
+        if on != on0[i, e]:
+            switched.append((e, 1.0 if on else -1.0))
+
+    if sigma > 0.0:
+        u_set, u_reset = stream.random((n, E)), stream.random((n, E))
+        per_epoch = [odds(all_branch_drives(g, delta_t, *scales[:, e])) for e in range(E)]
+        for i in range(n):
+            for e in range(E):
+                p_set, p_reset, reset_later = per_epoch[e]
+                count(i, e, *replay_device(bool(on0[i, e]), u_set[i, e] < p_set[i],
+                                           u_reset[i, e] < p_reset[i], reset_later[i]))
+    else:
+        p_set, p_reset, reset_later = odds(all_branch_drives(g, delta_t))
+        for i in range(n):
+            first = {False: p_set[i], True: p_reset[i]}  # c by start state
+            undo = {False: p_set[i] * p_reset[i] if reset_later[i] else 0.0,
+                    True: 0.0 if reset_later[i] else p_set[i] * p_reset[i]}  # b
+            starts = {False, True} if mixed else {bool(on0[i, 0])}
+            if not any(first[on] > 0.0 for on in starts):
+                dead += 1
+                continue
+            u = stream.random(E)
+            for e in range(E):
+                on = bool(on0[i, e])
+                c, a = first[on], first[on] - undo[on]
+                if u[e] < a:  # the first attempt counts and stands
+                    count(i, e, not on, int(not on), int(on))
+                elif u[e] < c:  # both count, the second undoing the first
+                    count(i, e, on, 1, 1)
     g_on = [stream.normal(1.0, sigma_lrs) if sigma_lrs > 0.0 else 1.0 for _ in switched]
     redraws = 0
     while bad := [j for j, x in enumerate(g_on) if x <= 0.0]:
@@ -452,7 +491,8 @@ def replay_offset(cfg, k, delta_t):
     for (e, sign), x in zip(switched, g_on):
         dg[e] += sign * (x - g.device.g_off_norm)
     switches = np.bincount([e for e, _ in switched], minlength=E)
-    return np.array(dg), n_set, n_reset, stream, g_on, redraws, switches
+    return SimpleNamespace(delta_g=np.array(dg), n_set=n_set, n_reset=n_reset, stream=stream,
+                           g_on=g_on, redraws=redraws, switches=switches, dead=dead)
 
 
 def replay_device(on, set_ok, reset_ok, reset_later):
@@ -495,6 +535,14 @@ ORACLE_CASES = {  # config patch, expected (n_set, n_reset) of every epoch
     # about 2 % of the raw ON conductance draws are nonpositive and redrawn
     "lrs_redraw": ({"device": {"sigma_lrs": 0.49},
                     "simulation": {**ORACLE_GRID, "init_policy": {"random": {"q": 0.5}}}}, None),
+    # the linear law's odds are exactly 0 below threshold: at 4.5 only 7 of
+    # the 16 branches are live, and the other 9 draw nothing
+    "dead_branches": ({"device": {"prob_model": {"linear": {"gamma": 2.0}}},
+                       "simulation": {**ORACLE_GRID, "init_policy": "all_off"}}, None),
+    # split init on a delay bank with lone-spike candidates: at 0 the epochs
+    # alternate OFF and ON starts, and 16 branches can SET, 15 RESET
+    "split_through_zero": ({"dendrites": {"delay_max": 1.0},
+                            "simulation": {**ORACLE_GRID, "pair_only": False}}, None),
 }
 
 
@@ -510,17 +558,25 @@ def test_sequential_oracle_matches_run_window(name, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_point_stream", recording_stream)
     w = run_window(cfg, workers=1)
-    redraws = 0
+    redraws, dead = 0, {}
     for k, dt in enumerate(w.delta_t.tolist()):
-        dg, n_set, n_reset, stream, g_on, redrawn, _ = replay_offset(cfg, k, dt)
-        assert np.array_equal(n_set, w.n_set[k]) and np.array_equal(n_reset, w.n_reset[k]), dt
-        assert np.array_equal(dg, w.delta_g[k]), dt
-        # the sampler's stream ends where the oracle's does: no draw missing or extra
-        assert stream.bit_generator.state == streams[k].bit_generator.state, dt
-        assert all(x > 0.0 for x in g_on), dt
-        redraws += redrawn
+        replay = replay_offset(cfg, k, dt)
+        assert np.array_equal(replay.n_set, w.n_set[k]), dt
+        assert np.array_equal(replay.n_reset, w.n_reset[k]), dt
+        assert np.array_equal(replay.delta_g, w.delta_g[k]), dt
+        # the sampler's stream ends where the oracle's does: no draw missing or
+        # extra, so none for a dead branch
+        assert replay.stream.bit_generator.state == streams[k].bit_generator.state, dt
+        assert all(x > 0.0 for x in replay.g_on), dt
+        redraws += replay.redraws
+        dead[dt] = replay.dead
     assert w.max_abs_delta_g <= w.delta_g_bound
     assert (redraws > 0) == (name == "lrs_redraw")
+    if name == "dead_branches":
+        assert dead[4.5] == 9
+    if name == "split_through_zero":
+        k0 = w.delta_t.tolist().index(0.0)
+        assert dead[0.0] == 0 and w.n_set[k0].any() and w.n_reset[k0].any()
     if expect is not None:
         assert np.all(w.n_set == expect[0]) and np.all(w.n_reset == expect[1])
 
@@ -538,7 +594,7 @@ def test_transitions_corners_match_sequential_rule(start_on, s, r, order):
     both, set_then_reset, up, down = montecarlo._transitions(
         np.uint8(s), np.uint8(r), np.bool_(reset_later))
     on, n_set, n_reset = replay_device(bool(start_on), bool(s), bool(r), reset_later)
-    if start_on:  # the sampler's tally of a device that starts ON
+    if start_on:  # at 0/1 attempts the law's events indicate the rule's outcome
         assert (1 - down, both - set_then_reset, r) == (on, n_set, n_reset)
     else:
         assert (up, s, set_then_reset) == (on, n_set, n_reset)
@@ -577,6 +633,55 @@ def test_mc_matches_analytic_when_both_attempts_fire(name):
     cfg = parse_config({**patch, "simulation": sim}).window
     w = run_window(cfg).validate()
     assert mc_outliers(w) == []
+
+
+def expected_counts(cfg, delta_t) -> tuple[float, float]:
+    """Exact (E[n_set], E[n_reset]) of an epoch at delta_t, summed over the
+    branches: a device that starts OFF SETs with chance c = p_set, then
+    RESETs with chance b = p_set p_reset if RESET comes later; one that
+    starts ON RESETs with chance p_reset, then SETs with chance p_set p_reset
+    if SET comes later.  The start states mix as the init policy says."""
+    drives = all_branch_drives(cfg.geometry, delta_t)
+    p_set, p_reset = (np.array([getattr(d, f) for d in drives]) for f in ("p_set", "p_reset"))
+    later = np.array([d.reset_later for d in drives])
+    policy = cfg.init_policy
+    q = {"random": policy.q, "all_on": 1.0, "all_off": 0.0,
+         "split": 0.5 if delta_t == 0.0 else float(delta_t < 0.0)}[policy.kind]
+    both = p_set * p_reset
+    return (float(((1.0 - q) * p_set + q * both * ~later).sum()),
+            float(((1.0 - q) * both * later + q * p_reset).sum()))
+
+
+# fig4d's pair_only peaks almost never let both attempts fire (the b odds sum
+# to 1.5e-8 over its grid), so the lone-spike case is the one where an
+# attempt undone by the other carries weight (b sums to 62 from OFF, 20 from ON)
+COUNT_CASES = {"fig4d": {}, "all_on": {"init_policy": "all_on"},
+               "random_q025": {"init_policy": {"random": {"q": 0.25}}},
+               "lone_spikes_random_q025": {"pair_only": False,
+                                           "init_policy": {"random": {"q": 0.25}}}}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_mean_counts_match_their_expectation(name):
+    """Each offset's MC means of n_set and n_reset lie within 4 standard
+    errors of their exact expectation (`expected_counts`), or, where all
+    epochs agree, within n ln(1e6) / N of it (the counts lie in [0, n]; see
+    `validate.zero_var_tolerance`).  delta_g does not see the split of an
+    attempt that counted into one that stands and one undone, so
+    `mc_outliers` would not catch these counts swapped."""
+    fig4d = json.loads((Path(__file__).resolve().parents[1] / "configs" / "fig4d.json").read_text())
+    cfg = parse_config({**fig4d, "simulation": {**fig4d["simulation"],
+                                                **COUNT_CASES[name]}}).window
+    w = run_window(cfg)
+    expect = np.array([expected_counts(cfg, dt) for dt in w.delta_t.tolist()])
+    bad = []
+    for j, counts in enumerate((w.n_set, w.n_reset)):
+        mean, std = counts.mean(axis=1), counts.std(axis=1, ddof=1)
+        diff = np.abs(mean - expect[:, j])
+        tol = np.where(std > 0, 4.0 * std / np.sqrt(w.epochs),
+                       w.n_branches * math.log(1e6) / w.epochs)
+        bad += [(("n_set", "n_reset")[j], dt) for dt in w.delta_t[diff > tol].tolist()]
+    assert bad == []
 
 
 # setups where every device of an epoch starts in the same state: with
@@ -646,7 +751,7 @@ RANDOM_INIT_GRID = {"delta_t_min": -4.5, "delta_t_max": 4.5, "delta_t_step": 1.5
 def test_random_init_states_match_switch_counts(q):
     cfg = parse_config({"simulation": {**RANDOM_INIT_GRID,
                                        "init_policy": {"random": {"q": q}}}}).window
-    switches = np.array([replay_offset(cfg, k, dt)[-1]
+    switches = np.array([replay_offset(cfg, k, dt).switches
                          for k, dt in enumerate(cfg.grid().tolist())])
     grid, _, states = analytic_window(cfg)
     assert count_outliers(grid, switches, states) == []
