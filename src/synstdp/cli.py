@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import fit_exponential, fit_linear, fit_quadratic
-from .closedform import ClosedFormParams, comparison_report
+from .closedform import WORKED_PARAMS, ClosedFormParams, comparison_report
 from .config import ConfigError, default_config, load_config, load_params
 from .energy import (DEFAULT_GPU_BASELINE, SCENARIOS, EnergyScenario,
                      render_table, table1)
@@ -159,11 +159,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_closedform(args) -> int:
-    if args.params:
-        params = load_params(args.params, ClosedFormParams)
-    else:
-        from .validate import WORKED_PARAMS
-        params = WORKED_PARAMS
+    params = load_params(args.params, ClosedFormParams) if args.params else WORKED_PARAMS
     report = comparison_report(params, *args.interval)
     text = _json(report)
     if args.out:

@@ -49,52 +49,42 @@ class ClosedFormParams:
         if self.n * self.delta_v >= self.a_total:
             raise ValueError("need n*delta_v < a_total so every branch peaks positive at dt=0")
 
+    @property
+    def a1(self) -> float:
+        """Cutoff index (A - v_th) / delta_v: branch i can switch iff i < a1 - b1*dt."""
+        return (self.a_total - self.v_th) / self.delta_v
 
-@dataclass(frozen=True)
-class KIndex:
-    k: float       # continuous cutoff index a1 + b1*dt
-    a1: float      # (A - v_th) / delta_v
-    b1: float      # beta / delta_v
-
-
-def branch_peak(p: ClosedFormParams, i: int, delta_t: float) -> float:
-    """Peak potential of branch i: A - i*dV - beta*dt."""
-    if not (1 <= i <= p.n):
-        raise IndexError(f"branch index {i} out of range 1..{p.n}")
-    return p.a_total - i * p.delta_v - p.beta * delta_t
+    @property
+    def b1(self) -> float:
+        """Cutoff index lost per unit offset, beta / delta_v."""
+        return self.beta / self.delta_v
 
 
-def k_index(p: ClosedFormParams, delta_t: float) -> KIndex:
-    """Cutoff index where the linear switching probability reaches zero,
-    as the published linear function of the offset."""
-    a1 = (p.a_total - p.v_th) / p.delta_v
-    b1 = p.beta / p.delta_v
-    k = a1 + b1 * delta_t
-    return KIndex(k=k, a1=a1, b1=b1)
+# worked set: `synstdp closedform`'s default, configs/closedform.json, the self-checks
+WORKED_PARAMS = ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=0.08, v_th=1.0, gamma=2.0)
+
+
+def quadratic(coeffs: tuple[float, float, float], delta_t):
+    """a - b*dt + c*dt*dt of coeffs (a, b, c), in the order the report's bytes hold."""
+    a, b, c = coeffs
+    return a - b * delta_t + c * delta_t * delta_t
 
 
 def avg_conductance_direct(p: ClosedFormParams, delta_t: float) -> float:
     """Average compound conductance (r_on normalized to 1): the sum of every
     branch's SET probability under the device's linear law, which clamps the
-    bare per-branch ramp to [0, 1].  The peaks are `branch_peak`'s, and the
-    sum runs in branch order from the first branch."""
+    bare per-branch ramp to [0, 1].  Branch i peaks at A - i*dV - beta*dt,
+    and the sum runs in branch order from the first branch."""
     device = DeviceModel(vth_pos=p.v_th, prob_model=ProbModel("linear", p.gamma))
     peaks = p.a_total - np.arange(1, p.n + 1) * p.delta_v - p.beta * delta_t
     return float(np.cumsum(set_probability(device, peaks))[-1])
-
-
-def _kappa(p: ClosedFormParams, delta_t: float) -> float:
-    """Continuous active-branch cutoff: branch i switches with positive
-    probability iff i < kappa."""
-    ki = k_index(p, delta_t)
-    return ki.a1 - ki.b1 * delta_t
 
 
 def avg_conductance_continuous(p: ClosedFormParams, delta_t: float) -> float:
     """Continuous-cutoff form of the direct sum: with kappa = a1 - b1*dt and
     no branch saturated, sum_{i=1..kappa} gamma*dV*(kappa - i) collapses to
     gamma*dV*kappa*(kappa - 1)/2 -- a single quadratic in dt."""
-    kap = _kappa(p, delta_t)
+    kap = p.a1 - p.b1 * delta_t
     return p.gamma * p.delta_v * kap * (kap - 1.0) / 2.0
 
 
@@ -102,8 +92,7 @@ def quadratic_coeffs_published(p: ClosedFormParams) -> tuple[float, float, float
     """The published closed-form coefficients of value = a - b*dt + c*dt^2,
     evaluated verbatim (they are not consistent with the expansion of the
     continuous-cutoff expression; see quadratic_coeffs_fitted)."""
-    ki = k_index(p, 0.0)
-    a1, b1 = ki.a1, ki.b1
+    a1, b1 = p.a1, p.b1
     a = p.gamma * (p.a_total - p.v_th) * (p.n - a1) \
         - p.gamma * p.delta_v * (p.n * (p.n + 1) - a1 * (a1 + 1)) / 2.0
     b = b1 * p.gamma * (0.5 * p.delta_v * (a1 + 1.0) - p.beta)
@@ -137,41 +126,34 @@ def quadratic_coeffs_fitted(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> 
         raise ValueError(f"interval [{dt_lo}, {dt_hi}] contains a clamping breakpoint "
                          f"at dt={b[0]:.6g}")
     for dt in (dt_lo, dt_hi):
-        kap = _kappa(p, dt)
+        kap = p.a1 - p.b1 * dt
         if kap > p.n + 1e-12:
             raise ValueError(f"cutoff {kap:.6g} exceeds n={p.n} at dt={dt}: piece is not quadratic")
         if kap < -1e-12:
             raise ValueError(f"cutoff negative at dt={dt}: no active branches")
         if p.gamma * (p.a_total - p.delta_v - p.beta * dt - p.v_th) > 1.0 + 1e-12:
             raise ValueError(f"branch 1 saturated at dt={dt}: piece is not quadratic")
-    ki, g = k_index(p, 0.0), p.gamma * p.delta_v
-    return (g * ki.a1 * (ki.a1 - 1.0) / 2.0, g * ki.b1 * (2.0 * ki.a1 - 1.0) / 2.0,
-            g * ki.b1 * ki.b1 / 2.0)
+    a1, b1, g = p.a1, p.b1, p.gamma * p.delta_v
+    return g * a1 * (a1 - 1.0) / 2.0, g * b1 * (2.0 * a1 - 1.0) / 2.0, g * b1 * b1 / 2.0
 
 
 def comparison_report(p: ClosedFormParams, dt_lo: float, dt_hi: float) -> dict:
     """Both coefficient paths against the direct sum over 20 probe offsets."""
     fitted = quadratic_coeffs_fitted(p, dt_lo, dt_hi)  # checks the interval first
     probes = np.linspace(dt_lo, dt_hi, 20)
-    ki = k_index(p, 0.0)
     published = quadratic_coeffs_published(p)
-
-    def quad(coeffs, x):
-        a, b, c = coeffs
-        return a - b * x + c * x * x
-
     direct = np.array([avg_conductance_direct(p, x) for x in probes])
     cont = np.array([avg_conductance_continuous(p, x) for x in probes])
-    fit_vals = quad(fitted, probes)
+    fit_vals = quadratic(fitted, probes)
     return {
-        "a1": ki.a1,
-        "b1": ki.b1,
-        "k_samples": [{"dt": float(x), "k": k_index(p, float(x)).k} for x in probes],
+        "a1": p.a1, "b1": p.b1,
+        # the published cutoff index a1 + b1*dt (the forms above use a1 - b1*dt)
+        "k_samples": [{"dt": float(x), "k": p.a1 + p.b1 * float(x)} for x in probes],
         "direct_sum": [{"dt": float(x), "value": float(v)} for x, v in zip(probes, direct)],
         "published_coeffs": {"a": published[0], "b": published[1], "c": published[2]},
         "fitted_coeffs": {"a": fitted[0], "b": fitted[1], "c": fitted[2]},
         "max_dev_fitted_vs_continuous": float(np.abs(fit_vals - cont).max()),
         "max_dev_fitted_vs_direct": float(np.abs(fit_vals - direct).max()),
-        "max_dev_published_vs_direct": float(np.abs(quad(published, probes) - direct).max()),
+        "max_dev_published_vs_direct": float(np.abs(quadratic(published, probes) - direct).max()),
         "discretization_envelope": p.gamma * p.delta_v * p.n,
     }

@@ -15,6 +15,10 @@ import numpy as np
 
 from ._cephes import exp, phi
 
+# ON conductances (N(1, sigma_lrs^2), in 1/r_on) are redrawn beyond this many
+# sigma_lrs of 1 or at 0 and below: |delta_g| <= n (1 + 6 sigma_lrs) always holds
+LRS_SIGMAS = 6.0
+
 
 @dataclass(frozen=True)
 class ProbModel:
@@ -56,16 +60,16 @@ class DeviceModel:
 
     @cached_property  # read once per offset by the analytic layer
     def g_on_mean(self) -> float:
-        """Mean ON conductance normalized by 1/r_on.  The sampler redraws a
-        nonpositive draw, so an ON conductance is N(1, sigma_lrs^2) truncated
-        to (0, inf), with mean 1 + sigma phi(1/sigma) / Phi(1/sigma); exactly
-        1 at sigma_lrs = 0, and at sigma_lrs = 0.1 the correction (7.7e-24)
-        is below half an ulp of 1."""
-        if self.sigma_lrs == 0.0:
+        """Mean ON conductance normalized by 1/r_on: N(1, sigma^2) truncated to
+        the standardized limits lo = max(-LRS_SIGMAS, -1/sigma), hi = LRS_SIGMAS
+        (`_lrs_draws`), 1 + sigma (phi(lo) - phi(hi)) / (Phi(hi) - Phi(lo));
+        exactly 1 where the limits are symmetric, sigma <= 1/LRS_SIGMAS."""
+        sigma = self.sigma_lrs
+        if sigma * LRS_SIGMAS <= 1.0:  # symmetric limits, or no spread
             return 1.0
-        z = 1.0 / self.sigma_lrs
-        density = float(exp(-0.5 * z * z)) / math.sqrt(2.0 * math.pi)
-        return 1.0 + self.sigma_lrs * density / float(phi(z))
+        z = np.array([-1.0 / sigma, LRS_SIGMAS])
+        density, mass = exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi), phi(z)
+        return 1.0 + sigma * float(density[0] - density[1]) / float(mass[1] - mass[0])
 
     @property
     def g_off_norm(self) -> float:

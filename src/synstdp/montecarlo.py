@@ -15,7 +15,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .device import DeviceModel, switch_draws
+from .device import LRS_SIGMAS, DeviceModel, switch_draws
 from .pairing import PairingGeometry, branch_drives, candidate_tables
 from .waveforms import MAX_TIME, MIN_TIME
 
@@ -113,8 +113,8 @@ class StdpWindow:
 
     @property
     def delta_g_bound(self) -> float:
-        """Bound on |delta_g|: n devices, each ON conductance within 6 sigma_lrs."""
-        return self.n_branches * (1.0 + 6.0 * self.sigma_lrs)
+        """Bound on |delta_g|: n devices, each ON conductance within LRS_SIGMAS sigma_lrs of 1."""
+        return self.n_branches * (1.0 + LRS_SIGMAS * self.sigma_lrs)
 
     @property
     def max_abs_delta_g(self) -> float:
@@ -335,16 +335,20 @@ def _tally(m: DeviceModel, stream, event, switched, on):
 
 
 def _lrs_draws(stream, sigma_lrs: float, shape) -> np.ndarray:
-    """ON conductances normalized by 1/r_on, N(1, sigma_lrs^2) draws with
-    nonpositive draws redrawn; all ones (and no draws) when sigma_lrs = 0."""
+    """ON conductances normalized by 1/r_on, N(1, sigma_lrs^2) draws, those
+    outside [max(0+, 1 - LRS_SIGMAS sigma_lrs), 1 + LRS_SIGMAS sigma_lrs]
+    redrawn in flat order until none is left (the limits round as the draws
+    do, so no sigma_lrs rejects all); all ones, no draws, at sigma_lrs = 0."""
     if sigma_lrs == 0.0:
         return np.ones(shape)
+    lo = max(1.0 - LRS_SIGMAS * sigma_lrs, np.nextafter(0.0, 1.0))
+    hi = 1.0 + LRS_SIGMAS * sigma_lrs
     lrs = stream.normal(1.0, sigma_lrs, shape)
-    while True:
-        bad = lrs <= 0.0
-        if not bad.any():
-            return lrs
+    # the extremes settle almost every call without a mask
+    while lrs.size and not lo <= lrs.min() <= lrs.max() <= hi:
+        bad = (lrs < lo) | (lrs > hi)
         lrs[bad] = stream.normal(1.0, sigma_lrs, int(bad.sum()))
+    return lrs
 
 
 def _compute_point(cfg: WindowConfig, point: tuple[int, float]):

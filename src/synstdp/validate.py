@@ -16,15 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (ClosedFormParams, avg_conductance_continuous,
-                         avg_conductance_direct, k_index,
-                         quadratic_coeffs_fitted, quadratic_coeffs_published)
+from .closedform import (WORKED_PARAMS, ClosedFormParams, avg_conductance_continuous,
+                         avg_conductance_direct, quadratic, quadratic_coeffs_fitted,
+                         quadratic_coeffs_published)
 from .config import parse_config
 from .energy import table1
 from .montecarlo import StdpWindow, run_window, state_distribution
-
-# worked closed-form parameter set used throughout the appendix checks
-WORKED_PARAMS = ClosedFormParams(n=16, a_total=1.3, delta_v=0.02, beta=0.08, v_th=1.0, gamma=2.0)
 
 # energy-table reference design values (scenario -> (E_spk J, E_SNN J, img/s/W))
 TABLE1_REFERENCE = {
@@ -164,11 +161,9 @@ def check_closedform() -> list[CheckResult]:
         "closed form [direct sum at 0]", abs(v0 - 4.2) <= 1e-12 and abs(v0 - brute0) <= 1e-12,
         f"value {v0!r} vs brute force {brute0!r} and reference 4.2"))
 
-    ki = k_index(p, 0.0)
-    lo, hi = 0.0, (ki.a1 - 1.0) / ki.b1  # cutoff reaches the last active branch
     fitted = quadratic_coeffs_fitted(p, 0.3, 0.4)
-    probes = np.linspace(lo, hi, 20)
-    fit_vals = fitted[0] - fitted[1] * probes + fitted[2] * probes ** 2
+    probes = np.linspace(0.0, (p.a1 - 1.0) / p.b1, 20)  # cutoff reaches the last active branch
+    fit_vals = quadratic(fitted, probes)
     cont = np.array([avg_conductance_continuous(p, x) for x in probes])
     direct = np.array([bruteforce_direct(p, x) for x in probes])
     dev_cont = float(np.abs(fit_vals - cont).max())

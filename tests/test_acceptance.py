@@ -161,11 +161,13 @@ def test_a5_fig4d_exponential_r2(a5_curves):
                   f"tau={fit.params['tau']:.3f}, curves in {elapsed:.2f}s")
 
 
-# The strict exponential-over-linear ordering is derived (closedform) for the
-# linear switching law p = gamma * (V - V_th); under the Gaussian threshold law
-# of the default config each branch's switching probability is a Gaussian CDF
-# in dt, and equally spaced CDFs sum to a smoothed ramp. The gamma is the one
-# of configs/closedform.json and validate.WORKED_PARAMS.
+# The strict exponential-over-linear ordering is measured on the attenuation
+# bank under the linear switching law p = gamma * (V - V_th), the closed form's
+# law (the closed form itself describes a delay bank's tail, not this bank);
+# under the Gaussian threshold law of the default config each branch's
+# switching probability is a Gaussian CDF in dt, and equally spaced CDFs sum
+# to a smoothed ramp. The gamma is the one of configs/closedform.json and
+# closedform.WORKED_PARAMS.
 LINEAR_LAW = {"device": {"prob_model": {"linear": {"gamma": 2.0}}}}
 
 

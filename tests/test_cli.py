@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,24 @@ def test_closedform_subcommand(tmp_path, capsys):
     assert rep["fitted_coeffs"]["c"] > 0
     assert abs(rep["published_coeffs"]["b"] - 0.64) < 1e-12
     assert main(["closedform", "--params", str(CONFIGS / "closedform.json")]) == 0
+
+
+# SHA-256 of the closed-form report on stdout.  The default parameters and
+# configs/closedform.json are one set, so they print the same bytes.
+WORKED_REPORT = "1e35c0c12418f9add3198dde6e8a6c1b7431700101f922824625b3184c2eba7a"
+CLOSEDFORM_DIGESTS = {
+    "default": ([], WORKED_REPORT),
+    "params-file": (["--params", str(CONFIGS / "closedform.json")], WORKED_REPORT),
+    "interval": (["--interval", "0.1", "0.2"],
+                 "f584103ef88cef29f1201484d6b0ad70f27234143c3ad6afbf6976a60d0e30e0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSEDFORM_DIGESTS))
+def test_closedform_report_bytes(name, capsys):
+    args, digest = CLOSEDFORM_DIGESTS[name]
+    assert main(["closedform", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])

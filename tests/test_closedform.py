@@ -5,31 +5,20 @@ import numpy as np
 import pytest
 
 from synstdp import (ClosedFormParams, avg_conductance_continuous,
-                     avg_conductance_direct, branch_peak, comparison_report,
-                     k_index, quadratic_coeffs_fitted,
+                     avg_conductance_direct, comparison_report, quadratic_coeffs_fitted,
                      quadratic_coeffs_published)
-from synstdp.closedform import MAX_N, _clamp_breakpoints
+from synstdp.closedform import MAX_N, WORKED_PARAMS as WORKED, _clamp_breakpoints
 from synstdp.config import load_params, parse_config
 from synstdp.montecarlo import analytic_window
-from synstdp.validate import WORKED_PARAMS as WORKED, bruteforce_direct
+from synstdp.validate import bruteforce_direct
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def test_branch_peak_examples():
-    assert abs(branch_peak(WORKED, 1, 0.0) - 1.28) < 1e-12
-    assert abs(branch_peak(WORKED, 15, 0.0) - 1.0) < 1e-12
-    assert branch_peak(WORKED, 1, 100.0) < 0.0
-    with pytest.raises(IndexError):
-        branch_peak(WORKED, 17, 0.0)
-
-
-def test_k_index_examples():
-    ki = k_index(WORKED, 0.0)
-    assert abs(ki.a1 - 15.0) < 1e-9
-    assert abs(ki.b1 - 4.0) < 1e-12
-    ki = k_index(WORKED, 0.25)
-    assert abs(ki.k - 16.0) < 1e-9
+def test_cutoff_index_examples():
+    assert abs(WORKED.a1 - 15.0) < 1e-9
+    assert abs(WORKED.b1 - 4.0) < 1e-12
+    assert abs(WORKED.a1 + WORKED.b1 * 0.25 - 16.0) < 1e-9  # the published cutoff
 
 
 def test_direct_sum_worked_values():
@@ -138,17 +127,16 @@ def test_fitted_curvature_positive_for_random_params():
         gamma = 0.8 * min(3.0, 1.0 / (headroom - delta_v))  # no saturation anywhere
         p = ClosedFormParams(n=n, a_total=v_th + headroom, delta_v=delta_v, beta=beta,
                            v_th=v_th, gamma=gamma)
-        ki = k_index(p, 0.0)
-        m = min(n, math.floor(ki.a1))
+        m = min(n, math.floor(p.a1))
         if m < 2:
             continue
         # probe strictly between two adjacent branch-dropout offsets
-        t0 = (ki.a1 - m) / ki.b1
-        t1 = (ki.a1 - (m - 1)) / ki.b1
+        t0 = (p.a1 - m) / p.b1
+        t1 = (p.a1 - (m - 1)) / p.b1
         width = (t1 - t0) / 4.0
         _, _, c = quadratic_coeffs_fitted(p, t0 + width, t1 - width)
         assert c > 0.0
-        assert abs(c - p.gamma * p.delta_v * ki.b1 ** 2 / 2.0) < 1e-6 * c
+        assert abs(c - p.gamma * p.delta_v * p.b1 ** 2 / 2.0) < 1e-6 * c
         checked += 1
 
 

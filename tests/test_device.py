@@ -96,15 +96,54 @@ def test_sample_on_conductance_redraw_rule():
 
 @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.45, 0.49])
 def test_on_conductance_mean_is_the_truncated_normal_mean(sigma):
+    # draws are kept within 6 sigma of 1 and above 0 (_lrs_draws)
     stats = pytest.importorskip("scipy.stats")
-    mean = stats.truncnorm(-1.0 / sigma, np.inf, loc=1.0, scale=sigma).mean()
+    mean = stats.truncnorm(max(-6.0, -1.0 / sigma), 6.0, loc=1.0, scale=sigma).mean()
     assert abs(DeviceModel(sigma_lrs=sigma).g_on_mean - mean) <= 1e-15
 
 
 def test_on_conductance_mean_is_one_at_small_spread():
-    # the golden cases use sigma_lrs 0 or 0.1: their analytic step keeps its float
+    # the golden cases use sigma_lrs 0 or 0.1: their analytic step keeps its
+    # float.  Below 1/6 the truncation to 1 +- 6 sigma is symmetric
     assert DeviceModel(sigma_lrs=0.0).g_on_mean == 1.0
     assert DeviceModel(sigma_lrs=0.1).g_on_mean == 1.0
+    assert DeviceModel(sigma_lrs=1.0 / 6.0).g_on_mean == 1.0
+    assert DeviceModel(sigma_lrs=0.17).g_on_mean > 1.0
+
+
+class StubStream:
+    """A point stream whose first `normal` call returns `first` in place of
+    its leading draws; every other draw is the wrapped stream's."""
+
+    def __init__(self, stream, first):
+        self.stream, self.first = stream, list(first)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def normal(self, loc, scale, size=None):
+        out = self.stream.normal(loc, scale, size)
+        if self.first:
+            out.flat[:len(self.first)], self.first = self.first, []
+        return out
+
+
+def test_on_conductance_beyond_six_sigma_is_redrawn():
+    sigma = 0.1
+    stub = StubStream(_point_stream(9, 0), [1.0 + 6.5 * sigma, 1.0 - 6.5 * sigma, 1.25])
+    draws = _lrs_draws(stub, sigma, 5)
+    raw = _point_stream(9, 0)
+    first = raw.normal(1.0, sigma, 5)
+    assert np.array_equal(draws[2:], np.r_[1.25, first[3:]])  # in range: kept
+    assert np.array_equal(draws[:2], raw.normal(1.0, sigma, 2))  # redrawn, in order
+    assert np.all(np.abs(draws - 1.0) < 6.0 * sigma)
+    # at sigma >= 1/6 the lower limit is 0: a draw below 1 - 6 sigma but above
+    # 0 is kept, one at or below 0 is not; the limits themselves are kept
+    stub = StubStream(_point_stream(9, 0), [0.0, 0.01, 1.0 + 6.0 * 0.3])
+    draws = _lrs_draws(stub, 0.3, 3)
+    assert draws[1] == 0.01 and 0.0 < draws[0] and draws[2] == 1.0 + 6.0 * 0.3
+    # 1 +- 6 sigma round to 1 as the draws do, so the draws (all 1) are kept
+    assert np.array_equal(_lrs_draws(_point_stream(9, 0), 1e-300, 4), np.ones(4))
 
 
 def test_validation():

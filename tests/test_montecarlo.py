@@ -13,9 +13,10 @@ import synstdp.montecarlo as montecarlo
 from synstdp import (DendriteBank, DeviceModel, InitPolicy, PairingGeometry, SpikeWaveform,
                      WindowConfig, all_branch_drives, analytic_window, parse_config,
                      reset_probability, run_window, set_probability, state_distribution)
+from synstdp.cli import main
 from synstdp.montecarlo import INIT_KINDS, _point_stream
 from synstdp.validate import enumerate_pmf, mc_outliers
-from tests.test_device import phi
+from tests.test_device import StubStream, phi
 
 
 def make_geometry(alpha_min=0.6, alpha_max=1.0, delay_max=0.0, sigma_lrs=0.1,
@@ -332,6 +333,27 @@ def test_mc_matches_analytic_at_large_lrs_spread():
     assert mc_outliers(run_window(cfg)) == []
 
 
+# One branch at sigma_lrs 0.1 that SETs with certainty at 0.5 (linear law,
+# gamma 100): one ON conductance beyond 1 + 6 sigma = 1.6 would break
+# |delta_g| <= delta_g_bound on its own.  Such a draw has chance ~1e-9, so the
+# stream is made to yield it first.
+ONE_BRANCH = {"dendrites": {"n": 1, "alpha_min": 1.0, "alpha_max": 1.0, "delay_max": 0.0},
+              "device": {"sigma_lrs": 0.1, "prob_model": {"linear": {"gamma": 100.0}}},
+              "simulation": {"init_policy": "all_off", "delta_t_min": 0.5, "delta_t_max": 0.6,
+                             "delta_t_step": 0.1, "epochs": 20}}
+
+
+def test_one_branch_run_redraws_an_on_conductance_beyond_six_sigma(monkeypatch, tmp_path):
+    monkeypatch.setattr(montecarlo, "_point_stream",
+                        lambda seed, k: StubStream(_point_stream(seed, k), [1.7]))
+    w = run_window(parse_config(ONE_BRANCH).window)  # validates
+    assert w.delta_g_bound == 1.6 and np.all(w.n_set == 1)
+    assert 0.4 < w.delta_g.min() and w.max_abs_delta_g < 1.6
+    config = tmp_path / "one_branch.json"
+    config.write_text(json.dumps(ONE_BRANCH))
+    assert main(["window", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_analytic_window_matches_run_window():
     cases = {"split": {},  # on a grid through 0
              "all_on": {"init_policy": InitPolicy(kind="all_on")},
@@ -420,8 +442,8 @@ def replay_offset(cfg, k, delta_t):
       counts both attempts and switches nothing, and u >= c counts none.  A
       branch is dead when c = 0 for every start state its devices can have.
     - Then one N(1, sigma_lrs) ON conductance per switched device, in
-      branch-major order, with each nonpositive one redrawn in turn until none
-      is left.
+      branch-major order, with each one at or below 0 or beyond 6 sigma_lrs
+      of 1 redrawn in turn until none is left.
     An epoch's delta_g is the running sum, from 0.0 in branch order, of
     +(g_on - g_off) for a device that ended ON and -(g_on - g_off) for one
     that ended OFF.  Returns a namespace of delta_g, n_set, n_reset, the
@@ -482,8 +504,8 @@ def replay_offset(cfg, k, delta_t):
                 elif u[e] < c:  # both count, the second undoing the first
                     count(i, e, on, 1, 1)
     g_on = [stream.normal(1.0, sigma_lrs) if sigma_lrs > 0.0 else 1.0 for _ in switched]
-    redraws = 0
-    while bad := [j for j, x in enumerate(g_on) if x <= 0.0]:
+    redraws, lo, hi = 0, 1.0 - 6.0 * sigma_lrs, 1.0 + 6.0 * sigma_lrs
+    while bad := [j for j, x in enumerate(g_on) if not (x > 0.0 and lo <= x <= hi)]:
         for j in bad:
             g_on[j] = stream.normal(1.0, sigma_lrs)
         redraws += len(bad)
