@@ -1,6 +1,14 @@
 """Stochastic STDP learning windows for compound binary resistive synapses
 with dendritic-inspired attenuation and delay."""
 
+import os
+
+# Before numpy loads: OpenBLAS would start a worker thread per core that
+# spins beside the main one.  The fork pool of `--workers` is the package's
+# one parallel stage, and no BLAS or LAPACK call it makes (the largest is a
+# 12 x 12 eigensolve) is large enough to thread.  A value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .analysis import FitResult, fit_exponential, fit_linear, fit_quadratic

@@ -176,4 +176,4 @@ def rows(fields: list) -> bytes:
               np.broadcast_to(True, (len(f), n))) for f in fields]
     chars = np.concatenate([c for c, _ in slabs])
     keep = np.concatenate([k for _, k in slabs])
-    return np.compress(keep.T.ravel(), chars.T.ravel()).tobytes()
+    return chars.T.ravel()[keep.T.ravel()].tobytes()
